@@ -25,9 +25,9 @@ right-exactness, both of which the test suite checks directly.
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
+    BadPrime,
     EmptyI,
     InvariantViolation,
     RepresentativeDependence,
@@ -42,37 +42,40 @@ from .graded_algebra import (
     multiply_classes,
     slice_class_basis,
 )
-from .linalg import QQ, Echelon, mat_mul, nullspace, zeros
+from .gamma_data import build_group
+from .linalg import (
+    QQ,
+    Echelon,
+    PrimeField,
+    find_surjection,
+    hom_space,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    quotient_projection,
+    vec_to_sparse,
+    zeros,
+)
 from .quiver_core import DimVector, mckay_quiver, triple_quiver
-from .rep_theory import QuiverRep, check_relations, loop_commutation_residuals
+from .rep_theory import QuiverRep, is_flat
 
 TRUNCATION_WINDOW = 4
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_group(label):
-    from .gamma_data import build_group
-
-    return build_group(label)
-
-
-_ctx_cache = {}
-
-
 def pi_context(group, degree_cap=None):
-    key = (group.descriptor.label, degree_cap)
-    ctx = _ctx_cache.get(key)
-    if ctx is None:
-        kwargs = {} if degree_cap is None else {"degree_cap": degree_cap}
-        ctx = AlgebraContext(group, "pi", **kwargs)
-        _ctx_cache[key] = ctx
-    return ctx
+    """The shared plain-flavor algebra context of a group."""
+    return _pi_context(group.descriptor.label, degree_cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_context(label, degree_cap):
+    kwargs = {} if degree_cap is None else {"degree_cap": degree_cap}
+    return AlgebraContext(build_group(label), "pi", **kwargs)
 
 
 @functools.lru_cache(maxsize=None)
 def _generation_degree(label, corner):
-    group = _cached_group(label)
-    return corner_generation_bound(pi_context(group), corner)
+    return corner_generation_bound(_pi_context(label, None), corner)
 
 
 def generation_degree(group, corner):
@@ -148,15 +151,10 @@ def j_star(rep, corner):
     if bad:
         raise VertexNotInCorner(f"vertices {bad} not in the quiver")
     field = rep.field
-    for mat in check_relations(rep).values():
-        if any(x != field.zero for row in mat for x in row):
-            raise RepresentativeDependence("vertex relations violated upstream")
-    if quiver.is_tripled:
-        for mat in loop_commutation_residuals(rep).values():
-            if any(x != field.zero for row in mat for x in row):
-                raise RepresentativeDependence("loop commutation violated upstream")
+    if not is_flat(rep):
+        raise RepresentativeDependence("relations violated upstream")
 
-    group = _cached_group(quiver.group)
+    group = build_group(quiver.group)
     ctx = pi_context(group)
     gen_deg = generation_degree(group, corner)
     dims = {v: rep.dims.get(v) for v in sorted(corner)}
@@ -223,11 +221,14 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
 
     ``force_degree`` keeps extending at least that far even after the
     stabilisation window, so two extensions can be compared coordinate
-    by coordinate.
+    by coordinate.  The module must be over QQ; a module over a prime
+    field raises BadPrime.
     """
     group = module.group
     corner = module.corner
     field = module.field
+    if field is not QQ:
+        raise BadPrime(f"corner extension runs over QQ, not {field}")
     ctx = pi_context(group)
     cap = degree_cap if degree_cap is not None else ctx.degree_cap
     quiver_b = triple_quiver(mckay_quiver(group))
@@ -296,7 +297,7 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
                                     coef = act[bb][b]
                                     if coef != field.zero:
                                         key = coord_key(m, i, u, bb)
-                                        row[key] = row.get(key, QQ.zero) - Fraction(coef)
+                                        row[key] = row.get(key, QQ.zero) - coef
                                 row = {kk: v for kk, v in row.items() if v}
                                 if row:
                                     ech.insert(row)
@@ -400,19 +401,15 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
             red = reduce_key(coord_key(kdeg, src, c, bb))
             for t, x in enumerate(red):
                 if x:
-                    acc[t] += Fraction(coef) * x
+                    acc[t] += coef * x
         for key2, t in basis_pos.items():
             if acc[t] and vertex_of_key[key2] == v_here:
                 maps[lid][pos_in_vertex[key2]][col] = acc[t]
 
     maps = {aid: tuple(tuple(row) for row in rows) for aid, rows in maps.items()}
     out = QuiverRep(quiver=quiver_b, dims=dims, maps=maps, field=field)
-    for mat in check_relations(out).values():
-        if any(x != field.zero for row in mat for x in row):
-            raise InvariantViolation("corner extension broke the vertex relations")
-    for mat in loop_commutation_residuals(out).values():
-        if any(x != field.zero for row in mat for x in row):
-            raise InvariantViolation("corner extension broke loop commutation")
+    if not is_flat(out):
+        raise InvariantViolation("corner extension broke the relations")
     return ExtensionData(
         module=module,
         rep=out,
@@ -468,124 +465,40 @@ def j_shriek_on_hom(data_m, data_n, phi_blocks):
 def cornered_hom_space(a, b):
     """Basis of module homomorphisms a -> b between cornered modules.
 
-    Returns (basis vectors, offsets, verts): a solution phi is stored as
-    a flat vector; the block for vertex v has shape b.dim(v) x a.dim(v)
-    starting at offsets[v], row-major.
+    Returns (basis vectors, offsets): a solution phi is stored as a flat
+    vector; the block for vertex v has shape b.dim(v) x a.dim(v) starting
+    at offsets[v], row-major.
     """
     if a.group.descriptor != b.group.descriptor or a.corner != b.corner:
         raise InvariantViolation("hom space needs matching group and corner")
     if a.gen_degree != b.gen_degree:
         raise InvariantViolation("hom space needs matching generator tables")
-    field = a.field
     verts = sorted(a.corner)
-    offsets = {}
-    nvars = 0
-    for v in verts:
-        offsets[v] = nvars
-        nvars += b.dim(v) * a.dim(v)
-
-    constraints = []
-    for v in verts:
-        constraints.append((v, v, a.z_mats[v], b.z_mats[v]))
+    constraints = [(v, v, a.z_mats[v], b.z_mats[v]) for v in verts]
     for key in sorted(a.actions, key=lambda t: (t[0], t[1], t[2])):
         _, i, j = key
         for ma, mb in zip(a.actions[key], b.actions[key]):
             constraints.append((i, j, ma, mb))
-
-    rows = []
-    for i, j, ma, mb in constraints:
-        for r in range(b.dim(i)):
-            for c in range(a.dim(j)):
-                # phi_i . MA - MB . phi_j = 0 at entry (r, c)
-                row = [field.zero] * nvars
-                for m in range(a.dim(i)):
-                    idx = offsets[i] + r * a.dim(i) + m
-                    row[idx] = field.add(row[idx], ma[m][c])
-                for m in range(b.dim(j)):
-                    idx = offsets[j] + m * a.dim(j) + c
-                    row[idx] = field.sub(row[idx], mb[r][m])
-                rows.append(tuple(row))
-    return nullspace(field, rows, ncols=nvars), offsets, verts
-
-
-def hom_blocks(module_a, module_b, sol, offsets, verts):
-    out = {}
-    for v in verts:
-        rows_n, cols_n = module_b.dim(v), module_a.dim(v)
-        off = offsets[v]
-        out[v] = tuple(
-            tuple(sol[off + r * cols_n + c] for c in range(cols_n))
-            for r in range(rows_n)
-        )
-    return out
-
-
-def _seeded_combinations(field, basis, seed, tries):
-    """Seeded candidate solutions: basis vectors, random mixes, and (for a
-    small prime-field solution space) the exhaustive list."""
-    import itertools
-    import random as _random
-
-    from .linalg import PrimeField
-
-    nvars = len(basis[0]) if basis else 0
-    candidates = [tuple(vec) for vec in basis]
-    rng = _random.Random(seed)
-    for _ in range(tries):
-        sol = [field.zero] * nvars
-        for vec in basis:
-            coef = field.from_int(rng.randint(-3, 3))
-            if coef == field.zero:
-                continue
-            for idx, x in enumerate(vec):
-                if x != field.zero:
-                    sol[idx] = field.add(sol[idx], field.mul(coef, x))
-        candidates.append(tuple(sol))
-    if isinstance(field, PrimeField) and field.p ** len(basis) <= 4096:
-        for combo in itertools.product(range(field.p), repeat=len(basis)):
-            sol = [field.zero] * nvars
-            for coef, vec in zip(combo, basis):
-                if coef == 0:
-                    continue
-                for idx, x in enumerate(vec):
-                    sol[idx] = field.add(sol[idx], field.mul(coef, x))
-            candidates.append(tuple(sol))
-    return candidates
+    dims_a = {v: a.dim(v) for v in verts}
+    dims_b = {v: b.dim(v) for v in verts}
+    return hom_space(a.field, constraints, dims_a, dims_b, verts)
 
 
 def cornered_isomorphic(a, b, seed=0, tries=40):
     """Whether two cornered modules are isomorphic (invertible intertwiner)."""
-    from .linalg import rank
-
     if a.group.descriptor != b.group.descriptor or a.corner != b.corner:
         return False
     if a.dims != b.dims:
         return False
-    field = a.field
     if a.total_dim() == 0:
         return True
-    basis, offsets, verts = cornered_hom_space(a, b)
-    if not basis:
-        return False
-    for sol in _seeded_combinations(field, basis, seed, tries):
-        ok = True
-        for v in verts:
-            n = a.dim(v)
-            if n == 0:
-                continue
-            block = hom_blocks(a, b, sol, offsets, verts)[v]
-            if rank(field, list(block)) < n:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    basis, offsets = cornered_hom_space(a, b)
+    dims = {v: a.dim(v) for v in offsets}
+    return find_surjection(a.field, basis, offsets, dims, dims, seed, tries)
 
 
 def cornered_submodule_is_closed(module, spaces):
     """Whether per-vertex subspaces are closed under all stored actions."""
-    from .linalg import vec_to_sparse
-
     field = module.field
     ech = {}
     for v in sorted(module.corner):
@@ -600,7 +513,7 @@ def cornered_submodule_is_closed(module, spaces):
             gens.append((i, j, mat))
     for i, j, mat in gens:
         for vec in spaces.get(j, ()):
-            img = _apply_mat(field, mat, vec, module.dim(i))
+            img = mat_vec(field, mat, vec)
             if not ech[i].contains(vec_to_sparse(field, img)):
                 return False
     return True
@@ -617,16 +530,13 @@ def cornered_quotient(module, spaces, with_projection=False):
     lift = {}
     qdim = {}
     for v in sorted(module.corner):
-        p, lf = _quotient_projection(field, spaces.get(v, ()), module.dim(v))
-        proj[v], lift[v] = p, lf
-        qdim[v] = len(lf)
+        proj[v], lift[v] = quotient_projection(
+            field, spaces.get(v, ()), module.dim(v)
+        )
+        qdim[v] = len(lift[v])
 
     def push(mat, i, j):
-        cols = [
-            _apply_mat(field, proj[i], _apply_mat(field, mat, vec, module.dim(i)),
-                       qdim[i])
-            for vec in lift[j]
-        ]
+        cols = [mat_vec(field, proj[i], mat_vec(field, mat, vec)) for vec in lift[j]]
         return tuple(
             tuple(cols[c][r] for c in range(qdim[j])) for r in range(qdim[i])
         )
@@ -652,8 +562,6 @@ def cornered_quotient(module, spaces, with_projection=False):
 
 def cornered_mod_p(module, p):
     """Entrywise reduction of a rational cornered module modulo p."""
-    from .linalg import PrimeField
-
     field = PrimeField(p)
 
     def conv(mat):
@@ -720,38 +628,6 @@ class TruncatedGradedModule:
         return out
 
 
-def _quotient_projection(field, sub_rows, n):
-    """(projection matrix q x n, lifted basis) for F^n / span(sub_rows)."""
-    ech = Echelon(field)
-    for row in sub_rows:
-        from .linalg import vec_to_sparse
-
-        ech.insert(vec_to_sparse(field, row))
-    extra = []
-    for i in range(n):
-        if ech.insert({i: field.one}):
-            extra.append(i)
-    sub = list(sub_rows)
-    combined = sub + [
-        tuple(field.one if i == e else field.zero for i in range(n)) for e in extra
-    ]
-    cols = [tuple(combined[b][r] for b in range(len(combined))) for r in range(n)]
-    from .linalg import solve
-
-    proj_rows = []
-    for i in range(n):
-        unit = tuple(field.one if r == i else field.zero for r in range(n))
-        gamma = solve(field, cols, unit)
-        proj_rows.append(gamma[len(sub):])
-    proj = tuple(
-        tuple(proj_rows[i][q] for i in range(n)) for q in range(len(extra))
-    )
-    lift = [
-        tuple(field.one if i == e else field.zero for i in range(n)) for e in extra
-    ]
-    return proj, lift
-
-
 def c_star(m):
     """Degreewise quotient by the image of the degree-one loops.
 
@@ -770,10 +646,10 @@ def c_star(m):
         z_img = m.z_image_basis(k - 1)
         for v in m.vertices:
             n = m.dim(k, v)
-            p, lf = _quotient_projection(field, z_img.get(v, ()), n)
-            proj[(k, v)] = p
-            lift[(k, v)] = lf
-            new_dims[(k, v)] = len(lf)
+            proj[(k, v)], lift[(k, v)] = quotient_projection(
+                field, z_img.get(v, ()), n
+            )
+            new_dims[(k, v)] = len(lift[(k, v)])
     new_actions = {}
     for gid, (src, dst, is_z) in m.gens.items():
         per_degree = {}
@@ -785,14 +661,13 @@ def c_star(m):
                 continue
             cols = []
             for vec in lift[(k, src)]:
-                img = _apply_mat(field, mat, vec, m.dim(k + 1, dst))
-                cols.append(_apply_mat(field, proj[(k + 1, dst)], img,
-                                       new_dims[(k + 1, dst)]))
+                img = mat_vec(field, mat, vec)
+                cols.append(mat_vec(field, proj[(k + 1, dst)], img))
             per_degree[k] = tuple(
                 tuple(cols[c][r] for c in range(len(cols)))
                 for r in range(new_dims[(k + 1, dst)])
             )
-            _check_descends(field, m, gid, k, proj, new_dims)
+            _check_descends(field, m, gid, k, proj)
         if is_z:
             for k in range(k0 + 1, k1):
                 per_degree[k] = zeros(
@@ -810,28 +685,14 @@ def c_star(m):
     )
 
 
-def _apply_mat(field, mat, vec, nrows):
-    if not mat:
-        return tuple(field.zero for _ in range(nrows))
-    out = []
-    for row in mat:
-        s = field.zero
-        for x, y in zip(row, vec):
-            if x != field.zero and y != field.zero:
-                s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return tuple(out)
-
-
-def _check_descends(field, m, gid, k, proj, new_dims):
+def _check_descends(field, m, gid, k, proj):
     """The action must send the z-image into the z-image."""
     src, dst, _ = m.gens[gid]
     mat = m.actions.get(gid, {}).get(k)
     if mat is None:
         return
     for vec in m.z_image_basis(k - 1).get(src, ()):
-        img = _apply_mat(field, mat, vec, m.dim(k + 1, dst))
-        red = _apply_mat(field, proj[(k + 1, dst)], img, new_dims[(k + 1, dst)])
+        red = mat_vec(field, proj[(k + 1, dst)], mat_vec(field, mat, vec))
         if any(x != field.zero for x in red):
             raise InvariantViolation(
                 "action does not descend to the z-quotient (commutation broken)"

@@ -22,6 +22,10 @@ class NonIntegralCoefficient(MckayError):
     """A Molien coefficient failed the near-integer check."""
 
 
+class MalformedFile(MckayError):
+    """An input file lacks a required entry or holds a value of the wrong type."""
+
+
 class InvariantViolation(MckayError):
     """An internal self-check failed (corrupted table or implementation bug)."""
 

@@ -13,6 +13,7 @@ representation at vertex 0.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -373,9 +374,18 @@ def _raw_multiplicities(rows, sizes, chi_v, order):
 # ---------------------------------------------------------------------------
 
 def build_group(descriptor):
-    """Construct the group data for an ADE descriptor, fully validated."""
+    """The group data for an ADE descriptor (or its label), fully validated.
+
+    Built once per descriptor and process; ``GroupData`` is immutable, so
+    every caller shares the one copy.
+    """
     if isinstance(descriptor, str):
         descriptor = parse_descriptor(descriptor)
+    return _build_group(descriptor)
+
+
+@functools.lru_cache(maxsize=None)
+def _build_group(descriptor):
     dynkin.validate_descriptor(descriptor.series, descriptor.rank)
     if descriptor.series == "A":
         g = _cyclic_group(descriptor.rank)

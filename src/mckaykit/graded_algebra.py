@@ -44,10 +44,6 @@ from .quiver_core import frame_quiver, mckay_quiver, triple_quiver
 
 DEFAULT_DEGREE_CAP = 16
 
-#: Reference constant for the graded flavor (dimension 2 regular algebra);
-#: recorded for downstream consumers, not verified computationally.
-GORENSTEIN_PARAMETER = -3
-
 FLAVORS = ("pi", "piw", "pibullet")
 
 
@@ -364,10 +360,6 @@ class GradedSlice:
         return tuple(
             tuple(col[r] for col in cols) for r in range(len(self.path_basis))
         )
-
-    def quotient_basis_paths(self):
-        """Representative paths for a basis of the quotient slice."""
-        return self.ctx.slice_basis_paths(self.i, self.j, self.k)
 
 
 def graded_slice(ctx, i, j, k):

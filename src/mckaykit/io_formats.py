@@ -8,7 +8,7 @@ and serialising round-trip byte-identically under sorted-key JSON.
 import json
 from fractions import Fraction
 
-from .errors import InvalidDescriptor, MckayError
+from .errors import InvalidDescriptor, MalformedFile, MckayError
 from .linalg import QQ
 from .quiver_core import (
     INFINITY,
@@ -139,17 +139,45 @@ def rep_to_dict(rep):
     }
 
 
+def _parsed(what, parse, value):
+    """``parse(value)``, reporting a value it rejects as MalformedFile."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise MalformedFile(f"bad {what} {value!r}") from None
+
+
+def _dimension(value):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(value)
+    d = int(value)
+    if d < 0:
+        raise ValueError(value)
+    return d
+
+
 def rep_from_dict(data):
+    """Parse a framed module; a malformed file raises MalformedFile."""
     from .rep_theory import QuiverRep, validate_shapes
 
+    if not (isinstance(data, dict) and "quiver" in data
+            and isinstance(data.get("dims"), dict)):
+        raise MalformedFile('a module needs a "quiver" and a "dims" object')
     quiver = resolve_quiver(data["quiver"])
-    raw_dims = {key_to_vertex(k): int(v) for k, v in data["dims"].items()}
+    raw_dims = {
+        _parsed("vertex", key_to_vertex, k): _parsed("dimension", _dimension, v)
+        for k, v in data["dims"].items()
+    }
     comps = {v: raw_dims.get(v, 0) for v in quiver.vertices if v != INFINITY}
     at_inf = raw_dims.get(INFINITY) if INFINITY in quiver.vertices else None
     dims = DimVector(components=comps, at_infinity=at_inf)
+    arrow_ids = {a.id for a in quiver.arrows}
     maps = {}
-    for key, rows in data.get("maps", {}).items():
-        maps[int(key)] = matrix_from_lists(rows)
+    for key, rows in _parsed("maps", dict.items, data.get("maps", {})):
+        aid = _parsed("arrow id", int, key)
+        if aid not in arrow_ids:
+            raise MalformedFile(f"unknown arrow id {key!r} in maps")
+        maps[aid] = _parsed(f"matrix for arrow {key}", matrix_from_lists, rows)
     rep = QuiverRep(quiver=quiver, dims=dims, maps=maps, field=QQ)
     validate_shapes(rep)
     return rep

@@ -5,8 +5,14 @@ All core computations in the toolkit run over an exact field: ``QQ``
 for brute-force enumerations.  Matrices are immutable tuples of row
 tuples; the zero-row and zero-column cases are legal, so shape arguments
 are passed explicitly where they cannot be inferred.
+
+The kernels shared by the module-theory layers live here too: the
+intertwiner (hom-space) system, quotient projections, and the seeded
+search for a hom-space element that is onto at every vertex.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 from .errors import BadPrime
@@ -109,27 +115,12 @@ def zeros(field, nrows, ncols):
     return tuple(tuple(field.zero for _ in range(ncols)) for _ in range(nrows))
 
 
-def identity(field, n):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
-
-
-def mat_from_rows(field, rows):
-    return tuple(tuple(field.from_fraction(x) if field is QQ else field.from_int(x)
-                       for x in row) for row in rows)
-
-
 def mat_add(field, a, b):
     return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(field, a, b):
     return tuple(tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(field, c, a):
-    return tuple(tuple(field.mul(c, x) for x in row) for row in a)
 
 
 def mat_mul(field, a, b, b_ncols=None):
@@ -164,18 +155,6 @@ def mat_vec(field, a, v):
     return tuple(out)
 
 
-def transpose(a, ncols=None):
-    if a:
-        ncols = len(a[0])
-    if ncols is None:
-        raise ValueError("ncols required for an empty matrix")
-    return tuple(tuple(row[j] for row in a) for j in range(ncols))
-
-
-def is_zero_matrix(field, a):
-    return all(x == field.zero for row in a for x in row)
-
-
 # ---------------------------------------------------------------------------
 # echelon accumulation (sparse rows keyed by column index)
 # ---------------------------------------------------------------------------
@@ -196,16 +175,16 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Return ``vec`` reduced against the stored rows (a new dict)."""
+    def _reduce_leading(self, work):
+        """Eliminate stored rows from ``work`` in place until its smallest
+        column has no pivot; return that column, or None once it is empty."""
         field = self.field
         zero = field.zero
-        work = {c: v for c, v in vec.items() if v != zero}
         while work:
             piv = min(work)
             row = self.rows.get(piv)
             if row is None:
-                return work
+                return piv
             coef = work[piv]
             for c, v in row.items():
                 nv = field.sub(work.get(c, zero), field.mul(coef, v))
@@ -213,20 +192,33 @@ class Echelon:
                     work.pop(c, None)
                 else:
                     work[c] = nv
-        return work
+        return None
+
+    def _nonzero(self, vec):
+        zero = self.field.zero
+        return {c: v for c, v in vec.items() if v != zero}
+
+    def reduce(self, vec):
+        """Return the normal form of ``vec`` (a new dict): ``vec`` minus the
+        element of the stored span that leaves no entry in a pivot column."""
+        work = self._nonzero(vec)
+        out = {}
+        while (col := self._reduce_leading(work)) is not None:
+            out[col] = work.pop(col)
+        return out
 
     def insert(self, vec):
         """Reduce and store ``vec``; return True if it enlarged the span."""
-        red = self.reduce(vec)
-        if not red:
+        work = self._nonzero(vec)
+        piv = self._reduce_leading(work)
+        if piv is None:
             return False
-        piv = min(red)
-        inv = self.field.inv(red[piv])
-        self.rows[piv] = {c: self.field.mul(inv, v) for c, v in red.items()}
+        inv = self.field.inv(work[piv])
+        self.rows[piv] = {c: self.field.mul(inv, v) for c, v in work.items()}
         return True
 
     def contains(self, vec):
-        return not self.reduce(vec)
+        return self._reduce_leading(self._nonzero(vec)) is None
 
     def pivot_columns(self):
         return sorted(self.rows)
@@ -234,13 +226,6 @@ class Echelon:
 
 def vec_to_sparse(field, vec):
     return {i: x for i, x in enumerate(vec) if x != field.zero}
-
-
-def sparse_to_dense(field, vec, n):
-    out = [field.zero] * n
-    for c, v in vec.items():
-        out[c] = v
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -318,28 +303,108 @@ def nullspace(field, a, ncols=None):
     return basis
 
 
-def column_space_basis(field, vectors):
-    """Subset-echelon basis of the span of the given vectors."""
-    ech = Echelon(field)
-    kept = []
-    for v in vectors:
-        if ech.insert(vec_to_sparse(field, v)):
-            kept.append(tuple(v))
-    return kept
+# ---------------------------------------------------------------------------
+# quotients, hom spaces and the seeded candidate search
+# ---------------------------------------------------------------------------
 
+def quotient_projection(field, sub_rows, n):
+    """(projection matrix q x n, lifted basis) for F^n / span(sub_rows).
 
-def extend_to_basis(field, vectors, n):
-    """Indices of standard basis vectors completing ``vectors`` to F^n."""
+    The quotient basis is the images of the unit vectors that extend
+    ``sub_rows`` to a basis of F^n, taken in index order.
+    """
+    sub = list(sub_rows)
     ech = Echelon(field)
-    for v in vectors:
-        ech.insert(vec_to_sparse(field, v))
-    extra = []
+    for row in sub:
+        ech.insert(vec_to_sparse(field, row))
+    extra = [i for i in range(n) if ech.insert({i: field.one})]
+    lift = [
+        tuple(field.one if i == e else field.zero for i in range(n)) for e in extra
+    ]
+    combined = sub + lift
+    cols = [tuple(combined[b][r] for b in range(len(combined))) for r in range(n)]
+    proj_rows = []
     for i in range(n):
-        if ech.insert({i: field.one}):
-            extra.append(i)
-    return extra
+        unit = tuple(field.one if r == i else field.zero for r in range(n))
+        proj_rows.append(solve(field, cols, unit)[len(sub):])
+    proj = tuple(
+        tuple(proj_rows[i][q] for i in range(n)) for q in range(len(extra))
+    )
+    return proj, lift
 
 
-def invertible(field, a):
-    n = len(a)
-    return n == 0 or (len(a[0]) == n and rank(field, a) == n)
+def hom_space(field, constraints, dims_a, dims_b, verts):
+    """Basis of the families phi_v: A_v -> B_v with phi_i . A - B . phi_j = 0.
+
+    ``constraints`` lists ``(i, j, A, B)`` with A a dims_a[i] x dims_a[j]
+    and B a dims_b[i] x dims_b[j] matrix.  Returns (basis vectors,
+    offsets): in a solution vector the block of vertex v has shape
+    dims_b[v] x dims_a[v] and starts at offsets[v], row-major.
+    """
+    offsets = {}
+    nvars = 0
+    for v in verts:
+        offsets[v] = nvars
+        nvars += dims_b[v] * dims_a[v]
+    rows = []
+    for i, j, ma, mb in constraints:
+        for r in range(dims_b[i]):
+            for c in range(dims_a[j]):
+                # phi_i . A - B . phi_j = 0 at entry (r, c)
+                row = [field.zero] * nvars
+                for m in range(dims_a[i]):
+                    idx = offsets[i] + r * dims_a[i] + m
+                    row[idx] = field.add(row[idx], ma[m][c])
+                for m in range(dims_b[j]):
+                    idx = offsets[j] + m * dims_a[j] + c
+                    row[idx] = field.sub(row[idx], mb[r][m])
+                rows.append(tuple(row))
+    return nullspace(field, rows, ncols=nvars), offsets
+
+
+def seeded_candidates(field, basis, seed, tries):
+    """Lazily yield elements of span(basis) to search for a special one.
+
+    First the basis vectors, then ``tries`` seeded random combinations
+    with coefficients in [-3, 3], then, over a prime field with at most
+    4096 elements in the span, every element of the span.
+    """
+    if not basis:
+        return
+    nvars = len(basis[0])
+    yield from (tuple(vec) for vec in basis)
+
+    def combine(coeffs):
+        sol = [field.zero] * nvars
+        for coef, vec in zip(coeffs, basis):
+            if coef == field.zero:
+                continue
+            for idx, x in enumerate(vec):
+                if x != field.zero:
+                    sol[idx] = field.add(sol[idx], field.mul(coef, x))
+        return tuple(sol)
+
+    rng = random.Random(seed)
+    for _ in range(tries):
+        yield combine([field.from_int(rng.randint(-3, 3)) for _ in basis])
+    if isinstance(field, PrimeField) and field.p ** len(basis) <= 4096:
+        for combo in itertools.product(range(field.p), repeat=len(basis)):
+            yield combine(combo)
+
+
+def find_surjection(field, basis, offsets, dims_a, dims_b, seed, tries):
+    """Whether a seeded candidate of the hom space is onto at every vertex.
+
+    When dims_a == dims_b this is a search for an isomorphism.  A False
+    answer means none was found among the candidates, not a proof that
+    none exists.
+    """
+    for sol in seeded_candidates(field, basis, seed, tries):
+        if all(
+            rank(field, [sol[off + r * dims_a[v]:off + (r + 1) * dims_a[v]]
+                         for r in range(dims_b[v])]) == dims_b[v]
+            for v, off in offsets.items()
+            if dims_b[v]
+        ):
+            return True
+    return False

@@ -15,9 +15,7 @@ from fractions import Fraction
 from .corner_functors import (
     cornered_hom_space,
     generation_degree,
-    hom_blocks,
     pi_context,
-    _seeded_combinations,
     CorneredModule,
 )
 from .errors import (
@@ -30,8 +28,9 @@ from .errors import (
     NotStable,
     NotStableForSource,
 )
-from .graded_algebra import factor_through_bound, _expand_path_on
-from .linalg import QQ, mat_mul, rank, zeros
+from .gamma_data import build_group
+from .graded_algebra import factor_through_bound, slice_class_basis, _expand_path_on
+from .linalg import QQ, find_surjection, mat_add, mat_mul, mat_sub, zeros
 from .quiver_core import (
     INFINITY,
     DimVector,
@@ -39,7 +38,12 @@ from .quiver_core import (
     mckay_quiver,
     theta_I,
 )
-from .rep_theory import QuiverRep, polystable_decomposition, stability_verdict
+from .rep_theory import (
+    QuiverRep,
+    is_flat,
+    polystable_decomposition,
+    stability_verdict,
+)
 
 FIXPOINT_ITERATION_CAP = 10000
 QUOT_TRUNCATION_WINDOW = 4
@@ -94,19 +98,13 @@ def dimension_bound_check(rep, corner):
     _, stable, _ = stability_verdict(rep, theta)
     if not stable:
         raise NotStable("dimension bound applies to stable modules")
-    base = mckay_quiver(_group_of(rep.quiver))
+    if rep.quiver.group is None:
+        raise InvariantViolation("quiver carries no group label")
+    base = mckay_quiver(build_group(rep.quiver.group))
     v_hat = minimal_sufficient_completion(
         rep.dims.restrict(corner), corner, base
     )
     return all(rep.dims.get(i) <= v_hat.get(i) for i in base.plain_vertices)
-
-
-def _group_of(quiver):
-    from .gamma_data import build_group
-
-    if quiver.group is None:
-        raise InvariantViolation("quiver carries no group label")
-    return build_group(quiver.group)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +189,10 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
     _check_equivariance(i_vec, weights, framing_weights, 0, n, "i")
     _check_equivariance(j_vec, framing_weights, weights, 0, n, "j")
 
-    comm = _mat_sub(
-        mat_mul(QQ, b1, b2, b_ncols=dim_v), mat_mul(QQ, b2, b1, b_ncols=dim_v)
+    comm = mat_sub(
+        QQ, mat_mul(QQ, b1, b2, b_ncols=dim_v), mat_mul(QQ, b2, b1, b_ncols=dim_v)
     )
-    moment = _mat_add(comm, mat_mul(QQ, i_vec, j_vec, b_ncols=dim_v))
+    moment = mat_add(QQ, comm, mat_mul(QQ, i_vec, j_vec, b_ncols=dim_v))
     if any(x != 0 for row in moment for x in row):
         raise MomentMapNonzero("[B1, B2] + i.j is nonzero")
 
@@ -238,11 +236,8 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
         maps[quiver.bar[a.id]] = _j_row_block(j_vec, p, positions[m], dim_w)
 
     rep = QuiverRep(quiver=quiver, dims=dims, maps=maps, field=QQ)
-    from .rep_theory import check_relations
-
-    for mat in check_relations(rep).values():
-        if any(x != 0 for row in mat for x in row):
-            raise InvariantViolation("equivariant splitting broke the relations")
+    if not is_flat(rep):
+        raise InvariantViolation("equivariant splitting broke the relations")
     return rep
 
 
@@ -269,14 +264,6 @@ def _check_equivariance(mat, row_weights, col_weights, shift, n, name):
                 raise NotEquivariant(
                     f"{name}[{r}][{c}] nonzero violates the weight grading"
                 )
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +307,6 @@ def truncated_corner_column(g, corner, bound=None, field=QQ):
             for j in sorted(corner):
                 mats = []
                 class_paths = ctx.slice_basis_paths(i, j, d)
-                from .graded_algebra import slice_class_basis
-
                 for cls in slice_class_basis(ctx, i, j, d):
                     rows = [[field.zero] * dims[j] for _ in range(dims[i])]
                     for col, (k, c) in enumerate(coords[j]):
@@ -375,16 +360,11 @@ def check_quot_correspondence(qmod, corner, g, seed=0, tries=60):
             raise NotAQuotient(
                 f"component {i} exceeds the truncated column dimension"
             )
-    basis, offsets, verts = cornered_hom_space(column, qmod)
+    basis, offsets = cornered_hom_space(column, qmod)
     if not basis:
         raise NotAQuotient("no homomorphisms from the truncated column")
-    field = qmod.field
-    for sol in _seeded_combinations(field, basis, seed, tries):
-        blocks = hom_blocks(column, qmod, sol, offsets, verts)
-        if all(
-            rank(field, list(blocks[v])) == qmod.dim(v)
-            for v in verts
-            if qmod.dim(v)
-        ):
-            return dims
+    dims_col = {v: column.dim(v) for v in offsets}
+    dims_q = {v: qmod.dim(v) for v in offsets}
+    if find_surjection(qmod.field, basis, offsets, dims_col, dims_q, seed, tries):
+        return dims
     raise NotAQuotient("no surjection found at the certified truncation")

@@ -24,7 +24,6 @@ from .errors import (
     BadPrime,
     DimensionTooLarge,
     NotSemistable,
-    RelationViolation,
     ShapeMismatch,
     UnsupportedTheta,
 )
@@ -32,8 +31,15 @@ from .linalg import (
     QQ,
     Echelon,
     PrimeField,
+    find_surjection,
+    hom_space,
+    mat_add,
     mat_mul,
+    mat_sub,
+    mat_vec,
     nullspace,
+    quotient_projection,
+    solve,
     vec_to_sparse,
     zeros,
 )
@@ -148,14 +154,10 @@ def check_relations(rep):
                 continue
             prod = mat_mul(field, rep.matrix(a.id), rep.matrix(rep.quiver.bar[a.id]),
                            b_ncols=d)
-            sign = rep.quiver.sign(a.id)
-            total = tuple(
-                tuple(
-                    field.add(t, p) if sign > 0 else field.sub(t, p)
-                    for t, p in zip(trow, prow)
-                )
-                for trow, prow in zip(total, prod)
-            )
+            if rep.quiver.sign(a.id) > 0:
+                total = mat_add(field, total, prod)
+            else:
+                total = mat_sub(field, total, prod)
         out[v] = total
     return out
 
@@ -170,29 +172,21 @@ def loop_commutation_residuals(rep):
                        b_ncols=rep.dims.get(a.head))
         right = mat_mul(field, rep.matrix(a.id), rep.matrix(loops[a.head]),
                         b_ncols=rep.dims.get(a.head))
-        out[a.id] = tuple(
-            tuple(field.sub(x, y) for x, y in zip(lr, rr))
-            for lr, rr in zip(left, right)
-        )
+        out[a.id] = mat_sub(field, left, right)
     return out
 
 
-def is_flat(rep):
-    field = rep.field
-    for mat in check_relations(rep).values():
-        if any(x != field.zero for row in mat for x in row):
-            return False
+def max_relation_residual(rep):
+    """Largest absolute residual entry of the vertex relations and, for a
+    tripled quiver, of loop commutation; zero exactly when flat."""
+    mats = list(check_relations(rep).values())
     if rep.quiver.is_tripled:
-        for mat in loop_commutation_residuals(rep).values():
-            if any(x != field.zero for row in mat for x in row):
-                return False
-    return True
+        mats.extend(loop_commutation_residuals(rep).values())
+    return max((abs(x) for mat in mats for row in mat for x in row), default=0)
 
 
-def require_flat(rep):
-    if not is_flat(rep):
-        raise RelationViolation("representation does not satisfy the relations")
-    return rep
+def is_flat(rep):
+    return max_relation_residual(rep) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +225,10 @@ def witness_is_closed(rep, witness):
     for a in rep.quiver.arrows:
         m = rep.matrix(a.id)
         for vec in witness.spaces.get(a.head, ()):
-            img = _apply(field, m, vec)
+            img = mat_vec(field, m, vec)
             if not ech[a.tail].contains(vec_to_sparse(field, img)):
                 return False
     return True
-
-
-def _apply(field, mat, vec):
-    out = []
-    for row in mat:
-        s = field.zero
-        for x, y in zip(row, vec):
-            if x != field.zero and y != field.zero:
-                s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return tuple(out)
 
 
 def generated_submodule(rep, seeds):
@@ -266,7 +249,7 @@ def generated_submodule(rep, seeds):
     while queue:
         v, vec = queue.pop()
         for a in arrows_by_head.get(v, ()):
-            img = _apply(field, rep.matrix(a.id), vec)
+            img = mat_vec(field, rep.matrix(a.id), vec)
             if ech[a.tail].insert(vec_to_sparse(field, img)):
                 queue.append((a.tail, img))
     spaces = {}
@@ -280,19 +263,6 @@ def generated_submodule(rep, seeds):
             rows.append(tuple(row))
         spaces[v] = tuple(rows)
     return SubmoduleWitness(spaces=spaces)
-
-
-def full_witness(rep):
-    field = rep.field
-    return SubmoduleWitness(
-        spaces={
-            v: tuple(
-                tuple(field.one if i == j else field.zero for j in range(rep.dims.get(v)))
-                for i in range(rep.dims.get(v))
-            )
-            for v in rep.quiver.vertices
-        }
-    )
 
 
 def max_submodule_avoiding(rep, avoid):
@@ -323,7 +293,7 @@ def max_submodule_avoiding(rep, avoid):
                 continue
             tgt = basis[a.tail]
             m = rep.matrix(a.id)
-            images = [_apply(field, m, vec) for vec in src]
+            images = [mat_vec(field, m, vec) for vec in src]
             d_t = rep.dims.get(a.tail)
             rows = []
             for r in range(d_t):
@@ -412,8 +382,9 @@ def is_stable(rep, theta):
 # ---------------------------------------------------------------------------
 
 BRUTE_FORCE_DIM_LIMIT = 8
-
-_subspace_cache = {}
+# Bound on the subspaces held in memory at once (summed over the vertices):
+# GF(2)^7 has 29,212 and GF(5)^5 has 42,176; GF(2)^8 has 417,199.
+BRUTE_FORCE_SUBSPACE_LIMIT = 100_000
 
 
 def subspaces_of_dimension(p, n, s):
@@ -440,14 +411,22 @@ def subspaces_of_dimension(p, n, s):
 
 def all_subspaces(p, n):
     """All subspaces of GF(p)^n as canonical reduced-echelon bases."""
-    key = (p, n)
-    if key in _subspace_cache:
-        return _subspace_cache[key]
     spaces = []
     for s in range(n + 1):
         spaces.extend(subspaces_of_dimension(p, n, s))
-    _subspace_cache[key] = spaces
     return spaces
+
+
+def subspace_count(p, n):
+    """Number of subspaces of GF(p)^n: the sum of the Gaussian binomials."""
+    total = 0
+    for s in range(n + 1):
+        num = den = 1
+        for i in range(s):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
 
 
 def reduce_mod_p(rep, p):
@@ -468,8 +447,9 @@ def reduce_mod_p(rep, p):
 def brute_force_stability(rep, theta):
     """Exhaustive stability check by enumerating all submodules.
 
-    The representation must live over a prime field and have total
-    dimension at most BRUTE_FORCE_DIM_LIMIT.  Returns
+    The representation must live over a prime field, have total
+    dimension at most BRUTE_FORCE_DIM_LIMIT, and its vertices together
+    at most BRUTE_FORCE_SUBSPACE_LIMIT subspaces.  Returns
     (semistable, stable, violating dimension dicts).
     """
     if not isinstance(rep.field, PrimeField):
@@ -480,6 +460,11 @@ def brute_force_stability(rep, theta):
     field = rep.field
     p = field.p
     verts = sorted(rep.quiver.vertices, key=vertex_sort_key)
+    count = sum(subspace_count(p, rep.dims.get(v)) for v in verts)
+    if count > BRUTE_FORCE_SUBSPACE_LIMIT:
+        raise DimensionTooLarge(
+            f"{count} vertex subspaces > {BRUTE_FORCE_SUBSPACE_LIMIT}"
+        )
     choices = {v: all_subspaces(p, rep.dims.get(v)) for v in verts}
     arrows_between = [[] for _ in verts]
     pos = {v: i for i, v in enumerate(verts)}
@@ -516,7 +501,7 @@ def brute_force_stability(rep, theta):
             tgt_ech = subspace_ech(a.tail, assignment[a.tail])
             m = rep.matrix(a.id)
             for vec in src:
-                if not tgt_ech.contains(vec_to_sparse(field, _apply(field, m, vec))):
+                if not tgt_ech.contains(vec_to_sparse(field, mat_vec(field, m, vec))):
                     return False
         return True
 
@@ -564,8 +549,6 @@ def express_in_basis(field, basis_rows, vectors):
         tuple(basis_rows[b][r] for b in range(len(basis_rows))) for r in range(n)
     ]
     out = []
-    from .linalg import solve
-
     for vec in vectors:
         sol = solve(field, rows, vec)
         if sol is None:
@@ -587,7 +570,7 @@ def restrict_rep(rep, witness):
     for a in rep.quiver.arrows:
         src = witness.spaces.get(a.head, ())
         tgt = witness.spaces.get(a.tail, ())
-        images = [_apply(field, rep.matrix(a.id), vec) for vec in src]
+        images = [mat_vec(field, rep.matrix(a.id), vec) for vec in src]
         coords = express_in_basis(field, list(tgt), images)
         maps[a.id] = tuple(
             tuple(coords[c][r] for c in range(len(src))) for r in range(len(tgt))
@@ -602,34 +585,10 @@ def quotient_rep(rep, witness):
     lift = {}
     qdim = {}
     for v in rep.quiver.vertices:
-        n = rep.dims.get(v)
-        sub = list(witness.spaces.get(v, ()))
-        ech = Echelon(field)
-        for row in sub:
-            ech.insert(vec_to_sparse(field, row))
-        extra = []
-        for i in range(n):
-            if ech.insert({i: field.one}):
-                extra.append(i)
-        qdim[v] = len(extra)
-        combined = sub + [
-            tuple(field.one if i == e else field.zero for i in range(n)) for e in extra
-        ]
-        cols = [tuple(combined[b][r] for b in range(len(combined))) for r in range(n)]
-        from .linalg import solve
-
-        pmat = []
-        for i in range(n):
-            unit = tuple(field.one if r == i else field.zero for r in range(n))
-            gamma = solve(field, cols, unit)
-            pmat.append(gamma[len(sub):])
-        # proj[v][q][i]: q-th quotient coordinate of the i-th unit vector
-        proj[v] = tuple(
-            tuple(pmat[i][q] for i in range(n)) for q in range(qdim[v])
+        proj[v], lift[v] = quotient_projection(
+            field, witness.spaces.get(v, ()), rep.dims.get(v)
         )
-        lift[v] = [
-            tuple(field.one if i == e else field.zero for i in range(n)) for e in extra
-        ]
+        qdim[v] = len(lift[v])
     comps = {v: qdim[v] for v in rep.quiver.vertices if v != INFINITY}
     at_inf = qdim.get(INFINITY) if INFINITY in rep.quiver.vertices else None
     dims = DimVector(components=comps, at_infinity=at_inf)
@@ -637,8 +596,8 @@ def quotient_rep(rep, witness):
     for a in rep.quiver.arrows:
         cols = []
         for rep_vec in lift[a.head]:
-            img = _apply(field, rep.matrix(a.id), rep_vec)
-            cols.append(_apply(field, proj[a.tail], img))
+            img = mat_vec(field, rep.matrix(a.id), rep_vec)
+            cols.append(mat_vec(field, proj[a.tail], img))
         maps[a.id] = tuple(
             tuple(cols[c][r] for c in range(qdim[a.head])) for r in range(qdim[a.tail])
         )
@@ -685,86 +644,17 @@ def are_isomorphic(a, b, seed=0, tries=40):
         return False
     if a.dims.as_dict() != b.dims.as_dict():
         return False
+    if a.total_dim() == 0:
+        return True
     field = a.field
     verts = sorted(a.quiver.vertices, key=vertex_sort_key)
-    offsets = {}
-    nvars = 0
-    for v in verts:
-        offsets[v] = nvars
-        nvars += a.dims.get(v) ** 2
-    if nvars == 0:
-        return True
-
-    rows = []
-    for arr in a.quiver.arrows:
-        am, bm = a.matrix(arr.id), b.matrix(arr.id)
-        dt, dh = a.dims.get(arr.tail), a.dims.get(arr.head)
-        # phi_tail . A - B . phi_head = 0, entry (r, c)
-        for r in range(dt):
-            for c in range(dh):
-                row = [field.zero] * nvars
-                for m in range(dt):
-                    row[offsets[arr.tail] + r * dt + m] = field.add(
-                        row[offsets[arr.tail] + r * dt + m], am[m][c]
-                    )
-                for m in range(dh):
-                    row[offsets[arr.head] + m * dh + c] = field.sub(
-                        row[offsets[arr.head] + m * dh + c], bm[r][m]
-                    )
-                rows.append(tuple(row))
-    basis = nullspace(field, rows, ncols=nvars)
-    if not basis:
-        return False
-
-    def blocks_of(sol):
-        out = {}
-        for v in verts:
-            n = a.dims.get(v)
-            off = offsets[v]
-            out[v] = tuple(
-                tuple(sol[off + r * n + c] for c in range(n)) for r in range(n)
-            )
-        return out
-
-    def invertible(sol):
-        from .linalg import rank
-
-        for v in verts:
-            n = a.dims.get(v)
-            if n and rank(field, list(blocks_of(sol)[v])) < n:
-                return False
-        return True
-
-    rng = random.Random(seed)
-    candidates = []
-    if len(basis) == 1:
-        candidates.append(basis[0])
-    for _ in range(tries):
-        coeffs = [rng.randint(-3, 3) for _ in basis]
-        sol = [field.zero] * nvars
-        for coef, vec in zip(coeffs, basis):
-            c = field.from_int(coef)
-            if c == field.zero:
-                continue
-            for idx, x in enumerate(vec):
-                if x != field.zero:
-                    sol[idx] = field.add(sol[idx], field.mul(c, x))
-        candidates.append(tuple(sol))
-    if isinstance(field, PrimeField) and field.p ** len(basis) <= 4096:
-        import itertools
-
-        for combo in itertools.product(range(field.p), repeat=len(basis)):
-            sol = [field.zero] * nvars
-            for coef, vec in zip(combo, basis):
-                if coef == 0:
-                    continue
-                for idx, x in enumerate(vec):
-                    sol[idx] = field.add(sol[idx], field.mul(coef, x))
-            candidates.append(tuple(sol))
-    for sol in candidates:
-        if invertible(sol):
-            return True
-    return False
+    dims = {v: a.dims.get(v) for v in verts}
+    constraints = [
+        (arr.tail, arr.head, a.matrix(arr.id), b.matrix(arr.id))
+        for arr in a.quiver.arrows
+    ]
+    basis, offsets = hom_space(field, constraints, dims, dims, verts)
+    return find_surjection(field, basis, offsets, dims, dims, seed, tries)
 
 
 def s_equivalence_classes(summand_lists, seed=0):

@@ -114,7 +114,7 @@ def conjugated_copy(rep, seed=17):
     """Base-changed copy: conjugate all maps by random invertible matrices."""
     import random
 
-    from mckaykit.linalg import invertible, mat_mul, rref
+    from mckaykit.linalg import mat_mul, rank, rref
     from mckaykit.rep_theory import QuiverRep
 
     rng = random.Random(seed)
@@ -126,7 +126,7 @@ def conjugated_copy(rep, seed=17):
                 tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
                 for _ in range(n)
             )
-            if invertible(field, mat):
+            if rank(field, mat) == n:
                 return mat
 
     def inverse(mat):

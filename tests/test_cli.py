@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mckaykit.cli import main
 from mckaykit.gamma_data import build_group
 from mckaykit.io_formats import (
@@ -179,6 +181,29 @@ def test_json_parse_error_diagnostics(capsys, tmp_path):
     code, _, err = run(capsys, "stability", str(path), "--corner", "0")
     assert code == 2
     assert "line 1" in err and "column" in err
+
+
+@pytest.mark.parametrize("change", [
+    {"quiver": None},
+    {"dims": None},
+    {"dims": {"0": "x", "1": 1, "inf": 1}},
+    {"dims": {"0": 1.5, "1": 1, "inf": 1}},
+    {"maps": {"99": [["0"]]}},
+])
+def test_stability_malformed_module_exit(capsys, tmp_path, change):
+    q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
+    data = rep_to_dict(zero_rep(q, DimVector(components={0: 1, 1: 1}, at_infinity=1)))
+    data["maps"] = {}
+    for key, value in change.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    path = tmp_path / "malformed.json"
+    dump_json(data, str(path))
+    code, _, err = run(capsys, "stability", str(path), "--corner", "0")
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_quiver_json_round_trip():

@@ -5,16 +5,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import flat_reps
-from mckaykit.errors import RepresentativeDependence
+from mckaykit.errors import BadPrime, RepresentativeDependence
 from mckaykit.gamma_data import build_group
 from mckaykit.graded_algebra import AlgebraContext
 from mckaykit.linalg import QQ, rank
 from mckaykit.quiver_core import DimVector, mckay_quiver, triple_quiver
-from mckaykit.rep_theory import QuiverRep, vertex_simple
+from mckaykit.rep_theory import QuiverRep, random_flat_rep, vertex_simple
 from mckaykit.corner_functors import (
     CorneredModule,
     c_star,
     cornered_isomorphic,
+    cornered_mod_p,
     cornered_quotient,
     cornered_submodule_is_closed,
     cornered_vertex_simple,
@@ -101,6 +102,26 @@ def test_round_trip_seeded(label, corner, comps):
         assert cornered_isomorphic(back, cm)
         for i in corner:
             assert ext.dims.get(i) >= cm.dim(i)
+
+
+@pytest.mark.parametrize("label,comps,seed", [
+    ("A3", {0: 2, 1: 2, 2: 2, 3: 2}, 0),
+    ("A1", {0: 2, 1: 2}, 20),
+])
+def test_round_trip_reduces_past_free_columns(label, comps, seed):
+    """Inputs whose extension needs the full normal form of Echelon.reduce:
+    the reduced coordinate vectors hold pivot columns after a free one."""
+    quiver = triple_quiver(mckay_quiver(build_group(label)))
+    rep = random_flat_rep(quiver, DimVector(components=comps), seed)
+    cm = j_star(rep, {0})
+    back = j_star(j_shriek(cm), {0})
+    assert cornered_isomorphic(back, cm)
+
+
+def test_j_shriek_refuses_prime_field(a1, a1_tripled):
+    rep = random_flat_rep(a1_tripled, DimVector(components={0: 2, 1: 2}), 0)
+    with pytest.raises(BadPrime):
+        j_shriek(cornered_mod_p(j_star(rep, {0}), 5))
 
 
 def test_round_trip_nilpotent_z(a1):

@@ -13,7 +13,7 @@ from mckaykit.errors import (
     UnsupportedTheta,
 )
 from mckaykit.gamma_data import build_group
-from mckaykit.linalg import QQ
+from mckaykit.linalg import QQ, PrimeField
 from mckaykit.quiver_core import (
     INFINITY,
     DimVector,
@@ -155,6 +155,15 @@ def test_brute_force_guards(a1_framed):
     reduced = reduce_mod_p(rep, 2)
     with pytest.raises(DimensionTooLarge):
         brute_force_stability(reduced, theta)
+
+
+def test_brute_force_subspace_guard(a1_framed):
+    """Total dimension 8 passes the dimension limit, but GF(3)^7 alone has
+    2,052,656 subspaces: refused before any is enumerated."""
+    dims = DimVector(components={0: 7, 1: 0}, at_infinity=1)
+    rep = zero_rep(a1_framed, dims, PrimeField(3))
+    with pytest.raises(DimensionTooLarge):
+        brute_force_stability(rep, theta_I({0}, dims))
 
 
 def test_brute_force_vacuous_stability(a1_framed):
