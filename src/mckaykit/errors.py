@@ -51,7 +51,7 @@ class DegreeCapExceeded(MckayError):
 
 
 class UnsupportedSeries(MckayError):
-    """Operation needs explicit group elements (series A and D only)."""
+    """The character oracle does not cover the requested algebra flavor."""
 
 
 class BoundNotFound(MckayError):

@@ -2,10 +2,12 @@
 
 Series A is cyclic (order rank+1), series D binary dihedral (order
 4(rank-2)), series E the binary tetrahedral / octahedral / icosahedral
-groups (orders 24, 48, 120).  For A and D the group elements are stored
-explicitly as 2x2 complex matrices and the character table is rebuilt
-from scratch at load; for E only curated character tables ship, checked
-against orthogonality at load.
+groups (orders 24, 48, 120).  Every group is built from its elements,
+stored as 2x2 complex matrices: A and D from closed-form lists, E as the
+closure of unit-quaternion generators.  One path then computes the
+conjugacy classes and the character table by Dixon's class-sum method:
+A and D check their closed-form character rows against that table, E
+takes its rows from it.
 
 Character rows are permuted so that row index equals the canonical
 affine Dynkin vertex of :mod:`mckaykit.dynkin`, with the trivial
@@ -15,8 +17,8 @@ representation at vertex 0.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+import random
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .errors import (
 ORTHOGONALITY_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 
-_KEY_DIGITS = 9
+_KEY_SCALE = 1e9  # matrix entries are compared to 9 decimal places
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,20 @@ class GroupData:
     ``characters[i][c]`` is the value of irrep i on class c; row indices
     follow the canonical Dynkin vertex order, row 0 is trivial.  ``chi_v``
     is the character of the defining 2-dimensional representation.
-    ``elements``/``class_of``/``class_reps`` are present for series A, D
-    only.
+    ``elements`` lists the group as 2x2 complex matrices; element e lies
+    in class ``class_of[e]``, and class c is represented by element
+    ``class_reps[c]``.
     """
 
     descriptor: GammaDescriptor
     order: int
-    elements: Optional[tuple]
+    elements: tuple
     characters: tuple
     class_sizes: tuple
     irrep_dims: tuple
     chi_v: tuple
-    class_of: Optional[tuple]
-    class_reps: Optional[tuple]
+    class_of: tuple
+    class_reps: tuple
 
     @property
     def num_classes(self):
@@ -115,11 +118,10 @@ def _mat2_trace(a):
 
 
 def _mat2_key(a):
-    return tuple(
-        (round(z.real, _KEY_DIGITS), round(z.imag, _KEY_DIGITS))
-        for row in a
-        for z in row
-    )
+    (p, q), (r, s) = a
+    k = _KEY_SCALE
+    return (round(p.real * k), round(p.imag * k), round(q.real * k), round(q.imag * k),
+            round(r.real * k), round(r.imag * k), round(s.real * k), round(s.imag * k))
 
 
 def closure(generators):
@@ -166,45 +168,45 @@ def conjugacy_classes(elements):
 
 
 # ---------------------------------------------------------------------------
-# character tables from explicit elements (class-sum eigenvector method)
+# character tables from explicit elements (Dixon's class-sum method)
 # ---------------------------------------------------------------------------
 
-def dixon_character_table(elements, seed=0):
-    """Numerically recompute the character table from group elements.
+def dixon_character_table(elements):
+    """Numerically compute the character table from group elements.
 
-    Uses the commuting class-sum multiplication matrices: their common
-    eigenvectors give the central characters, from which degrees and
-    character values follow.  Row order is arbitrary; rows are exact to
-    float precision.  Returns (characters, class_sizes, class_of, reps).
+    Multiplication by the class sums acts on the centre of the group
+    algebra through the structure constants n_ab^c = #{x in C_a :
+    x^-1 z_c in C_b}, z_c the representative of class c.  These matrices
+    commute; the eigenvectors of a random combination of them give the
+    central characters, from which degrees and character values follow
+    (Dixon, Numer. Math. 1967).  Row order is sorted, not canonical; rows
+    are plain complex numbers, exact to float precision.  Returns
+    (characters, class_sizes, class_of, reps).
     """
     class_of, reps, sizes = conjugacy_classes(elements)
     k = len(reps)
     n = len(elements)
     index = {_mat2_key(e): i for i, e in enumerate(elements)}
-    members = [[] for _ in range(k)]
-    for i, c in enumerate(class_of):
-        members[c].append(i)
 
-    # n_{ab}^c = #{(x,y) in C_a x C_b : xy = z_c}, z_c a fixed representative
-    struct = [np.zeros((k, k)) for _ in range(k)]
+    struct = [[[0] * k for _ in range(k)] for _ in range(k)]  # [a][b][c]
+    for c, r in enumerate(reps):
+        z = elements[r]
+        for xi, x in enumerate(elements):
+            y = index[_mat2_key(_mat2_mul(_mat2_inv(x), z))]
+            struct[class_of[xi]][class_of[y]][c] += 1
     for a in range(k):
         for b in range(k):
-            counts = [0] * k
-            for xi in members[a]:
-                x = elements[xi]
-                for yi in members[b]:
-                    z = _mat2_mul(x, elements[yi])
-                    counts[class_of[index[_mat2_key(z)]]] += 1
-            for c in range(k):
-                if counts[c] % sizes[c]:
-                    raise InvariantViolation("class algebra structure constants broken")
-                struct[a][b, c] = counts[c] // sizes[c]
+            if sum(struct[a][b][c] * sizes[c] for c in range(k)) != sizes[a] * sizes[b]:
+                raise InvariantViolation("class algebra structure constants broken")
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(0)
     for _ in range(25):
-        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
-        total = sum(c * m for c, m in zip(coeffs, struct))
-        eigvals, eigvecs = np.linalg.eig(total.T)
+        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(k)]
+        total = np.array([
+            [sum(coeffs[a] * struct[a][b][c] for a in range(k)) for b in range(k)]
+            for c in range(k)
+        ])
+        eigvals, eigvecs = np.linalg.eig(total)
         if min(
             abs(eigvals[i] - eigvals[j]) for i in range(k) for j in range(i + 1, k)
         ) > 1e-6:
@@ -213,14 +215,14 @@ def dixon_character_table(elements, seed=0):
         raise InvariantViolation("no separating class-algebra eigenbasis found")
 
     rows = []
-    for idx in range(k):
-        v = eigvecs[:, idx]
-        m = int(np.argmax(np.abs(v)))
-        omega = np.array([(mat.T @ v)[m] / v[m] for mat in struct])
+    for v in eigvecs.T.tolist():
+        m = max(range(k), key=lambda b: abs(v[b]))
+        omega = [
+            sum(struct[a][b][m] * v[b] for b in range(k)) / v[m] for a in range(k)
+        ]
         denom = sum(abs(omega[a]) ** 2 / sizes[a] for a in range(k))
-        degree = math.sqrt(n / denom.real)
-        chi = tuple(degree * omega[a] / sizes[a] for a in range(k))
-        rows.append(chi)
+        degree = math.sqrt(n / denom)
+        rows.append(tuple(degree * omega[a] / sizes[a] for a in range(k)))
     rows.sort(key=lambda row: (round(row[0].real), [
         (round(z.real, 6), round(z.imag, 6)) for z in row]))
     return tuple(rows), sizes, class_of, reps
@@ -230,8 +232,23 @@ def dixon_character_table(elements, seed=0):
 # series constructions
 # ---------------------------------------------------------------------------
 
-def _cyclic_group(rank):
-    n = rank + 1
+def _quat(a, b, c, d):
+    """Unit quaternion a + bi + cj + dk as an SU(2) matrix."""
+    return ((complex(a, b), complex(c, d)), (complex(-c, d), complex(a, -b)))
+
+
+_PHI = (1 + math.sqrt(5)) / 2
+
+#: generators of the binary tetrahedral, octahedral and icosahedral groups
+E_GENERATORS = {
+    6: (_quat(0, 1, 0, 0), _quat(-0.5, 0.5, 0.5, 0.5)),
+    7: (_quat(0, 1, 0, 0), _quat(-0.5, 0.5, 0.5, 0.5),
+        _quat(1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0)),
+    8: (_quat(0, 1, 0, 0), _quat(_PHI / 2, 1 / (2 * _PHI), 0.5, 0)),
+}
+
+
+def _cyclic_elements(n):
     zeta = cmath.exp(2j * cmath.pi / n)
     gen = ((zeta, 0j), (0j, zeta**-1))
     elements = []
@@ -239,22 +256,13 @@ def _cyclic_group(rank):
     for _ in range(n):
         elements.append(g)
         g = _mat2_mul(g, gen)
-    # every element is its own class; irrep j sends the generator to zeta^j
-    characters = tuple(
-        tuple(zeta ** (j * c) for c in range(n)) for j in range(n)
-    )
-    chi_v = tuple(_mat2_trace(e) for e in elements)
-    return GroupData(
-        descriptor=GammaDescriptor("A", rank),
-        order=n,
-        elements=tuple(elements),
-        characters=characters,
-        class_sizes=(1,) * n,
-        irrep_dims=(1,) * n,
-        chi_v=chi_v,
-        class_of=tuple(range(n)),
-        class_reps=tuple(range(n)),
-    )
+    return tuple(elements)
+
+
+def _cyclic_character_rows(n, reps):
+    """Irrep j of the cyclic group sends its generator to zeta^j."""
+    zeta = cmath.exp(2j * cmath.pi / n)
+    return [tuple(zeta ** (j * r) for r in reps) for j in range(n)]
 
 
 def _binary_dihedral_elements(n):
@@ -271,7 +279,7 @@ def _binary_dihedral_elements(n):
     return tuple(elements)
 
 
-def _binary_dihedral_character_rows(n, reps, elements):
+def _binary_dihedral_character_rows(n, reps):
     """Closed-form irreducible characters of the binary dihedral group.
 
     Elements are a^k (k < 2n) and b a^k; irreps are four 1-dimensional
@@ -303,70 +311,58 @@ def _binary_dihedral_character_rows(n, reps, elements):
     return rows
 
 
-def _binary_dihedral_group(rank):
-    n = rank - 2
-    elements = _binary_dihedral_elements(n)
-    class_of, reps, sizes = conjugacy_classes(elements)
-    rows = _binary_dihedral_character_rows(n, reps, elements)
-    dims = [int(round(row[0].real)) for row in rows]
-    chi_v = tuple(_mat2_trace(elements[r]) for r in reps)
+def _group_from_elements(descriptor, elements, closed_form_rows=None):
+    """Classes, character rows, chi_V and the canonical row order.
 
-    mult, trivial = _raw_multiplicities(rows, sizes, chi_v, len(elements))
-    perm = dynkin.match_layout(mult, dims, trivial, "D", rank)
-    ordered = [None] * len(rows)
-    for i, slot in enumerate(perm):
-        ordered[slot] = rows[i]
-    return GroupData(
-        descriptor=GammaDescriptor("D", rank),
+    ``closed_form_rows(reps)`` gives the character rows on the class
+    representatives; every such row must be recovered from Dixon's
+    table.  Without it Dixon's rows are used as they are.
+    """
+    rows, sizes, class_of, reps = dixon_character_table(elements)
+    if closed_form_rows is not None:
+        closed = closed_form_rows(reps)
+        _require_rows_recovered(closed, rows)
+        rows = closed
+    trivial = next((i for i, row in enumerate(rows)
+                    if all(abs(z - 1) < 1e-8 for z in row)), None)
+    if trivial is None:
+        raise InvariantViolation("no trivial character row found")
+    dims = [int(round(row[0].real)) for row in rows]
+    unordered = GroupData(
+        descriptor=descriptor,
         order=len(elements),
         elements=elements,
-        characters=tuple(ordered),
+        characters=tuple(rows),
         class_sizes=sizes,
-        irrep_dims=tuple(int(round(row[0].real)) for row in ordered),
-        chi_v=chi_v,
+        irrep_dims=tuple(dims),
+        chi_v=tuple(_mat2_trace(elements[r]) for r in reps),
         class_of=class_of,
         class_reps=reps,
     )
-
-
-def _e_series_group(rank):
-    from . import _e_tables
-
-    data = _e_tables.E_TABLES[rank]
-    return GroupData(
-        descriptor=GammaDescriptor("E", rank),
-        order=data["order"],
-        elements=None,
-        characters=data["characters"],
-        class_sizes=data["class_sizes"],
-        irrep_dims=data["irrep_dims"],
-        chi_v=data["chi_v"],
-        class_of=None,
-        class_reps=None,
+    perm = dynkin.match_layout(tensor_multiplicity_matrix(unordered), dims,
+                               trivial, descriptor.series, descriptor.rank)
+    order = sorted(range(len(rows)), key=perm.__getitem__)
+    return replace(
+        unordered,
+        characters=tuple(rows[i] for i in order),
+        irrep_dims=tuple(dims[i] for i in order),
     )
 
 
-def _raw_multiplicities(rows, sizes, chi_v, order):
-    """Multiplicity matrix and trivial-row index for unordered rows."""
-    k = len(rows)
-    trivial = None
-    for i, row in enumerate(rows):
-        if all(abs(z - 1) < 1e-8 for z in row):
-            trivial = i
-            break
-    if trivial is None:
-        raise InvariantViolation("no trivial character row found")
-    mult = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            s = sum(
-                sizes[c] * chi_v[c] * rows[i][c] * rows[j][c].conjugate()
-                for c in range(len(sizes))
-            ) / order
-            if abs(s - round(s.real)) > INTEGRALITY_TOL:
-                raise NonIntegralMultiplicity(f"multiplicity ({i},{j}) = {s}")
-            mult[i][j] = int(round(s.real))
-    return mult, trivial
+def _require_rows_recovered(rows, computed):
+    """Match every row to a distinct computed row within 1e-9."""
+    used = set()
+    for row in rows:
+        found = None
+        for idx, cand in enumerate(computed):
+            if idx in used:
+                continue
+            if all(abs(a - b) <= 1e-9 for a, b in zip(row, cand)):
+                found = idx
+                break
+        if found is None:
+            raise InvariantViolation("closed-form character row not recovered from elements")
+        used.add(found)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +383,17 @@ def build_group(descriptor):
 @functools.lru_cache(maxsize=None)
 def _build_group(descriptor):
     dynkin.validate_descriptor(descriptor.series, descriptor.rank)
+    rank = descriptor.rank
     if descriptor.series == "A":
-        g = _cyclic_group(descriptor.rank)
+        g = _group_from_elements(
+            descriptor, _cyclic_elements(rank + 1),
+            functools.partial(_cyclic_character_rows, rank + 1))
     elif descriptor.series == "D":
-        g = _binary_dihedral_group(descriptor.rank)
+        g = _group_from_elements(
+            descriptor, _binary_dihedral_elements(rank - 2),
+            functools.partial(_binary_dihedral_character_rows, rank - 2))
     else:
-        g = _e_series_group(descriptor.rank)
+        g = _group_from_elements(descriptor, closure(E_GENERATORS[rank]))
     validate_group_data(g)
     return g
 
@@ -447,27 +448,3 @@ def validate_group_data(g):
     if mult != dynkin.adjacency(g.descriptor.series, g.descriptor.rank):
         raise InvariantViolation("multiplicities do not match the canonical layout")
 
-    if g.elements is not None:
-        _check_against_elements(g)
-
-
-def _check_against_elements(g):
-    """Recompute characters from the stored elements and compare."""
-    recomputed, sizes, _, reps = dixon_character_table(g.elements)
-    if sizes != g.class_sizes:
-        raise InvariantViolation("recomputed class sizes disagree")
-    for c, r in enumerate(reps):
-        if abs(_mat2_trace(g.elements[r]) - g.chi_v[c]) > 1e-9:
-            raise InvariantViolation("stored chi_V disagrees with element traces")
-    used = set()
-    for row in g.characters:
-        found = None
-        for idx, cand in enumerate(recomputed):
-            if idx in used:
-                continue
-            if all(abs(a - b) <= 1e-9 for a, b in zip(row, cand)):
-                found = idx
-                break
-        if found is None:
-            raise InvariantViolation("stored character row not recovered from elements")
-        used.add(found)

@@ -36,7 +36,6 @@ from .errors import (
     EndpointMismatch,
     BoundNotFound,
     NonIntegralCoefficient,
-    UnsupportedSeries,
     VertexNotInCorner,
 )
 from .linalg import QQ, Echelon, rref
@@ -495,20 +494,15 @@ def slice_class_basis(ctx, i, j, k):
 def molien_sequence(g, i, j, with_z, kmax):
     """Character-averaged dimension counts, independent of path algebra.
 
-    Entry k is (1/|G|) sum_g chi_i(g) conj(chi_j(g)) c_k(g) where c_k(g)
-    is the degree-k coefficient of 1/(det(1 - t g) (1-t)^{with_z}).
+    Entry k is (1/|G|) sum_c |C_c| chi_i(c) conj(chi_j(c)) c_k(c), summed
+    over the conjugacy classes c, where c_k(c) is the degree-k coefficient
+    of 1/(det(1 - t g) (1-t)^{with_z}) for any g in c.  It depends on g
+    only through the trace chi_V(c): c_{k+1} = chi_V(c) c_k - c_{k-1}.
     """
-    if g.elements is None:
-        raise UnsupportedSeries(
-            f"series {g.descriptor.series} has no explicit elements"
-        )
-    from .gamma_data import _mat2_trace
-
     totals = [0j] * (kmax + 1)
-    for idx, elem in enumerate(g.elements):
-        tr = _mat2_trace(elem)
-        cls = g.class_of[idx]
-        weight = g.characters[i][cls] * g.characters[j][cls].conjugate()
+    for c, size in enumerate(g.class_sizes):
+        tr = g.chi_v[c]
+        weight = size * g.characters[i][c] * g.characters[j][c].conjugate()
         coeffs = [1.0 + 0j]
         prev2 = 0j
         for k in range(1, kmax + 1):
@@ -518,8 +512,8 @@ def molien_sequence(g, i, j, with_z, kmax):
         if with_z:
             run = 0j
             summed = []
-            for c in coeffs:
-                run += c
+            for x in coeffs:
+                run += x
                 summed.append(run)
             coeffs = summed
         for k in range(kmax + 1):

@@ -168,6 +168,9 @@ def rep_from_dict(data):
         _parsed("vertex", key_to_vertex, k): _parsed("dimension", _dimension, v)
         for k, v in data["dims"].items()
     }
+    for v in raw_dims:
+        if v not in quiver.vertices:
+            raise MalformedFile(f"unknown vertex {vertex_to_key(v)!r} in dims")
     comps = {v: raw_dims.get(v, 0) for v in quiver.vertices if v != INFINITY}
     at_inf = raw_dims.get(INFINITY) if INFINITY in quiver.vertices else None
     dims = DimVector(components=comps, at_infinity=at_inf)

@@ -79,15 +79,20 @@ def make_rep(quiver, dims, maps, field=QQ):
 
 
 def validate_shapes(rep):
-    """Check every matrix is dims[tail] x dims[head]; raise ShapeMismatch."""
+    """Check every matrix, row by row, is dims[tail] x dims[head].
+
+    Raises ShapeMismatch; a ragged matrix is reported with all its row
+    lengths, e.g. ``2x1/2``.
+    """
     for a in rep.quiver.arrows:
         m = rep.maps.get(a.id)
         if m is None:
             continue
         rows = len(m)
-        cols = len(m[0]) if rows else 0
+        widths = sorted({len(row) for row in m}) or [0]
+        cols = "/".join(str(w) for w in widths)
         want_r, want_c = rep.dims.get(a.tail), rep.dims.get(a.head)
-        if rows != want_r or (rows and cols != want_c):
+        if rows != want_r or (rows and widths != [want_c]):
             raise ShapeMismatch(
                 f"arrow {a.id}: matrix is {rows}x{cols}, expected {want_r}x{want_c}"
             )

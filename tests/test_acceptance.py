@@ -55,7 +55,7 @@ from mckaykit.moduli_tools import (
 
 ADJACENCY_LABELS = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6",
                     "E6", "E7", "E8"]
-ORACLE_LABELS = ["A1", "A2", "A3", "D4"]
+ORACLE_LABELS = ["A1", "A2", "A3", "D4", "E6", "E7", "E8"]
 
 #: (rep over QQ, corner) for every stable framed module produced in the run
 STABLE_REGISTRY = []
@@ -81,20 +81,50 @@ def test_criterion_01_mckay_adjacency():
               f"{len(ADJACENCY_LABELS)} descriptors")
 
 
+def etingof_eu_slices(series, rank, with_z, kmax):
+    """Slice dimension matrices from (1 - Ct + t^2)^-1, integers only.
+
+    M_0 = I, M_1 = C, M_{k+1} = C M_k - M_{k-1} for the affine adjacency
+    C (Etingof and Eu, Math. Res. Lett. 2007); the central loop of the
+    tripled flavor turns the series into its cumulative sums.
+    """
+    adj = dynkin.adjacency(series, rank)
+    n = len(adj)
+    mats = [[[int(a == b) for b in range(n)] for a in range(n)], adj]
+    while len(mats) <= kmax:
+        prev, cur = mats[-2], mats[-1]
+        mats.append([
+            [sum(adj[a][c] * cur[c][b] for c in range(n)) - prev[a][b]
+             for b in range(n)]
+            for a in range(n)
+        ])
+    mats = mats[:kmax + 1]
+    if with_z:
+        for k in range(1, kmax + 1):
+            mats[k] = [[x + y for x, y in zip(r, s)]
+                       for r, s in zip(mats[k - 1], mats[k])]
+    return mats
+
+
 def test_criterion_02_molien_oracle_agreement():
     checked = 0
     for label in ORACLE_LABELS:
         g = build_group(label)
         n = g.num_irreps
+        series, rank = g.descriptor.series, g.descriptor.rank
         for flavor, with_z in (("pi", False), ("pibullet", True)):
             ctx = AlgebraContext(g, flavor)
+            recursion = etingof_eu_slices(series, rank, with_z, 8)
             for i in range(n):
                 for j in range(n):
                     mol = molien_sequence(g, i, j, with_z, 8)
                     dims = tuple(ctx.slice_dim(i, j, k) for k in range(9))
                     assert mol == dims, (label, flavor, i, j)
+                    assert dims == tuple(m[i][j] for m in recursion), (
+                        label, flavor, i, j)
                     checked += 1
-    report(2, f"path and character counts agree on {checked} slices to degree 8")
+    report(2, f"path counts, character counts and the Etingof-Eu recursion "
+              f"agree on {checked} slices to degree 8 on {', '.join(ORACLE_LABELS)}")
 
 
 def test_criterion_03_invariant_ring_identity():
@@ -111,7 +141,7 @@ def test_criterion_03_invariant_ring_identity():
             a1_prefix = hs[:5]
     assert a1_prefix == (1, 1, 4, 4, 9)
     report(3, "cornered Hilbert series equals the invariant-ring series "
-              "(monomial projector oracle) to degree 8 on A1, A2, A3, D4")
+              f"(monomial projector oracle) to degree 8 on {', '.join(ORACLE_LABELS)}")
 
 
 def test_criterion_04_finiteness_certificate():

@@ -62,6 +62,16 @@ def test_hilbert_oracle(capsys):
     assert rows == [(0, 1, 1), (1, 1, 1), (2, 4, 4), (3, 4, 4), (4, 9, 9)]
 
 
+def test_hilbert_oracle_e_series(capsys):
+    code, out, _ = run(
+        capsys, "hilbert", "E6", "--algebra", "pibullet", "--kmax", "6", "--oracle",
+    )
+    assert code == 0
+    rows = [tuple(int(x) for x in line.split(",")) for line in out.strip().splitlines()]
+    assert [r[0] for r in rows] == list(range(7))
+    assert all(dim == oracle for _, dim, oracle in rows)
+
+
 def test_hilbert_kmax_zero(capsys):
     code, out, _ = run(capsys, "hilbert", "A1", "--kmax", "0")
     assert code == 0
@@ -189,6 +199,8 @@ def test_json_parse_error_diagnostics(capsys, tmp_path):
     {"dims": {"0": "x", "1": 1, "inf": 1}},
     {"dims": {"0": 1.5, "1": 1, "inf": 1}},
     {"maps": {"99": [["0"]]}},
+    {"dims": {"0": 2, "1": 1, "inf": 1}, "maps": {"0": [["0"], ["0", "1"]]}},
+    {"dims": {"0": 1, "1": 1, "7": 3, "inf": 1}},
 ])
 def test_stability_malformed_module_exit(capsys, tmp_path, change):
     q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})

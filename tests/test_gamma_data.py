@@ -1,10 +1,16 @@
 """Group data: classification, characters, multiplicities."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import mckaykit
 from mckaykit import dynkin
 from mckaykit.errors import InvalidDescriptor, NonIntegralMultiplicity
 from mckaykit.gamma_data import (
+    E_GENERATORS,
     GroupData,
     build_group,
     closure,
@@ -52,6 +58,57 @@ def test_d4_against_brute_force_oracle():
     assert g.order == 8
     assert sorted(g.irrep_dims) == dims
     assert sorted(g.class_sizes) == sorted(sizes)
+
+
+# binary tetrahedral, octahedral and icosahedral groups: order and the
+# multiset of conjugacy class sizes, as in the literature
+E_LITERATURE = {
+    6: (24, [1, 1, 4, 4, 4, 4, 6]),
+    7: (48, [1, 1, 6, 6, 6, 8, 8, 12]),
+    8: (120, [1, 1, 12, 12, 12, 12, 20, 20, 30]),
+}
+
+
+@pytest.mark.parametrize("rank", sorted(E_LITERATURE))
+def test_e_series_against_literature(rank):
+    """Pin the E groups by facts that do not come from Dixon's table."""
+    order, class_sizes = E_LITERATURE[rank]
+    assert len(closure(E_GENERATORS[rank])) == order
+    g = build_group(f"E{rank}")
+    assert g.order == len(g.elements) == order
+    assert sorted(g.class_sizes) == class_sizes
+    for c, r in enumerate(g.class_reps):
+        (a, _), (_, d) = g.elements[r]
+        assert g.class_of[r] == c
+        assert abs(g.chi_v[c] - (a + d)) < 1e-12
+
+
+BUILD_ONCE_SCRIPT = """
+import sys
+from mckaykit import gamma_data
+tables = []
+dixon = gamma_data.dixon_character_table
+def counted(elements):
+    tables.append(len(elements))
+    return dixon(elements)
+gamma_data.dixon_character_table = counted
+labels = sys.argv[1:]
+for _ in range(2):
+    for label in labels:
+        gamma_data.build_group(label)
+assert len(tables) == len(labels), tables
+assert "numpy.random" not in sys.modules
+"""
+
+
+def test_groups_built_once_without_numpy_random():
+    """In a fresh process, building every group twice computes one Dixon
+    table per group and never imports numpy.random."""
+    src = os.path.dirname(os.path.dirname(mckaykit.__file__))
+    proc = subprocess.run([sys.executable, "-c", BUILD_ONCE_SCRIPT, *ALL_LABELS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tensor_multiplicity_a1():

@@ -6,7 +6,6 @@ from helpers import cyclic_invariant_count, invariant_dim_by_projector
 from mckaykit.errors import (
     DegreeCapExceeded,
     EndpointMismatch,
-    UnsupportedSeries,
     VertexNotInCorner,
 )
 from mckaykit.gamma_data import build_group
@@ -92,8 +91,10 @@ def test_molien_examples(a1):
         g = build_group(label)
         assert molien_sequence(g, 0, 0, False, 0) == (1,)
     assert molien_sequence(a1, 0, 1, False, 1)[1] == 2
-    with pytest.raises(UnsupportedSeries):
-        molien_sequence(build_group("E6"), 0, 0, True, 2)
+    # C[x, y]^G for the binary tetrahedral group has Klein's invariants in
+    # degrees 6, 8, 12; the central z adds its powers
+    assert molien_sequence(build_group("E6"), 0, 0, True, 8) == (
+        1, 1, 1, 1, 1, 1, 2, 2, 3)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "D4"])
