@@ -49,11 +49,12 @@ from .linalg import (
     PrimeField,
     find_surjection,
     hom_space,
+    induced_map,
     mat_mul,
     mat_vec,
     nullspace,
     quotient_projection,
-    vec_to_sparse,
+    spans_closed,
     zeros,
 )
 from .quiver_core import DimVector, mckay_quiver, triple_quiver
@@ -209,8 +210,9 @@ def j_shriek(module, degree_cap=None, window=TRUNCATION_WINDOW):
 
     Computed degreewise as (algebra column tensor module) modulo the
     bilinearity span, with coordinates eliminated from the top degree
-    downward; stops once ``window`` consecutive degrees contribute no new
-    quotient coordinates and returns a module over the tripled quiver.
+    downward; stops once ``window`` consecutive degrees (at least the
+    module's generation degree) contribute no new quotient coordinates
+    and returns a module over the tripled quiver.
     """
     return j_shriek_with_data(module, degree_cap=degree_cap, window=window).rep
 
@@ -249,6 +251,10 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
 
     corner_sorted = sorted(corner)
     gen_deg = module.gen_degree
+    # a bilinearity row of degree k reaches down to degree k - gen_deg, so
+    # a shorter quiet window could stop before the relations it would
+    # still insert into the lower degrees
+    window = max(window, gen_deg)
 
     # T coordinates: (k, src corner vertex, layer coord, module basis index)
     def coord_key(k, src, c, b):
@@ -499,24 +505,10 @@ def cornered_isomorphic(a, b, seed=0, tries=40):
 
 def cornered_submodule_is_closed(module, spaces):
     """Whether per-vertex subspaces are closed under all stored actions."""
-    field = module.field
-    ech = {}
-    for v in sorted(module.corner):
-        e = Echelon(field)
-        for row in spaces.get(v, ()):
-            e.insert(vec_to_sparse(field, row))
-        ech[v] = e
     gens = [(v, v, module.z_mats[v]) for v in sorted(module.corner)]
-    for key in module.actions:
-        _, i, j = key
-        for mat in module.actions[key]:
-            gens.append((i, j, mat))
-    for i, j, mat in gens:
-        for vec in spaces.get(j, ()):
-            img = mat_vec(field, mat, vec)
-            if not ech[i].contains(vec_to_sparse(field, img)):
-                return False
-    return True
+    for (_, i, j), mats in module.actions.items():
+        gens.extend((i, j, mat) for mat in mats)
+    return spans_closed(module.field, spaces, gens)
 
 
 def cornered_quotient(module, spaces, with_projection=False):
@@ -536,10 +528,7 @@ def cornered_quotient(module, spaces, with_projection=False):
         qdim[v] = len(lift[v])
 
     def push(mat, i, j):
-        cols = [mat_vec(field, proj[i], mat_vec(field, mat, vec)) for vec in lift[j]]
-        return tuple(
-            tuple(cols[c][r] for c in range(qdim[j])) for r in range(qdim[i])
-        )
+        return induced_map(field, mat, lift[j], proj[i])
 
     z_mats = {v: push(module.z_mats[v], v, v) for v in sorted(module.corner)}
     actions = {
@@ -659,13 +648,8 @@ def c_star(m):
                 continue
             if is_z:
                 continue
-            cols = []
-            for vec in lift[(k, src)]:
-                img = mat_vec(field, mat, vec)
-                cols.append(mat_vec(field, proj[(k + 1, dst)], img))
-            per_degree[k] = tuple(
-                tuple(cols[c][r] for c in range(len(cols)))
-                for r in range(new_dims[(k + 1, dst)])
+            per_degree[k] = induced_map(
+                field, mat, lift[(k, src)], proj[(k + 1, dst)]
             )
             _check_descends(field, m, gid, k, proj)
         if is_z:

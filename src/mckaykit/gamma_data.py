@@ -49,10 +49,6 @@ class GammaDescriptor:
     def label(self):
         return f"{self.series}{self.rank}"
 
-    @property
-    def num_vertices(self):
-        return self.rank + 1
-
 
 def parse_descriptor(text):
     """Parse a label like "A3", "D5" or "E7" into a descriptor."""

@@ -38,7 +38,7 @@ from .errors import (
     NonIntegralCoefficient,
     VertexNotInCorner,
 )
-from .linalg import QQ, Echelon, rref
+from .linalg import QQ, Echelon
 from .quiver_core import frame_quiver, mckay_quiver, triple_quiver
 
 DEFAULT_DEGREE_CAP = 16
@@ -150,7 +150,8 @@ class _LayerTable:
                 slots.append((a, c))
         nslots = len(slots)
 
-        rows = []
+        # relation rows, sparse over the slots, straight into the echelon
+        ech = Echelon(QQ)
         if k >= 2 and nslots:
             prev2 = self.layers[k - 2]
             lm = prev.lmul_in
@@ -158,22 +159,19 @@ class _LayerTable:
                 if gen.tgt in self.kill:
                     continue
                 for u in prev2.by_vertex.get(gen.src, ()):
-                    row = [QQ.zero] * nslots
-                    touched = False
+                    row = {}
                     for coeff, (x, y) in gen.terms:
                         w = lm.get(y, {}).get(u)
                         if w is None:
                             continue
                         for c, val in enumerate(w):
                             if val:
-                                row[slot_index[(x, c)]] += coeff * val
-                                touched = True
-                    if touched:
-                        rows.append(tuple(row))
+                                s = slot_index[(x, c)]
+                                row[s] = row.get(s, QQ.zero) + coeff * val
+                    ech.insert(row)
 
-        red, pivots = rref(QQ, rows)
-        pivot_set = set(pivots)
-        free = [s for s in range(nslots) if s not in pivot_set]
+        red = ech.reduced_rows()
+        free = [s for s in range(nslots) if s not in red]
         free_pos = {s: t for t, s in enumerate(free)}
         dim = len(free)
 
@@ -183,11 +181,11 @@ class _LayerTable:
             vec = [QQ.zero] * dim
             vec[t] = QQ.one
             slot_image[s] = tuple(vec)
-        for row, p in zip(red, pivots):
+        for p, row in red.items():
             vec = [QQ.zero] * dim
-            for s in free:
-                if row[s]:
-                    vec[free_pos[s]] = -row[s]
+            for s, val in row.items():
+                if s != p:
+                    vec[free_pos[s]] = -val
             slot_image[p] = tuple(vec)
 
         paths = []

@@ -6,9 +6,12 @@ for brute-force enumerations.  Matrices are immutable tuples of row
 tuples; the zero-row and zero-column cases are legal, so shape arguments
 are passed explicitly where they cannot be inferred.
 
-The kernels shared by the module-theory layers live here too: the
-intertwiner (hom-space) system, quotient projections, and the seeded
-search for a hom-space element that is onto at every vertex.
+There is one elimination kernel, the sparse incremental ``Echelon``;
+``rref``, ``rank``, ``solve`` and ``nullspace`` are dense views of it.
+The kernels shared by the module-theory layers live here too: linear
+combinations, the closure test for families of subspaces, quotient
+projections and induced maps, the intertwiner (hom-space) system, and
+the seeded search for a hom-space element that is onto at every vertex.
 """
 
 import itertools
@@ -145,11 +148,13 @@ def mat_mul(field, a, b, b_ncols=None):
 
 def mat_vec(field, a, v):
     zero = field.zero
+    support = [(i, y) for i, y in enumerate(v) if y != zero]
     out = []
     for row in a:
         s = zero
-        for x, y in zip(row, v):
-            if x != zero and y != zero:
+        for i, y in support:
+            x = row[i]
+            if x != zero:
                 s = field.add(s, field.mul(x, y))
         out.append(s)
     return tuple(out)
@@ -164,7 +169,8 @@ class Echelon:
 
     Rows are sparse dicts ``{column: value}``; the pivot of a row is its
     smallest column index, and stored rows are normalised to pivot value 1.
-    Feeding vectors one by one yields rank and span-membership tests.
+    Feeding vectors one by one yields rank and span-membership tests;
+    ``reduced_rows`` gives the reduced row echelon form.
     """
 
     def __init__(self, field):
@@ -220,50 +226,57 @@ class Echelon:
     def contains(self, vec):
         return self._reduce_leading(self._nonzero(vec)) is None
 
-    def pivot_columns(self):
-        return sorted(self.rows)
+    def reduced_rows(self):
+        """The stored rows in reduced form, as a new dict keyed by pivot.
+
+        Back-substitutes from the highest pivot down, so no row keeps an
+        entry in another row's pivot column; the stored rows are unchanged.
+        """
+        field = self.field
+        zero = field.zero
+        out = {}
+        for piv in sorted(self.rows, reverse=True):
+            row = dict(self.rows[piv])
+            for col in [c for c in row if c != piv and c in out]:
+                coef = row[col]
+                for c, v in out[col].items():
+                    nv = field.sub(row.get(c, zero), field.mul(coef, v))
+                    if nv == zero:
+                        row.pop(c, None)
+                    else:
+                        row[c] = nv
+            out[piv] = row
+        return out
 
 
 def vec_to_sparse(field, vec):
     return {i: x for i, x in enumerate(vec) if x != field.zero}
 
 
+def _echelon(field, rows):
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert(vec_to_sparse(field, row))
+    return ech
+
+
 # ---------------------------------------------------------------------------
-# dense elimination: rref, rank, solve, nullspace
+# dense views of the echelon: rref, rank, solve, nullspace
 # ---------------------------------------------------------------------------
 
 def rref(field, rows):
     """Reduced row echelon form.  Returns (rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != field.zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != field.zero:
-                coef = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(coef, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    ncols = len(rows[0])
+    red = _echelon(field, rows).reduced_rows()
+    pivots = sorted(red)
+    zero = field.zero
+    return [tuple(red[p].get(c, zero) for c in range(ncols)) for p in pivots], pivots
 
 
 def rank(field, rows):
-    return len(rref(field, rows)[0])
+    return _echelon(field, rows).rank
 
 
 def solve(field, a, b):
@@ -274,13 +287,12 @@ def solve(field, a, b):
     if not a:
         return ()
     ncols = len(a[0])
-    aug = [tuple(row) + (bv,) for row, bv in zip(a, b)]
-    red, pivots = rref(field, aug)
+    ech = _echelon(field, [tuple(row) + (bv,) for row, bv in zip(a, b)])
+    if ncols in ech.rows:
+        return None  # pivot in augmented column: inconsistent
     x = [field.zero] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None  # pivot in augmented column: inconsistent
-        x[p] = row[ncols]
+    for p, row in ech.reduced_rows().items():
+        x[p] = row.get(ncols, field.zero)
     return tuple(x)
 
 
@@ -290,22 +302,51 @@ def nullspace(field, a, ncols=None):
         ncols = len(a[0])
     if ncols is None:
         raise ValueError("ncols required for an empty matrix")
-    red, pivots = rref(field, a)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for row, p in zip(red, pivots):
-            v[p] = field.neg(row[f])
-        basis.append(tuple(v))
-    return basis
+    red = _echelon(field, a).reduced_rows()
+    basis = {}
+    for f in range(ncols):
+        if f not in red:
+            basis[f] = [field.zero] * ncols
+            basis[f][f] = field.one
+    for p, row in red.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = field.neg(x)
+    return [tuple(v) for v in basis.values()]
 
 
 # ---------------------------------------------------------------------------
-# quotients, hom spaces and the seeded candidate search
+# combinations, closure, quotients, hom spaces and the seeded search
 # ---------------------------------------------------------------------------
+
+def combine(field, coeffs, vectors, n):
+    """The linear combination sum_i coeffs[i] * vectors[i] in F^n."""
+    zero = field.zero
+    out = [zero] * n
+    for coef, vec in zip(coeffs, vectors):
+        if coef == zero:
+            continue
+        for idx, x in enumerate(vec):
+            if x != zero:
+                out[idx] = field.add(out[idx], field.mul(coef, x))
+    return tuple(out)
+
+
+def spans_closed(field, spaces, maps):
+    """Whether every ``(i, j, mat)`` of ``maps`` sends span(spaces[j])
+    into span(spaces[i]); ``spaces`` maps keys to lists of row vectors."""
+    ech = {}
+    for i, j, mat in maps:
+        src = spaces.get(j, ())
+        if not src:
+            continue
+        if i not in ech:
+            ech[i] = _echelon(field, spaces.get(i, ()))
+        for vec in src:
+            if not ech[i].contains(vec_to_sparse(field, mat_vec(field, mat, vec))):
+                return False
+    return True
+
 
 def quotient_projection(field, sub_rows, n):
     """(projection matrix q x n, lifted basis) for F^n / span(sub_rows).
@@ -314,9 +355,7 @@ def quotient_projection(field, sub_rows, n):
     ``sub_rows`` to a basis of F^n, taken in index order.
     """
     sub = list(sub_rows)
-    ech = Echelon(field)
-    for row in sub:
-        ech.insert(vec_to_sparse(field, row))
+    ech = _echelon(field, sub)
     extra = [i for i in range(n) if ech.insert({i: field.one})]
     lift = [
         tuple(field.one if i == e else field.zero for i in range(n)) for e in extra
@@ -331,6 +370,14 @@ def quotient_projection(field, sub_rows, n):
         tuple(proj_rows[i][q] for i in range(n)) for q in range(len(extra))
     )
     return proj, lift
+
+
+def induced_map(field, mat, lift, proj):
+    """Matrix of the map that ``mat`` induces between quotients: column c
+    is ``proj . mat . lift[c]``, where ``lift`` is the lifted basis of the
+    source quotient and ``proj`` the projection onto the target quotient."""
+    cols = [mat_vec(field, proj, mat_vec(field, mat, vec)) for vec in lift]
+    return tuple(tuple(col[r] for col in cols) for r in range(len(proj)))
 
 
 def hom_space(field, constraints, dims_a, dims_b, verts):
@@ -373,23 +420,13 @@ def seeded_candidates(field, basis, seed, tries):
         return
     nvars = len(basis[0])
     yield from (tuple(vec) for vec in basis)
-
-    def combine(coeffs):
-        sol = [field.zero] * nvars
-        for coef, vec in zip(coeffs, basis):
-            if coef == field.zero:
-                continue
-            for idx, x in enumerate(vec):
-                if x != field.zero:
-                    sol[idx] = field.add(sol[idx], field.mul(coef, x))
-        return tuple(sol)
-
     rng = random.Random(seed)
     for _ in range(tries):
-        yield combine([field.from_int(rng.randint(-3, 3)) for _ in basis])
+        coeffs = [field.from_int(rng.randint(-3, 3)) for _ in basis]
+        yield combine(field, coeffs, basis, nvars)
     if isinstance(field, PrimeField) and field.p ** len(basis) <= 4096:
         for combo in itertools.product(range(field.p), repeat=len(basis)):
-            yield combine(combo)
+            yield combine(field, combo, basis, nvars)
 
 
 def find_surjection(field, basis, offsets, dims_a, dims_b, seed, tries):

@@ -34,10 +34,6 @@ class Arrow:
     tail: object
     head: object
 
-    @property
-    def is_loop(self):
-        return self.tail == self.head
-
 
 @dataclass
 class Quiver:

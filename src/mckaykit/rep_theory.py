@@ -31,8 +31,10 @@ from .linalg import (
     QQ,
     Echelon,
     PrimeField,
+    combine,
     find_surjection,
     hom_space,
+    induced_map,
     mat_add,
     mat_mul,
     mat_sub,
@@ -40,6 +42,7 @@ from .linalg import (
     nullspace,
     quotient_projection,
     solve,
+    spans_closed,
     vec_to_sparse,
     zeros,
 )
@@ -220,20 +223,8 @@ class SubmoduleWitness:
 
 
 def witness_is_closed(rep, witness):
-    field = rep.field
-    ech = {
-        v: Echelon(field) for v in rep.quiver.vertices
-    }
-    for v, rows in witness.spaces.items():
-        for r in rows:
-            ech[v].insert(vec_to_sparse(field, r))
-    for a in rep.quiver.arrows:
-        m = rep.matrix(a.id)
-        for vec in witness.spaces.get(a.head, ()):
-            img = mat_vec(field, m, vec)
-            if not ech[a.tail].contains(vec_to_sparse(field, img)):
-                return False
-    return True
+    maps = ((a.tail, a.head, rep.matrix(a.id)) for a in rep.quiver.arrows)
+    return spans_closed(rep.field, witness.spaces, maps)
 
 
 def generated_submodule(rep, seeds):
@@ -313,14 +304,9 @@ def max_submodule_avoiding(rep, avoid):
             new_src = []
             ech = Echelon(field)
             for combo in kept_combos:
-                vec = [field.zero] * rep.dims.get(a.head)
-                for coef, bvec in zip(combo, src):
-                    if coef == field.zero:
-                        continue
-                    for idx, x in enumerate(bvec):
-                        vec[idx] = field.add(vec[idx], field.mul(coef, x))
+                vec = combine(field, combo, src, rep.dims.get(a.head))
                 if ech.insert(vec_to_sparse(field, vec)):
-                    new_src.append(tuple(vec))
+                    new_src.append(vec)
             if len(new_src) < len(src):
                 basis[a.head] = new_src
                 changed = True
@@ -599,13 +585,7 @@ def quotient_rep(rep, witness):
     dims = DimVector(components=comps, at_infinity=at_inf)
     maps = {}
     for a in rep.quiver.arrows:
-        cols = []
-        for rep_vec in lift[a.head]:
-            img = mat_vec(field, rep.matrix(a.id), rep_vec)
-            cols.append(mat_vec(field, proj[a.tail], img))
-        maps[a.id] = tuple(
-            tuple(cols[c][r] for c in range(qdim[a.head])) for r in range(qdim[a.tail])
-        )
+        maps[a.id] = induced_map(field, rep.matrix(a.id), lift[a.head], proj[a.tail])
     return QuiverRep(quiver=rep.quiver, dims=dims, maps=maps, field=field)
 
 
@@ -758,14 +738,7 @@ def random_flat_rep(quiver, dims, seed, field=QQ, entry_range=2):
                     rows.append(tuple(row))
 
     basis = nullspace(field, rows, ncols=nvars) if nvars else []
-    sol = [field.zero] * nvars
-    for vec in basis:
-        coef = field.from_int(rng.randint(-entry_range, entry_range))
-        if coef == field.zero:
-            continue
-        for idx, x in enumerate(vec):
-            if x != field.zero:
-                sol[idx] = field.add(sol[idx], field.mul(coef, x))
+    sol = combine(field, [rand_entry() for _ in basis], basis, nvars)
     for a in unknown:
         dt, dh = dims.get(a.tail), dims.get(a.head)
         off = offsets[a.id]

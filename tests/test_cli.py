@@ -62,13 +62,14 @@ def test_hilbert_oracle(capsys):
     assert rows == [(0, 1, 1), (1, 1, 1), (2, 4, 4), (3, 4, 4), (4, 9, 9)]
 
 
-def test_hilbert_oracle_e_series(capsys):
+@pytest.mark.parametrize("label,kmax", [("E6", "6"), ("E8", "12")])
+def test_hilbert_oracle_e_series(capsys, label, kmax):
     code, out, _ = run(
-        capsys, "hilbert", "E6", "--algebra", "pibullet", "--kmax", "6", "--oracle",
+        capsys, "hilbert", label, "--algebra", "pibullet", "--kmax", kmax, "--oracle",
     )
     assert code == 0
     rows = [tuple(int(x) for x in line.split(",")) for line in out.strip().splitlines()]
-    assert [r[0] for r in rows] == list(range(7))
+    assert [r[0] for r in rows] == list(range(int(kmax) + 1))
     assert all(dim == oracle for _, dim, oracle in rows)
 
 

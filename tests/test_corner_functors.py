@@ -118,6 +118,21 @@ def test_round_trip_reduces_past_free_columns(label, comps, seed):
     assert cornered_isomorphic(back, cm)
 
 
+@pytest.mark.parametrize("label,comps,seed", [
+    ("D5", {0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1}, 0),
+    ("D4", {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}, 11),
+])
+def test_round_trip_window_covers_generation_degree(label, comps, seed):
+    """Corner {0} has generation degree 8 on D5 and 6 on D4: the extension
+    must keep inserting bilinearity rows for that many quiet degrees, since
+    the rows of one degree reach that far down."""
+    quiver = triple_quiver(mckay_quiver(build_group(label)))
+    rep = random_flat_rep(quiver, DimVector(components=comps), seed)
+    cm = j_star(rep, {0})
+    back = j_star(j_shriek(cm), {0})
+    assert cornered_isomorphic(back, cm)
+
+
 def test_j_shriek_refuses_prime_field(a1, a1_tripled):
     rep = random_flat_rep(a1_tripled, DimVector(components={0: 2, 1: 2}), 0)
     with pytest.raises(BadPrime):
