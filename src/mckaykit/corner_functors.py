@@ -387,12 +387,11 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
                 if img is None:
                     continue
                 acc = [QQ.zero] * ndim
-                for c2, val in enumerate(img):
-                    if val:
-                        red = reduce_key(coord_key(kdeg + 1, src, c2, b))
-                        for t, x in enumerate(red):
-                            if x:
-                                acc[t] += val * x
+                for c2, val in img:
+                    red = reduce_key(coord_key(kdeg + 1, src, c2, b))
+                    for t, x in enumerate(red):
+                        if x:
+                            acc[t] += val * x
                 for key2, t in basis_pos.items():
                     if acc[t] and vertex_of_key[key2] == a.tail:
                         maps[a.id][pos_in_vertex[key2]][col] = acc[t]

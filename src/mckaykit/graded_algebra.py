@@ -105,7 +105,8 @@ class _Layer:
         for idx, v in enumerate(vertex_of):
             self.by_vertex.setdefault(v, []).append(idx)
         # lmul_in[aid][prev_coord] = expansion of (arrow . prev basis class)
-        # in this layer's coordinates
+        # in this layer's coordinates, as sparse ((coord, value), ...) pairs
+        # with nonzero values in increasing coord order
         self.lmul_in = lmul_in
 
     @property
@@ -164,29 +165,22 @@ class _LayerTable:
                         w = lm.get(y, {}).get(u)
                         if w is None:
                             continue
-                        for c, val in enumerate(w):
-                            if val:
-                                s = slot_index[(x, c)]
-                                row[s] = row.get(s, QQ.zero) + coeff * val
+                        for c, val in w:
+                            s = slot_index[(x, c)]
+                            row[s] = row.get(s, QQ.zero) + coeff * val
                     ech.insert(row)
 
         red = ech.reduced_rows()
         free = [s for s in range(nslots) if s not in red]
         free_pos = {s: t for t, s in enumerate(free)}
-        dim = len(free)
 
         # expansion of each slot in the quotient basis
         slot_image = [None] * nslots
         for t, s in enumerate(free):
-            vec = [QQ.zero] * dim
-            vec[t] = QQ.one
-            slot_image[s] = tuple(vec)
+            slot_image[s] = ((t, QQ.one),)
         for p, row in red.items():
-            vec = [QQ.zero] * dim
-            for s, val in row.items():
-                if s != p:
-                    vec[free_pos[s]] = -val
-            slot_image[p] = tuple(vec)
+            slot_image[p] = tuple(sorted(
+                (free_pos[s], -val) for s, val in row.items() if s != p))
 
         paths = []
         vertex_of = []
@@ -319,7 +313,7 @@ class AlgebraContext:
                             vec = {}
                             for coeff, (x, y) in gen.terms:
                                 key = (x, y) + q
-                                vec[key] = vec.get(key, QQ.zero) + Fraction(coeff)
+                                vec[key] = vec.get(key, QQ.zero) + coeff
                             ech.insert({p: c for p, c in vec.items() if c})
                 spans[(kk, v)] = ech
         return spans[(k, i)]
@@ -411,15 +405,15 @@ def unit_class(ctx, i):
     dim = ctx.slice_dim(i, i, 0)
     if dim != 1:
         raise EndpointMismatch(f"no idempotent class at vertex {i}")
-    return SliceClass(ctx, i, i, 0, (Fraction(1),))
+    return SliceClass(ctx, i, i, 0, (QQ.one,))
 
 
 def class_from_path(ctx, path, i, j):
     """The class of an explicit path, expanded in the quotient basis."""
-    vec = _expand_path_on(ctx, path, {0: Fraction(1)}, j, 0)
+    vec = _expand_path_on(ctx, path, {0: QQ.one}, j, 0)
     layer, coords = ctx.slice_coords(i, j, len(path))
     pos = {c: t for t, c in enumerate(coords)}
-    out = [Fraction(0)] * len(coords)
+    out = [QQ.zero] * len(coords)
     for c, val in vec.items():
         if val:
             if layer.vertex_of[c] != i:
@@ -440,9 +434,8 @@ def _expand_path_on(ctx, path, vec, right_end, level):
             img = lm.get(c)
             if img is None:
                 continue
-            for t, x in enumerate(img):
-                if x:
-                    nxt[t] = nxt.get(t, Fraction(0)) + val * x
+            for t, x in img:
+                nxt[t] = nxt.get(t, QQ.zero) + val * x
         vec = {c: v for c, v in nxt.items() if v}
     return vec
 
@@ -463,10 +456,10 @@ def multiply_classes(u, v):
             continue
         vec = _expand_path_on(ctx, p, base, v.j, v.k)
         for c, val in vec.items():
-            acc[c] = acc.get(c, Fraction(0)) + x * val
+            acc[c] = acc.get(c, QQ.zero) + x * val
     layer, coords = ctx.slice_coords(u.i, v.j, u.k + v.k)
     pos = {c: t for t, c in enumerate(coords)}
-    out = [Fraction(0)] * len(coords)
+    out = [QQ.zero] * len(coords)
     for c, val in acc.items():
         if val:
             if layer.vertex_of[c] != u.i:
@@ -480,7 +473,7 @@ def slice_class_basis(ctx, i, j, k):
     dim = ctx.slice_dim(i, j, k)
     out = []
     for t in range(dim):
-        coeffs = tuple(Fraction(1) if s == t else Fraction(0) for s in range(dim))
+        coeffs = tuple(QQ.one if s == t else QQ.zero for s in range(dim))
         out.append(SliceClass(ctx, i, j, k, coeffs))
     return out
 

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 All core computations in the toolkit run over an exact field: ``QQ``
-(Python ``Fraction``) for construction and graded dimensions, ``GF(p)``
-for brute-force enumerations.  Matrices are immutable tuples of row
-tuples; the zero-row and zero-column cases are legal, so shape arguments
-are passed explicitly where they cannot be inferred.
+(Python ``int`` when integral, ``Fraction`` otherwise) for construction
+and graded dimensions, ``GF(p)`` for brute-force enumerations.  Matrices
+are immutable tuples of row tuples; the zero-row and zero-column cases
+are legal, so shape arguments are passed explicitly where they cannot be
+inferred.
 
 There is one elimination kernel, the sparse incremental ``Echelon``;
 ``rref``, ``rank``, ``solve`` and ``nullspace`` are dense views of it.
@@ -22,10 +23,12 @@ from .errors import BadPrime
 
 
 class RationalField:
-    """Field of rationals; elements are ``Fraction`` instances."""
+    """Field of rationals; an element is an ``int`` when it is integral and
+    a ``Fraction`` otherwise, so elimination with pivots +-1 stays in
+    integer arithmetic and a division moves to ``Fraction`` by itself."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
     name = "QQ"
 
     @staticmethod
@@ -46,11 +49,11 @@ class RationalField:
 
     @staticmethod
     def inv(a):
-        return 1 / a
+        return a if a in (1, -1) else Fraction(1) / a
 
     @staticmethod
     def from_int(n):
-        return Fraction(n)
+        return n
 
     @staticmethod
     def from_fraction(fr):

@@ -317,10 +317,10 @@ def truncated_corner_column(g, corner, bound=None, field=QQ):
                             if not coeff:
                                 continue
                             vec = _expand_path_on(
-                                ctx, path, {c: Fraction(1)}, 0, k
+                                ctx, path, {c: QQ.one}, 0, k
                             )
                             for c2, val in vec.items():
-                                acc[c2] = acc.get(c2, Fraction(0)) + coeff * val
+                                acc[c2] = acc.get(c2, QQ.zero) + coeff * val
                         for c2, val in acc.items():
                             if val:
                                 r = index[i][(k + d, c2)]

@@ -7,6 +7,7 @@ quotients or the character-theoretic counts it is used to check.
 
 from fractions import Fraction
 
+from mckaykit import dynkin
 from mckaykit.rep_theory import is_stable, random_flat_rep
 
 
@@ -69,6 +70,31 @@ def invariant_dim_by_projector(group, k, with_z=True):
     value = total / group.order
     assert abs(value - round(value.real)) < 1e-6, value
     return int(round(value.real))
+
+
+def etingof_eu_slices(series, rank, with_z, kmax):
+    """Slice dimension matrices from (1 - Ct + t^2)^-1, integers only.
+
+    M_0 = I, M_1 = C, M_{k+1} = C M_k - M_{k-1} for the affine adjacency
+    C (Etingof and Eu, Math. Res. Lett. 2007); the central loop of the
+    tripled flavor turns the series into its cumulative sums.
+    """
+    adj = dynkin.adjacency(series, rank)
+    n = len(adj)
+    mats = [[[int(a == b) for b in range(n)] for a in range(n)], adj]
+    while len(mats) <= kmax:
+        prev, cur = mats[-2], mats[-1]
+        mats.append([
+            [sum(adj[a][c] * cur[c][b] for c in range(n)) - prev[a][b]
+             for b in range(n)]
+            for a in range(n)
+        ])
+    mats = mats[:kmax + 1]
+    if with_z:
+        for k in range(1, kmax + 1):
+            mats[k] = [[x + y for x, y in zip(r, s)]
+                       for r, s in zip(mats[k - 1], mats[k])]
+    return mats
 
 
 def cyclic_invariant_count(n, k, with_z=True):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from helpers import invariant_dim_by_projector
+from helpers import etingof_eu_slices, invariant_dim_by_projector
 from mckaykit import dynkin
 from mckaykit.errors import BadPrime
 from mckaykit.gamma_data import build_group, tensor_multiplicity_matrix
@@ -79,31 +79,6 @@ def test_criterion_01_mckay_adjacency():
             assert sum(mult[i][j] * delta[j] for j in range(n)) == 2 * delta[i]
     report(1, f"McKay adjacency and A.delta = 2.delta exact on "
               f"{len(ADJACENCY_LABELS)} descriptors")
-
-
-def etingof_eu_slices(series, rank, with_z, kmax):
-    """Slice dimension matrices from (1 - Ct + t^2)^-1, integers only.
-
-    M_0 = I, M_1 = C, M_{k+1} = C M_k - M_{k-1} for the affine adjacency
-    C (Etingof and Eu, Math. Res. Lett. 2007); the central loop of the
-    tripled flavor turns the series into its cumulative sums.
-    """
-    adj = dynkin.adjacency(series, rank)
-    n = len(adj)
-    mats = [[[int(a == b) for b in range(n)] for a in range(n)], adj]
-    while len(mats) <= kmax:
-        prev, cur = mats[-2], mats[-1]
-        mats.append([
-            [sum(adj[a][c] * cur[c][b] for c in range(n)) - prev[a][b]
-             for b in range(n)]
-            for a in range(n)
-        ])
-    mats = mats[:kmax + 1]
-    if with_z:
-        for k in range(1, kmax + 1):
-            mats[k] = [[x + y for x, y in zip(r, s)]
-                       for r, s in zip(mats[k - 1], mats[k])]
-    return mats
 
 
 def test_criterion_02_molien_oracle_agreement():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import etingof_eu_slices
 from mckaykit.cli import main
 from mckaykit.gamma_data import build_group
 from mckaykit.io_formats import (
@@ -62,15 +63,22 @@ def test_hilbert_oracle(capsys):
     assert rows == [(0, 1, 1), (1, 1, 1), (2, 4, 4), (3, 4, 4), (4, 9, 9)]
 
 
-@pytest.mark.parametrize("label,kmax", [("E6", "6"), ("E8", "12")])
+@pytest.mark.parametrize("label,kmax", [("E6", "6"), ("E8", "12"), ("E8", "30")])
 def test_hilbert_oracle_e_series(capsys, label, kmax):
+    """E8 to degree 30 reaches its Coxeter number and Klein's invariant of
+    degree 30; the dim column must match both the character oracle and the
+    integer Etingof-Eu recursion summed over all endpoint pairs."""
     code, out, _ = run(
-        capsys, "hilbert", label, "--algebra", "pibullet", "--kmax", kmax, "--oracle",
+        capsys, "hilbert", label, "--algebra", "pibullet", "--kmax", kmax,
+        "--cap", kmax, "--oracle",
     )
     assert code == 0
     rows = [tuple(int(x) for x in line.split(",")) for line in out.strip().splitlines()]
     assert [r[0] for r in rows] == list(range(int(kmax) + 1))
     assert all(dim == oracle for _, dim, oracle in rows)
+    desc = build_group(label).descriptor
+    recursion = etingof_eu_slices(desc.series, desc.rank, True, int(kmax))
+    assert [dim for _, dim, _ in rows] == [sum(map(sum, m)) for m in recursion]
 
 
 def test_hilbert_kmax_zero(capsys):

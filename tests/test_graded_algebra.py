@@ -1,5 +1,8 @@
 """Graded slices, Hilbert sequences, the character oracle, class products."""
 
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from helpers import cyclic_invariant_count, invariant_dim_by_projector
@@ -67,6 +70,34 @@ def test_hilbert_examples(a1):
     hs_c = hilbert_sequence(cornered, 6)
     hs_f = hilbert_sequence(full, 6)
     assert all(c <= f for c, f in zip(hs_c, hs_f))
+
+
+#: sha256 of every layer of ``pi`` and ``pibullet`` on A1, A3, D4, D5, E6 and
+#: E7 to degree 7, in the canonical form of ``test_layer_identity``.  The
+#: value was computed when the images were still dense ``Fraction`` tuples,
+#: so it pins the layers across changes to their storage and arithmetic.
+LAYER_DIGEST = "bb484150b0a570f79670bddc5a2f7bc49e03d9166892bbb65fed040bf4b005e3"
+
+
+def test_layer_identity():
+    digest = hashlib.sha256()
+    for label in ("A1", "A3", "D4", "D5", "E6", "E7"):
+        g = build_group(label)
+        for flavor in ("pi", "pibullet"):
+            ctx = AlgebraContext(g, flavor)
+            for j in ctx.quiver.vertices:
+                for k in range(8):
+                    layer = ctx.layer(j, k)
+                    lmul_in = sorted(
+                        (aid, sorted(
+                            (c, tuple(sorted((t, str(Fraction(v)))
+                                             for t, v in img if v)))
+                            for c, img in images.items()))
+                        for aid, images in layer.lmul_in.items()
+                    )
+                    digest.update(repr((label, flavor, j, k, layer.paths,
+                                        layer.vertex_of, lmul_in)).encode())
+    assert digest.hexdigest() == LAYER_DIGEST
 
 
 def test_corner_requires_member_vertices(a1):

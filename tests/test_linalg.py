@@ -1,6 +1,8 @@
 """The elimination kernel: rref, rank, solve and nullspace on seeded
 matrices over QQ and small prime fields, zero-row and zero-column shapes
-included, checked against a textbook dense elimination kept here."""
+included, checked against a textbook dense elimination kept here.  QQ is
+fed both ``Fraction`` entries and plain ``int`` entries; either way the
+results stay exact and never hold a ``float``."""
 
 import random
 from fractions import Fraction
@@ -30,13 +32,15 @@ def reference_rank(field, rows):
     return r
 
 
-def random_matrix(field, rng, nrows, ncols):
+def random_matrix(field, rng, nrows, ncols, integral=False):
     density = rng.random()
 
     def entry():
         if rng.random() > density:
             return field.zero
         if field is QQ:
+            if integral:
+                return rng.randint(-4, 4)
             return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         return rng.randrange(field.p)
 
@@ -44,21 +48,28 @@ def random_matrix(field, rng, nrows, ncols):
 
 
 def cases():
-    for field in FIELDS:
+    inputs = [(field, False) for field in FIELDS] + [(QQ, True)]
+    for field, integral in inputs:
+        name = "QQint" if integral else str(field)
         for nrows, ncols in SHAPES:
             for seed in range(6):
-                yield pytest.param(field, nrows, ncols, seed,
-                                   id=f"{field}-{nrows}x{ncols}-{seed}")
+                yield pytest.param(field, integral, nrows, ncols, seed,
+                                   id=f"{name}-{nrows}x{ncols}-{seed}")
 
 
-@pytest.mark.parametrize("field,nrows,ncols,seed", list(cases()))
-def test_elimination_kernel(field, nrows, ncols, seed):
+def assert_no_float(rows):
+    assert not any(isinstance(x, float) for row in rows for x in row)
+
+
+@pytest.mark.parametrize("field,integral,nrows,ncols,seed", list(cases()))
+def test_elimination_kernel(field, integral, nrows, ncols, seed):
     rng = random.Random(seed * 1000 + nrows * 10 + ncols)
-    a = random_matrix(field, rng, nrows, ncols)
+    a = random_matrix(field, rng, nrows, ncols, integral)
     r = reference_rank(field, a)
     assert rank(field, a) == r
 
     red, pivots = rref(field, a)
+    assert_no_float(red)
     assert len(red) == len(pivots) == r
     assert pivots == sorted(set(pivots))
     for row, p in zip(red, pivots):
@@ -70,6 +81,7 @@ def test_elimination_kernel(field, nrows, ncols, seed):
     assert reference_rank(field, a + list(red)) == r
 
     kernel = nullspace(field, a, ncols=ncols)
+    assert_no_float(kernel)
     assert len(kernel) == ncols - r
     assert reference_rank(field, kernel) == len(kernel)
     for vec in kernel:
@@ -77,12 +89,14 @@ def test_elimination_kernel(field, nrows, ncols, seed):
         assert all(x == field.zero for x in mat_vec(field, a, vec))
 
     if nrows:
-        for b in (random_matrix(field, rng, 1, nrows)[0],
-                  mat_vec(field, a, random_matrix(field, rng, 1, ncols)[0])):
+        for b in (random_matrix(field, rng, 1, nrows, integral)[0],
+                  mat_vec(field, a,
+                          random_matrix(field, rng, 1, ncols, integral)[0])):
             x = solve(field, a, b)
             aug = [row + (bv,) for row, bv in zip(a, b)]
             if reference_rank(field, aug) > r:
                 assert x is None
             else:
                 assert x is not None
+                assert_no_float([x])
                 assert mat_vec(field, a, x) == tuple(b)
