@@ -85,7 +85,10 @@ def match_layout(mult, dims, trivial_index, series, rank):
     dimensions, ``trivial_index`` the row of the trivial character.
     Returns ``perm`` with ``perm[computed] = canonical``; raises
     InvariantViolation when no isomorphism onto the canonical layout
-    exists (a corrupted character table).
+    exists (a corrupted character table).  Rows are placed in
+    breadth-first order from the trivial row over the graph of ``mult``,
+    so every row after the first has a placed neighbour and the search
+    cost does not depend on the order of the rows.
     """
     from .errors import InvariantViolation
 
@@ -96,6 +99,11 @@ def match_layout(mult, dims, trivial_index, series, rank):
         raise InvariantViolation(
             f"expected {n} irreps for {series}{rank}, got {len(mult)}"
         )
+    visit = [trivial_index]
+    for i in visit:
+        visit.extend(j for j in range(n) if mult[i][j] and j not in visit)
+    if len(visit) != n:
+        raise InvariantViolation(f"multiplicity matrix of {series}{rank} is not connected")
     perm = [None] * n
     used = [False] * n
 
@@ -107,18 +115,15 @@ def match_layout(mult, dims, trivial_index, series, rank):
                 return False
         return mult[i][i] == target[slot][slot]
 
-    def place(i):
-        if i == n:
+    def place(pos):
+        if pos == n:
             return True
-        if i == trivial_index:
-            slots = [0]
-        else:
-            slots = [s for s in range(n) if s != 0]
-        for slot in slots:
+        i = visit[pos]
+        for slot in [0] if pos == 0 else range(1, n):
             if not used[slot] and ok(i, slot):
                 perm[i] = slot
                 used[slot] = True
-                if place(i + 1):
+                if place(pos + 1):
                     return True
                 perm[i] = None
                 used[slot] = False

@@ -14,12 +14,16 @@ class InvalidDescriptor(MckayError):
     """Group descriptor is outside the ADE classification (bad series/rank)."""
 
 
+class InvalidArgument(MckayError):
+    """An argument is missing or out of range (e.g. a negative degree)."""
+
+
 class NonIntegralMultiplicity(MckayError):
-    """A character-theoretic multiplicity failed the near-integer check."""
+    """A multiplicity computed mod p has a residue above its integer bound."""
 
 
 class NonIntegralCoefficient(MckayError):
-    """A Molien coefficient failed the near-integer check."""
+    """A Molien coefficient computed mod p has a residue above its bound."""
 
 
 class MalformedFile(MckayError):

@@ -1,38 +1,39 @@
-"""Finite subgroups of SL(2, C) in their ADE classification.
+"""Finite subgroups of SL(2, C) in their ADE classification, over GF(p).
 
 Series A is cyclic (order rank+1), series D binary dihedral (order
 4(rank-2)), series E the binary tetrahedral / octahedral / icosahedral
-groups (orders 24, 48, 120).  Every group is built from its elements,
-stored as 2x2 complex matrices: A and D from closed-form lists, E as the
-closure of unit-quaternion generators.  One path then computes the
-conjugacy classes and the character table by Dixon's class-sum method:
-A and D check their closed-form character rows against that table, E
-takes its rows from it.
-
-Character rows are permuted so that row index equals the canonical
-affine Dynkin vertex of :mod:`mckaykit.dynkin`, with the trivial
-representation at vertex 0.
+groups (orders 24, 48, 120).  Each group lives in GF(p), p the least
+prime >= 2^31 with p = 1 (mod e), e the group's exponent: GF(p) then
+holds every character value, and p is far above every integer lifted
+from it.  Elements are 2x2 matrices over GF(p): A and D from closed-form
+lists, E as the closure of unit-quaternion generators.  One path then
+computes the conjugacy classes and the character table by the
+Dixon-Schneider method over GF(p): A and D check their closed-form rows
+against that table, E takes its rows from it.  Row index equals the
+canonical affine Dynkin vertex of :mod:`mckaykit.dynkin`, with the
+trivial representation at vertex 0.
 """
 
-import cmath
 import functools
 import math
 import random
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import dynkin
 from .errors import (
+    BadPrime,
     InvalidDescriptor,
     InvariantViolation,
     NonIntegralMultiplicity,
 )
+from .linalg import PrimeField, mat_vec, nullspace, solve
 
-ORTHOGONALITY_TOL = 1e-9
-INTEGRALITY_TOL = 1e-6
+PRIME_FLOOR = 2**31
 
-_KEY_SCALE = 1e9  # matrix entries are compared to 9 decimal places
+#: exponents of the binary tetrahedral, octahedral and icosahedral groups
+E_EXPONENTS = {6: 12, 7: 24, 8: 60}
+
+_IDENTITY = ((1, 0), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,23 @@ def parse_descriptor(text):
 class GroupData:
     """A group with its conjugacy classes and irreducible characters.
 
+    Every value lies in GF(``prime``), as an int in ``range(prime)``.
     ``characters[i][c]`` is the value of irrep i on class c; row indices
     follow the canonical Dynkin vertex order, row 0 is trivial.  ``chi_v``
-    is the character of the defining 2-dimensional representation.
-    ``elements`` lists the group as 2x2 complex matrices; element e lies
-    in class ``class_of[e]``, and class c is represented by element
-    ``class_reps[c]``.
+    is the character of the defining 2-dimensional representation (the
+    trace).  ``elements`` lists the group as 2x2 matrices over GF(prime),
+    the identity first; element e lies in class ``class_of[e]``, class c
+    is represented by element ``class_reps[c]``, and the inverses of its
+    elements form class ``class_inverse[c]``.  Class 0 is the identity.
     """
 
     descriptor: GammaDescriptor
     order: int
+    prime: int
     elements: tuple
     characters: tuple
     class_sizes: tuple
+    class_inverse: tuple
     irrep_dims: tuple
     chi_v: tuple
     class_of: tuple
@@ -94,47 +99,69 @@ class GroupData:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrix helpers (tuples of tuples of complex)
+# the prime field of a group
 # ---------------------------------------------------------------------------
 
-def _mat2_mul(a, b):
+def exponent(descriptor):
+    """Least e with g^e = 1 for every element g of the group."""
+    if descriptor.series == "A":
+        return descriptor.rank + 1
+    if descriptor.series == "D":
+        return math.lcm(2 * (descriptor.rank - 2), 4)
+    return E_EXPONENTS[descriptor.rank]
+
+
+def group_field(e):
+    """GF(p) for the least prime p >= PRIME_FLOOR with p = 1 (mod e)."""
+    p = PRIME_FLOOR + (1 - PRIME_FLOOR) % e
+    while True:
+        try:
+            return PrimeField(p)
+        except BadPrime:
+            p += e
+
+
+def root_of_unity(field, e):
+    """A primitive e-th root of unity of GF(p), for e dividing p - 1:
+    g^((p-1)/e) for the least g >= 2 that gives one."""
+    p = field.p
+    if (p - 1) % e:
+        raise InvariantViolation(f"GF({p}) has no primitive {e}-th root of unity")
+    for g in range(2, p):
+        z = pow(g, (p - 1) // e, p)
+        if all(pow(z, d, p) != 1 for d in range(1, e)):
+            return z
+
+
+# ---------------------------------------------------------------------------
+# 2x2 matrices over GF(p) (tuples of tuples of ints, their own dict keys)
+# ---------------------------------------------------------------------------
+
+def _mat2_mul(p, a, b):
     return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+        ((a[0][0] * b[0][0] + a[0][1] * b[1][0]) % p,
+         (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % p),
+        ((a[1][0] * b[0][0] + a[1][1] * b[1][0]) % p,
+         (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % p),
     )
 
 
-def _mat2_inv(a):
+def _mat2_inv(p, a):
     # valid for determinant 1
-    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
+    return ((a[1][1], -a[0][1] % p), (-a[1][0] % p, a[0][0]))
 
 
-def _mat2_trace(a):
-    return a[0][0] + a[1][1]
-
-
-def _mat2_key(a):
-    (p, q), (r, s) = a
-    k = _KEY_SCALE
-    return (round(p.real * k), round(p.imag * k), round(q.real * k), round(q.imag * k),
-            round(r.real * k), round(r.imag * k), round(s.real * k), round(s.imag * k))
-
-
-def closure(generators):
+def closure(field, generators):
     """All products of the generators, in deterministic BFS order."""
-    identity = ((1 + 0j, 0j), (0j, 1 + 0j))
-    elements = [identity]
-    seen = {_mat2_key(identity)}
-    frontier = [identity]
+    elements = {_IDENTITY: None}  # insertion-ordered set
+    frontier = [_IDENTITY]
     while frontier:
         new = []
         for x in frontier:
             for g in generators:
-                y = _mat2_mul(x, g)
-                key = _mat2_key(y)
-                if key not in seen:
-                    seen.add(key)
-                    elements.append(y)
+                y = _mat2_mul(field.p, x, g)
+                if y not in elements:
+                    elements[y] = None
                     new.append(y)
         frontier = new
         if len(elements) > 1000:
@@ -142,53 +169,143 @@ def closure(generators):
     return tuple(elements)
 
 
-def conjugacy_classes(elements):
+def conjugacy_classes(field, elements):
     """Brute-force classes.  Returns (class_of, class_reps, class_sizes)."""
-    index = {_mat2_key(e): i for i, e in enumerate(elements)}
+    p = field.p
+    index = {e: i for i, e in enumerate(elements)}
     class_of = [None] * len(elements)
     reps = []
     sizes = []
     for i, e in enumerate(elements):
         if class_of[i] is not None:
             continue
-        cls = len(reps)
-        members = set()
-        for g in elements:
-            j = index[_mat2_key(_mat2_mul(_mat2_mul(g, e), _mat2_inv(g)))]
-            members.add(j)
+        members = {index[_mat2_mul(p, _mat2_mul(p, g, e), _mat2_inv(p, g))] for g in elements}
         for j in members:
-            class_of[j] = cls
+            class_of[j] = len(reps)
         reps.append(i)
         sizes.append(len(members))
     return tuple(class_of), tuple(reps), tuple(sizes)
 
 
 # ---------------------------------------------------------------------------
-# character tables from explicit elements (Dixon's class-sum method)
+# polynomials over GF(p): coefficient lists, lowest degree first, trimmed
 # ---------------------------------------------------------------------------
 
-def dixon_character_table(elements):
-    """Numerically compute the character table from group elements.
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
-    Multiplication by the class sums acts on the centre of the group
-    algebra through the structure constants n_ab^c = #{x in C_a :
-    x^-1 z_c in C_b}, z_c the representative of class c.  These matrices
-    commute; the eigenvectors of a random combination of them give the
-    central characters, from which degrees and character values follow
-    (Dixon, Numer. Math. 1967).  Row order is sorted, not canonical; rows
-    are plain complex numbers, exact to float precision.  Returns
-    (characters, class_sizes, class_of, reps).
+
+def _poly_divmod(p, a, b):
+    """(quotient, remainder) of a by a nonzero b."""
+    a = list(a)
+    lead = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = coef = a[s + len(b) - 1] * lead % p
+        for t, y in enumerate(b):
+            a[s + t] = (a[s + t] - coef * y) % p
+    return _poly_trim(q), _poly_trim(a[:len(b) - 1])
+
+
+def _poly_powmod(p, a, n, f):
+    """a^n mod f."""
+    def mulmod(x, y):
+        prod = [0] * max(len(x) + len(y) - 1, 0)
+        for s, u in enumerate(x):
+            for t, v in enumerate(y):
+                prod[s + t] += u * v
+        return _poly_divmod(p, [c % p for c in prod], f)[1]
+
+    out = [1]
+    while n:
+        if n & 1:
+            out = mulmod(out, a)
+        a = mulmod(a, a)
+        n >>= 1
+    return out
+
+
+def _split_roots(p, f, rng):
+    """Roots of a monic f dividing x^p - x, by Cantor-Zassenhaus
+    splitting with gcd(f, (x + r)^((p-1)/2) - 1) for random r."""
+    if len(f) == 2:
+        return [-f[0] % p]
+    while True:
+        h = _poly_powmod(p, [rng.randrange(p), 1], (p - 1) // 2, f) or [0]
+        h[0] = (h[0] - 1) % p
+        g, h = f, _poly_trim(h)
+        while h:  # g = gcd(f, h)
+            g, h = h, _poly_divmod(p, g, h)[1]
+        g = [x * pow(g[-1], -1, p) % p for x in g]
+        if 1 < len(g) < len(f):
+            return (_split_roots(p, g, rng)
+                    + _split_roots(p, _poly_divmod(p, f, g)[0], rng))
+
+
+def _eigenvectors(field, t, rng):
+    """One eigenvector of the k x k matrix t per eigenvalue, in increasing
+    eigenvalue order; None unless t has k distinct eigenvalues in GF(p).
+
+    The characteristic polynomial comes from the Krylov relation
+    t^k x = -sum_i c_i t^i x of a random vector x.
     """
-    class_of, reps, sizes = conjugacy_classes(elements)
+    p = field.p
+    k = len(t)
+    krylov = [tuple(rng.randrange(p) for _ in range(k))]
+    for _ in range(k):
+        krylov.append(mat_vec(field, t, krylov[-1]))
+    coeffs = solve(field, [tuple(v[r] for v in krylov[:k]) for r in range(k)],
+                   tuple(-y % p for y in krylov[k]))
+    if coeffs is None:
+        return None
+    f = list(coeffs) + [1]
+    if _poly_powmod(p, [0, 1], p, f) != _poly_divmod(p, [0, 1], f)[1]:
+        return None  # f does not split into distinct linear factors
+    vectors = []
+    for lam in sorted(_split_roots(p, f, rng)):
+        basis = nullspace(field, [[(x - lam) % p if b == c else x for c, x in enumerate(row)]
+                                  for b, row in enumerate(t)])
+        if len(basis) != 1:
+            return None
+        vectors.append(basis[0])
+    return vectors
+
+
+# ---------------------------------------------------------------------------
+# character tables from explicit elements (Dixon-Schneider over GF(p))
+# ---------------------------------------------------------------------------
+
+def dixon_character_table(field, elements):
+    """The exact character table over GF(p) from group elements.
+
+    With the structure constants n_ab^c = #{x in C_a : x^-1 z_c in C_b},
+    z_c the representative of class c, the central character w(a) =
+    |C_a| chi(a) / chi(1) of each irrep is a common eigenvector,
+    sum_c n_ab^c w(c) = w(a) w(b), of the class matrices.  A random
+    combination T of them has distinct eigenvalues; each eigenvector is
+    the nullspace of T - lambda, scaled to w(1) = 1, and chi(1)^2 =
+    |G| / sum_a w(a) w(a^-1) / |C_a| is lifted and checked to be a square
+    (Dixon, Numer. Math. 1967; Schneider, J. Symbolic Comput. 1990).
+    Exact when p does not divide |G| and p = 1 mod the exponent.
+    ``elements[0]`` must be the identity.  Rows are in increasing order of
+    their eigenvalue of T.  Returns (characters, class_sizes, class_of,
+    reps, class_inverse).
+    """
+    if elements[0] != _IDENTITY:
+        raise InvariantViolation("the element list must start with the identity")
+    p = field.p
+    class_of, reps, sizes = conjugacy_classes(field, elements)
     k = len(reps)
     n = len(elements)
-    index = {_mat2_key(e): i for i, e in enumerate(elements)}
+    index = {e: i for i, e in enumerate(elements)}
+    inverse = tuple(class_of[index[_mat2_inv(p, elements[r])]] for r in reps)
 
     struct = [[[0] * k for _ in range(k)] for _ in range(k)]  # [a][b][c]
     for c, r in enumerate(reps):
-        z = elements[r]
         for xi, x in enumerate(elements):
-            y = index[_mat2_key(_mat2_mul(_mat2_inv(x), z))]
+            y = index[_mat2_mul(p, _mat2_inv(p, x), elements[r])]
             struct[class_of[xi]][class_of[y]][c] += 1
     for a in range(k):
         for b in range(k):
@@ -197,168 +314,85 @@ def dixon_character_table(elements):
 
     rng = random.Random(0)
     for _ in range(25):
-        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(k)]
-        total = np.array([
-            [sum(coeffs[a] * struct[a][b][c] for a in range(k)) for b in range(k)]
-            for c in range(k)
-        ])
-        eigvals, eigvecs = np.linalg.eig(total)
-        if min(
-            abs(eigvals[i] - eigvals[j]) for i in range(k) for j in range(i + 1, k)
-        ) > 1e-6:
+        coeffs = [rng.randrange(p) for _ in range(k)]
+        total = [[sum(coeffs[a] * struct[a][b][c] for a in range(k)) % p for c in range(k)]
+                 for b in range(k)]
+        vectors = _eigenvectors(field, total, rng)
+        if vectors is not None:
             break
     else:
         raise InvariantViolation("no separating class-algebra eigenbasis found")
 
+    inv_sizes = [pow(size, -1, p) for size in sizes]
     rows = []
-    for v in eigvecs.T.tolist():
-        m = max(range(k), key=lambda b: abs(v[b]))
-        omega = [
-            sum(struct[a][b][m] * v[b] for b in range(k)) / v[m] for a in range(k)
-        ]
-        denom = sum(abs(omega[a]) ** 2 / sizes[a] for a in range(k))
-        degree = math.sqrt(n / denom)
-        rows.append(tuple(degree * omega[a] / sizes[a] for a in range(k)))
-    rows.sort(key=lambda row: (round(row[0].real), [
-        (round(z.real, 6), round(z.imag, 6)) for z in row]))
-    return tuple(rows), sizes, class_of, reps
+    for v in vectors:
+        omega = [x * pow(v[0], -1, p) % p for x in v]
+        denom = sum(omega[a] * omega[inverse[a]] * inv_sizes[a] for a in range(k))
+        square = n * pow(denom, -1, p) % p
+        degree = math.isqrt(square)
+        if square > n or degree * degree != square:
+            raise InvariantViolation(f"squared character degree {square} is not a square")
+        rows.append(tuple(degree * omega[a] * inv_sizes[a] % p for a in range(k)))
+    return tuple(rows), sizes, class_of, reps, inverse
 
 
 # ---------------------------------------------------------------------------
 # series constructions
 # ---------------------------------------------------------------------------
 
-def _quat(a, b, c, d):
-    """Unit quaternion a + bi + cj + dk as an SU(2) matrix."""
-    return ((complex(a, b), complex(c, d)), (complex(-c, d), complex(a, -b)))
+def e_generators(rank, field, z):
+    """Generators of the binary tetrahedral (6), octahedral (7) and
+    icosahedral (8) groups as unit quaternions over GF(p), for z a
+    primitive ``E_EXPONENTS[rank]``-th root of unity: i = z^(e/4),
+    sqrt(2) = zeta_8 + 1/zeta_8 and the golden ratio 1 + zeta_5 + 1/zeta_5."""
+    p = field.p
+    e = E_EXPONENTS[rank]
+    i = pow(z, e // 4, p)
+    half = pow(2, -1, p)
+
+    def quat(a, b, c, d):
+        """a + bi + cj + dk as a 2x2 matrix."""
+        return (((a + b * i) % p, (c + d * i) % p), ((d * i - c) % p, (a - b * i) % p))
+
+    def two_cos(m):  # zeta_m + 1/zeta_m
+        return (pow(z, e // m, p) + pow(z, -(e // m), p)) % p
+
+    if rank == 8:
+        phi = 1 + two_cos(5)
+        return quat(0, 1, 0, 0), quat(phi * half, pow(2 * phi, -1, p), half, 0)
+    gens = (quat(0, 1, 0, 0), quat(-half, half, half, half))
+    if rank == 7:
+        inv_sqrt2 = two_cos(8) * half
+        gens += (quat(inv_sqrt2, inv_sqrt2, 0, 0),)
+    return gens
 
 
-_PHI = (1 + math.sqrt(5)) / 2
-
-#: generators of the binary tetrahedral, octahedral and icosahedral groups
-E_GENERATORS = {
-    6: (_quat(0, 1, 0, 0), _quat(-0.5, 0.5, 0.5, 0.5)),
-    7: (_quat(0, 1, 0, 0), _quat(-0.5, 0.5, 0.5, 0.5),
-        _quat(1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0)),
-    8: (_quat(0, 1, 0, 0), _quat(_PHI / 2, 1 / (2 * _PHI), 0.5, 0)),
-}
+def _cyclic_elements(p, zeta, n):
+    """g^r = diag(zeta^r, zeta^-r), r < n, for zeta a primitive n-th root."""
+    return tuple(((pow(zeta, r, p), 0), (0, pow(zeta, -r, p))) for r in range(n))
 
 
-def _cyclic_elements(n):
-    zeta = cmath.exp(2j * cmath.pi / n)
-    gen = ((zeta, 0j), (0j, zeta**-1))
-    elements = []
-    g = ((1 + 0j, 0j), (0j, 1 + 0j))
-    for _ in range(n):
-        elements.append(g)
-        g = _mat2_mul(g, gen)
-    return tuple(elements)
-
-
-def _cyclic_character_rows(n, reps):
+def _cyclic_character_rows(p, zeta, n, reps):
     """Irrep j of the cyclic group sends its generator to zeta^j."""
-    zeta = cmath.exp(2j * cmath.pi / n)
-    return [tuple(zeta ** (j * r) for r in reps) for j in range(n)]
+    return [tuple(pow(zeta, j * r, p) for r in reps) for j in range(n)]
 
 
-def _binary_dihedral_elements(n):
-    zeta = cmath.exp(1j * cmath.pi / n)
-    a = ((zeta, 0j), (0j, zeta**-1))
-    b = ((0j, 1 + 0j), (-1 + 0j, 0j))
-    elements = []
-    g = ((1 + 0j, 0j), (0j, 1 + 0j))
-    for _ in range(2 * n):
-        elements.append(g)
-        g = _mat2_mul(g, a)
-    for k in range(2 * n):
-        elements.append(_mat2_mul(b, elements[k]))
-    return tuple(elements)
-
-
-def _binary_dihedral_character_rows(n, reps):
+def _binary_dihedral_character_rows(p, zeta, i, n, reps):
     """Closed-form irreducible characters of the binary dihedral group.
 
     Elements are a^k (k < 2n) and b a^k; irreps are four 1-dimensional
-    characters plus the 2-dimensional ones rho_h, h = 1..n-1.
+    characters (values on a and b) plus the 2-dimensional ones rho_h,
+    h = 1..n-1.  ``i`` is a primitive 4th root of unity.
     """
-    zeta = cmath.exp(1j * cmath.pi / n)
-
-    def eval_on(rep_index, one_dim):
-        a_val, b_val = one_dim
-        k = rep_index % (2 * n)
-        with_b = rep_index >= 2 * n
-        val = a_val**k
-        return val * b_val if with_b else val
-
-    if n % 2 == 0:
-        one_dims = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    else:
-        one_dims = [(1, 1), (1, -1), (-1, 1j), (-1, -1j)]
-
-    rows = []
-    for od in one_dims:
-        rows.append(tuple(complex(eval_on(r, od)) for r in reps))
-    for h in range(1, n):
-        row = []
-        for r in reps:
-            k = r % (2 * n)
-            row.append(0j if r >= 2 * n else zeta ** (h * k) + zeta ** (-h * k))
-        rows.append(tuple(row))
+    minus = p - 1
+    one_dims = [(1, 1), (1, minus), (minus, 1), (minus, minus)] if n % 2 == 0 else [
+        (1, 1), (1, minus), (minus, i), (minus, p - i)]
+    rows = [tuple(pow(a, r, p) * (b if r >= 2 * n else 1) % p for r in reps)
+            for a, b in one_dims]
+    rows += [tuple(0 if r >= 2 * n else (pow(zeta, h * r, p) + pow(zeta, -h * r, p)) % p
+                   for r in reps)
+             for h in range(1, n)]
     return rows
-
-
-def _group_from_elements(descriptor, elements, closed_form_rows=None):
-    """Classes, character rows, chi_V and the canonical row order.
-
-    ``closed_form_rows(reps)`` gives the character rows on the class
-    representatives; every such row must be recovered from Dixon's
-    table.  Without it Dixon's rows are used as they are.
-    """
-    rows, sizes, class_of, reps = dixon_character_table(elements)
-    if closed_form_rows is not None:
-        closed = closed_form_rows(reps)
-        _require_rows_recovered(closed, rows)
-        rows = closed
-    trivial = next((i for i, row in enumerate(rows)
-                    if all(abs(z - 1) < 1e-8 for z in row)), None)
-    if trivial is None:
-        raise InvariantViolation("no trivial character row found")
-    dims = [int(round(row[0].real)) for row in rows]
-    unordered = GroupData(
-        descriptor=descriptor,
-        order=len(elements),
-        elements=elements,
-        characters=tuple(rows),
-        class_sizes=sizes,
-        irrep_dims=tuple(dims),
-        chi_v=tuple(_mat2_trace(elements[r]) for r in reps),
-        class_of=class_of,
-        class_reps=reps,
-    )
-    perm = dynkin.match_layout(tensor_multiplicity_matrix(unordered), dims,
-                               trivial, descriptor.series, descriptor.rank)
-    order = sorted(range(len(rows)), key=perm.__getitem__)
-    return replace(
-        unordered,
-        characters=tuple(rows[i] for i in order),
-        irrep_dims=tuple(dims[i] for i in order),
-    )
-
-
-def _require_rows_recovered(rows, computed):
-    """Match every row to a distinct computed row within 1e-9."""
-    used = set()
-    for row in rows:
-        found = None
-        for idx, cand in enumerate(computed):
-            if idx in used:
-                continue
-            if all(abs(a - b) <= 1e-9 for a, b in zip(row, cand)):
-                found = idx
-                break
-        if found is None:
-            raise InvariantViolation("closed-form character row not recovered from elements")
-        used.add(found)
 
 
 # ---------------------------------------------------------------------------
@@ -378,35 +412,85 @@ def build_group(descriptor):
 
 @functools.lru_cache(maxsize=None)
 def _build_group(descriptor):
+    """Elements, Dixon's classes and table, then rows, chi_V and the
+    canonical row order.  A and D take their closed-form character rows,
+    which must equal Dixon's rows as a multiset; E uses Dixon's rows."""
     dynkin.validate_descriptor(descriptor.series, descriptor.rank)
     rank = descriptor.rank
+    e = exponent(descriptor)
+    field = group_field(e)
+    p = field.p
+    z = root_of_unity(field, e)
+    closed_form_rows = None
     if descriptor.series == "A":
-        g = _group_from_elements(
-            descriptor, _cyclic_elements(rank + 1),
-            functools.partial(_cyclic_character_rows, rank + 1))
+        elements = _cyclic_elements(p, z, rank + 1)
+        closed_form_rows = functools.partial(_cyclic_character_rows, p, z, rank + 1)
     elif descriptor.series == "D":
-        g = _group_from_elements(
-            descriptor, _binary_dihedral_elements(rank - 2),
-            functools.partial(_binary_dihedral_character_rows, rank - 2))
+        n = rank - 2
+        zeta = pow(z, e // (2 * n), p)
+        elements = _cyclic_elements(p, zeta, 2 * n)  # a^k, then b a^k, b = ((0, 1), (-1, 0))
+        elements += tuple(_mat2_mul(p, ((0, 1), (p - 1, 0)), x) for x in elements)
+        closed_form_rows = functools.partial(
+            _binary_dihedral_character_rows, p, zeta, pow(z, e // 4, p), n)
     else:
-        g = _group_from_elements(descriptor, closure(E_GENERATORS[rank]))
+        elements = closure(field, e_generators(rank, field, z))
+
+    rows, sizes, class_of, reps, inverse = dixon_character_table(field, elements)
+    if closed_form_rows is not None:
+        closed = closed_form_rows(reps)
+        if sorted(closed) != sorted(rows):
+            raise InvariantViolation("closed-form character rows differ from Dixon's table")
+        rows = closed
+    ones = (1,) * len(reps)
+    if ones not in rows:
+        raise InvariantViolation("no trivial character row found")
+    dims = [row[0] for row in rows]
+    unordered = GroupData(
+        descriptor=descriptor,
+        order=len(elements),
+        prime=p,
+        elements=elements,
+        characters=tuple(rows),
+        class_sizes=sizes,
+        class_inverse=inverse,
+        irrep_dims=tuple(dims),
+        chi_v=tuple((elements[r][0][0] + elements[r][1][1]) % p for r in reps),
+        class_of=class_of,
+        class_reps=reps,
+    )
+    perm = dynkin.match_layout(tensor_multiplicity_matrix(unordered), dims,
+                               rows.index(ones), descriptor.series, descriptor.rank)
+    order = sorted(range(len(rows)), key=perm.__getitem__)
+    g = replace(
+        unordered,
+        characters=tuple(rows[i] for i in order),
+        irrep_dims=tuple(dims[i] for i in order),
+    )
     validate_group_data(g)
     return g
 
 
+def character_inner(g, weights, i, j):
+    """(1/|G|) sum_c |C_c| weights[c] chi_i(c) chi_j(c^-1), in GF(p)."""
+    s = sum(g.class_sizes[c] * w * g.characters[i][c] * g.characters[j][g.class_inverse[c]]
+            for c, w in enumerate(weights))
+    return s * pow(g.order, -1, g.prime) % g.prime
+
+
 def tensor_multiplicity(g, i, j):
-    """dim Hom(rho_j, rho_i (x) V) for the defining 2-dimensional V."""
+    """dim Hom(rho_j, rho_i (x) V) for the defining 2-dimensional V.
+
+    Computed in GF(p) and lifted: the multiplicity is at most
+    dim(rho_i (x) V) = 2 d_i, so a residue above that bound means a
+    corrupted table and raises NonIntegralMultiplicity.
+    """
     if not (0 <= i < g.num_irreps and 0 <= j < g.num_irreps):
         raise InvalidDescriptor(f"irrep index out of range: ({i}, {j})")
-    s = sum(
-        g.class_sizes[c] * g.chi_v[c] * g.characters[i][c] * g.characters[j][c].conjugate()
-        for c in range(g.num_classes)
-    ) / g.order
-    if abs(s - round(s.real)) > INTEGRALITY_TOL:
-        raise NonIntegralMultiplicity(f"multiplicity ({i},{j}) = {s}")
-    value = int(round(s.real))
-    if value < 0:
-        raise NonIntegralMultiplicity(f"negative multiplicity ({i},{j}) = {s}")
+    value = character_inner(g, g.chi_v, i, j)
+    bound = 2 * g.irrep_dims[i]
+    if value > bound:
+        raise NonIntegralMultiplicity(
+            f"multiplicity ({i},{j}) = {value} mod {g.prime}, above its bound {bound}")
     return value
 
 
@@ -419,20 +503,17 @@ def validate_group_data(g):
     """Run the structural self-checks; raise InvariantViolation on failure."""
     if sum(d * d for d in g.irrep_dims) != g.order:
         raise InvariantViolation("sum of squared irrep dimensions != group order")
-    if g.irrep_dims[0] != 1 or any(abs(z - 1) > 1e-9 for z in g.characters[0]):
+    if g.irrep_dims[0] != 1 or any(x != 1 for x in g.characters[0]):
         raise InvariantViolation("row 0 is not the trivial character")
     if sum(g.class_sizes) != g.order:
         raise InvariantViolation("class sizes do not sum to the group order")
-    k = g.num_classes
+    ones = (1,) * g.num_classes
     for i in range(g.num_irreps):
         for j in range(g.num_irreps):
-            s = sum(
-                g.class_sizes[c] * g.characters[i][c] * g.characters[j][c].conjugate()
-                for c in range(k)
-            ) / g.order
-            expected = 1 if i == j else 0
-            if abs(s - expected) > ORTHOGONALITY_TOL:
-                raise InvariantViolation(f"row orthogonality fails at ({i},{j}): {s}")
+            s = character_inner(g, ones, i, j)
+            if s != (1 if i == j else 0):
+                raise InvariantViolation(
+                    f"row orthogonality fails at ({i},{j}): {s} mod {g.prime}")
 
     mult = tensor_multiplicity_matrix(g)
     delta = g.irrep_dims
@@ -443,4 +524,3 @@ def validate_group_data(g):
             raise InvariantViolation("A.delta = 2.delta fails")
     if mult != dynkin.adjacency(g.descriptor.series, g.descriptor.rank):
         raise InvariantViolation("multiplicities do not match the canonical layout")
-

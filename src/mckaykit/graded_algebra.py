@@ -29,15 +29,19 @@ and ends at the tail of its first.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     DegreeCapExceeded,
+    DimensionTooLarge,
     EmptyI,
     EndpointMismatch,
     BoundNotFound,
+    InvalidArgument,
     NonIntegralCoefficient,
     VertexNotInCorner,
 )
+from .gamma_data import character_inner
 from .linalg import QQ, Echelon
 from .quiver_core import frame_quiver, mckay_quiver, triple_quiver
 
@@ -55,7 +59,7 @@ class AlgebraKind:
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown algebra flavor {self.flavor!r}")
+            raise InvalidArgument(f"unknown algebra flavor {self.flavor!r}")
         if self.corner is not None and not self.corner:
             raise EmptyI("corner set must be nonempty when present")
 
@@ -201,14 +205,14 @@ class AlgebraContext:
     def __init__(self, group, flavor, w=None, corner=None,
                  degree_cap=DEFAULT_DEGREE_CAP):
         if flavor not in FLAVORS:
-            raise ValueError(f"unknown algebra flavor {flavor!r}")
+            raise InvalidArgument(f"unknown algebra flavor {flavor!r}")
         self.group = group
         self.flavor = flavor
         self.degree_cap = degree_cap
         base = mckay_quiver(group)
         if flavor == "piw":
             if w is None:
-                raise ValueError("framed flavor needs framing multiplicities")
+                raise InvalidArgument("the piw flavor needs framing multiplicities w")
             self.quiver = frame_quiver(base, w)
         elif flavor == "pibullet":
             self.quiver = triple_quiver(base)
@@ -236,7 +240,7 @@ class AlgebraContext:
 
     def _check_degree(self, k):
         if k < 0:
-            raise ValueError("degree must be nonnegative")
+            raise InvalidArgument(f"degree must be nonnegative, got {k}")
         if k > self.degree_cap:
             raise DegreeCapExceeded(f"degree {k} above cap {self.degree_cap}")
 
@@ -485,37 +489,41 @@ def slice_class_basis(ctx, i, j, k):
 def molien_sequence(g, i, j, with_z, kmax):
     """Character-averaged dimension counts, independent of path algebra.
 
-    Entry k is (1/|G|) sum_c |C_c| chi_i(c) conj(chi_j(c)) c_k(c), summed
+    Entry k is (1/|G|) sum_c |C_c| chi_i(c) chi_j(c^-1) c_k(c), summed
     over the conjugacy classes c, where c_k(c) is the degree-k coefficient
     of 1/(det(1 - t g) (1-t)^{with_z}) for any g in c.  It depends on g
     only through the trace chi_V(c): c_{k+1} = chi_V(c) c_k - c_{k-1}.
+    Entry k is computed in GF(p), p = ``g.prime``, and lifted to an
+    integer: it is the multiplicity of rho_j in rho_i (x) S^k V (summed
+    over degrees up to k with z), at most d_i (k+1), or d_i (k+1)(k+2)/2
+    with z.  A residue above its bound raises NonIntegralCoefficient; when
+    the bound at ``kmax`` reaches p, DimensionTooLarge is raised before
+    any work.
     """
-    totals = [0j] * (kmax + 1)
-    for c, size in enumerate(g.class_sizes):
-        tr = g.chi_v[c]
-        weight = size * g.characters[i][c] * g.characters[j][c].conjugate()
-        coeffs = [1.0 + 0j]
-        prev2 = 0j
+    d = g.irrep_dims[i]
+
+    def bound(k):
+        return d * (k + 1) * (k + 2) // 2 if with_z else d * (k + 1)
+
+    if bound(kmax) >= g.prime:
+        raise DimensionTooLarge(
+            f"Molien bound {bound(kmax)} at degree {kmax} reaches p = {g.prime}")
+    per_class = []
+    for tr in g.chi_v:
+        coeffs = [1]
         for k in range(1, kmax + 1):
-            nxt = tr * coeffs[-1] - (prev2 if k >= 2 else 0j)
-            prev2 = coeffs[-1]
-            coeffs.append(nxt)
+            coeffs.append((tr * coeffs[-1] - (coeffs[-2] if k >= 2 else 0)) % g.prime)
         if with_z:
-            run = 0j
-            summed = []
-            for x in coeffs:
-                run += x
-                summed.append(run)
-            coeffs = summed
-        for k in range(kmax + 1):
-            totals[k] += weight * coeffs[k]
+            coeffs = list(accumulate(coeffs))
+        per_class.append(coeffs)
 
     out = []
     for k in range(kmax + 1):
-        val = totals[k] / g.order
-        if abs(val - round(val.real)) > 1e-6:
-            raise NonIntegralCoefficient(f"Molien coefficient {k} = {val}")
-        out.append(int(round(val.real)))
+        val = character_inner(g, [coeffs[k] for coeffs in per_class], i, j)
+        if val > bound(k):
+            raise NonIntegralCoefficient(
+                f"Molien coefficient {k} = {val} mod {g.prime}, above its bound {bound(k)}")
+        out.append(val)
     return tuple(out)
 
 

@@ -1,4 +1,4 @@
-"""File formats: quivers, framed modules, truncated graded modules, ADHM data.
+"""File formats: quivers and framed modules.
 
 All rational entries serialize as "p/q" strings (never floats).  Vertex
 keys serialize as strings, with "inf" for the framing vertex.  Parsing
@@ -184,104 +184,6 @@ def rep_from_dict(data):
     rep = QuiverRep(quiver=quiver, dims=dims, maps=maps, field=QQ)
     validate_shapes(rep)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# truncated graded modules
-# ---------------------------------------------------------------------------
-
-def tgm_to_dict(m):
-    return {
-        "kind": m.kind_label,
-        "window": list(m.window),
-        "vertices": [vertex_to_key(v) for v in m.vertices],
-        "dims": {
-            f"{k}:{vertex_to_key(v)}": d for (k, v), d in sorted(
-                m.dims.items(), key=lambda t: (t[0][0], vertex_to_key(t[0][1]))
-            )
-        },
-        "gens": {
-            gid: {
-                "src": vertex_to_key(src),
-                "dst": vertex_to_key(dst),
-                "z": is_z,
-            }
-            for gid, (src, dst, is_z) in sorted(m.gens.items())
-        },
-        "actions": {
-            gid: {str(k): matrix_to_lists(mat) for k, mat in sorted(acts.items())}
-            for gid, acts in sorted(m.actions.items())
-        },
-    }
-
-
-def tgm_from_dict(data):
-    from .corner_functors import TruncatedGradedModule
-
-    dims = {}
-    for key, d in data["dims"].items():
-        kstr, vstr = key.split(":")
-        dims[(int(kstr), key_to_vertex(vstr))] = int(d)
-    gens = {
-        gid: (key_to_vertex(g["src"]), key_to_vertex(g["dst"]), bool(g["z"]))
-        for gid, g in data["gens"].items()
-    }
-    actions = {
-        gid: {int(k): matrix_from_lists(mat) for k, mat in acts.items()}
-        for gid, acts in data.get("actions", {}).items()
-    }
-    return TruncatedGradedModule(
-        kind_label=data["kind"],
-        window=tuple(data["window"]),
-        vertices=tuple(key_to_vertex(v) for v in data["vertices"]),
-        dims=dims,
-        gens=gens,
-        actions=actions,
-        field=QQ,
-    )
-
-
-# ---------------------------------------------------------------------------
-# graded slices
-# ---------------------------------------------------------------------------
-
-def slice_to_dict(sl):
-    """Dump a graded slice as {"paths", "relation_rank", "dim"}."""
-    return {
-        "i": vertex_to_key(sl.i),
-        "j": vertex_to_key(sl.j),
-        "degree": sl.k,
-        "paths": [list(p) for p in sl.path_basis],
-        "relation_rank": sl.relation_rank,
-        "dim": sl.dim,
-    }
-
-
-# ---------------------------------------------------------------------------
-# ADHM input
-# ---------------------------------------------------------------------------
-
-def adhm_from_dict(data):
-    """Parse {"group","B1","B2","i","j","weights","framing_weights"}."""
-    from .gamma_data import build_group, parse_descriptor
-
-    desc = parse_descriptor(data["group"])
-    if desc.series != "A":
-        raise InvalidDescriptor("equivariant ADHM data needs a cyclic group")
-    g = build_group(desc)
-
-    def mat(key):
-        return [[str_to_fraction(str(x)) for x in row] for row in data[key]]
-
-    return {
-        "group": g,
-        "b1": mat("B1"),
-        "b2": mat("B2"),
-        "i_vec": mat("i"),
-        "j_vec": mat("j"),
-        "weights": [int(x) for x in data["weights"]],
-        "framing_weights": [int(x) for x in data["framing_weights"]],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -33,17 +33,19 @@ def invariant_dim_by_projector(group, k, with_z=True):
 
     Each group element acts on polynomials by substituting the inverse
     matrix into (x, y) and fixing z; the invariant dimension is the trace
-    of the averaged action on the degree-k monomial basis.
+    of the averaged action on the degree-k monomial basis.  The elements
+    are matrices over GF(p), p = ``group.prime``, so the trace is taken
+    mod p and lifted: the dimension is at most the number of monomials.
     """
+    p = group.prime
     nvars = 3 if with_z else 2
     basis = monomials(k, nvars)
-    index = {m: i for i, m in enumerate(basis)}
-    total = 0.0 + 0.0j
+    total = 0
     for elem in group.elements:
         # inverse of a determinant-one 2x2 matrix
         (a, b), (c, d) = elem
-        alpha, beta = d, -b
-        gamma, delta = -c, a
+        alpha, beta = d, -b % p
+        gamma, delta = -c % p, a
         # trace of the action: sum over basis of the diagonal coefficient
         for mono in basis:
             if with_z:
@@ -52,7 +54,7 @@ def invariant_dim_by_projector(group, k, with_z=True):
                 ea, eb = mono
                 ez = 0
             # coefficient of x^ea y^eb in (alpha x + beta y)^ea (gamma x + delta y)^eb
-            coeff = 0.0 + 0.0j
+            coeff = 0
             for i in range(ea + 1):
                 # pick i factors of x from the first power, need ea - i from second
                 j = ea - i
@@ -60,16 +62,16 @@ def invariant_dim_by_projector(group, k, with_z=True):
                     continue
                 coeff += (
                     _binomial(ea, i)
-                    * alpha**i
-                    * beta ** (ea - i)
+                    * pow(alpha, i, p)
+                    * pow(beta, ea - i, p)
                     * _binomial(eb, j)
-                    * gamma**j
-                    * delta ** (eb - j)
+                    * pow(gamma, j, p)
+                    * pow(delta, eb - j, p)
                 )
             total += coeff
-    value = total / group.order
-    assert abs(value - round(value.real)) < 1e-6, value
-    return int(round(value.real))
+    value = total * pow(group.order, p - 2, p) % p
+    assert value <= len(basis), value
+    return value
 
 
 def etingof_eu_slices(series, rank, with_z, kmax):

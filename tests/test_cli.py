@@ -13,13 +13,9 @@ from mckaykit.io_formats import (
     quiver_to_dict,
     rep_from_dict,
     rep_to_dict,
-    tgm_from_dict,
-    tgm_to_dict,
 )
 from mckaykit.quiver_core import DimVector, frame_quiver, mckay_quiver, triple_quiver
 from mckaykit.rep_theory import random_flat_rep, zero_rep
-from mckaykit.graded_algebra import AlgebraContext
-from mckaykit.corner_functors import free_column_tgm
 
 
 def run(capsys, *argv):
@@ -90,6 +86,17 @@ def test_hilbert_kmax_zero(capsys):
 def test_hilbert_bad_corner(capsys):
     code, _, err = run(capsys, "hilbert", "A1", "--corner", "9", "--kmax", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "E8", "--kmax", "-1"),
+    ("hilbert", "D4", "--algebra", "piw"),
+])
+def test_hilbert_bad_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_hilbert_cap_exceeded(capsys):
@@ -255,53 +262,6 @@ def test_module_json_round_trip():
     back = rep_from_dict(json.loads(text))
     assert json.dumps(rep_to_dict(back), sort_keys=True) == text
     assert back.maps == {a.id: rep.matrix(a.id) for a in q.arrows}
-
-
-def test_tgm_json_round_trip():
-    g = build_group("A1")
-    ctx = AlgebraContext(g, "pibullet", corner={0})
-    tgm = free_column_tgm(ctx, 0, (0, 3))
-    data = tgm_to_dict(tgm)
-    text = json.dumps(data, sort_keys=True)
-    back = tgm_from_dict(json.loads(text))
-    assert json.dumps(tgm_to_dict(back), sort_keys=True) == text
-    assert back.dims == tgm.dims
-
-
-def test_slice_dump_format():
-    from mckaykit.graded_algebra import graded_slice
-    from mckaykit.io_formats import slice_to_dict
-
-    g = build_group("A1")
-    ctx = AlgebraContext(g, "pibullet")
-    data = slice_to_dict(graded_slice(ctx, 0, 0, 2))
-    assert data["dim"] == 4
-    assert data["relation_rank"] == len(data["paths"]) - data["dim"]
-    assert all(len(p) == 2 for p in data["paths"])
-    json.dumps(data, sort_keys=True)
-
-
-def test_adhm_json_input(tmp_path):
-    from mckaykit.io_formats import adhm_from_dict
-    from mckaykit.moduli_tools import adhm_build_cyclic
-    from mckaykit.rep_theory import is_flat
-
-    payload = {
-        "group": "A1",
-        "B1": [[0, 0], [0, 0]],
-        "B2": [[0, 0], ["1/1", 0]],
-        "i": [[1], [0]],
-        "j": [[0, 0]],
-        "weights": [0, 1],
-        "framing_weights": [0],
-    }
-    parsed = adhm_from_dict(payload)
-    rep = adhm_build_cyclic(
-        parsed["group"], parsed["b1"], parsed["b2"], parsed["i_vec"],
-        parsed["j_vec"], parsed["weights"], parsed["framing_weights"],
-    )
-    assert is_flat(rep)
-    assert rep.dims.as_dict() == {0: 1, 1: 1, "inf": 1}
 
 
 def test_determinism_same_seed(capsys, tmp_path):

@@ -1,6 +1,9 @@
 """Group data: classification, characters, multiplicities."""
 
+import dataclasses
+import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -8,18 +11,26 @@ import pytest
 
 import mckaykit
 from mckaykit import dynkin
-from mckaykit.errors import InvalidDescriptor, NonIntegralMultiplicity
+from mckaykit.errors import (
+    DimensionTooLarge,
+    InvalidDescriptor,
+    InvariantViolation,
+    NonIntegralMultiplicity,
+)
 from mckaykit.gamma_data import (
-    E_GENERATORS,
-    GroupData,
     build_group,
     closure,
     dixon_character_table,
+    e_generators,
+    exponent,
     parse_descriptor,
+    root_of_unity,
     tensor_multiplicity,
     tensor_multiplicity_matrix,
     validate_group_data,
 )
+from mckaykit.graded_algebra import molien_sequence
+from mckaykit.linalg import PrimeField
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
 
@@ -44,17 +55,22 @@ def test_sum_of_squares(label):
 
 
 def test_d4_against_brute_force_oracle():
-    """Enumerate the eight binary-dihedral matrices independently and
-    recover order, class count and irrep dimensions by brute force."""
-    def quat(a, b, c, d):
-        return ((a + b * 1j, c + d * 1j), (-c + d * 1j, a - b * 1j))
-
-    elements = closure([quat(0, 1, 0, 0), quat(0, 0, 1, 0)])
-    assert len(elements) == 8
-    rows, sizes, _, _ = dixon_character_table(elements)
-    dims = sorted(int(round(r[0].real)) for r in rows)
-    assert dims == [1, 1, 1, 1, 2]
+    """Enumerate the eight binary-dihedral matrices independently, as the
+    quaternions i and j over GF(p), and recover order, class count and
+    irrep dimensions by brute force."""
     g = build_group("D4")
+    field = PrimeField(g.prime)
+    i = root_of_unity(field, 4)
+    p = field.p
+
+    def quat(a, b, c, d):
+        return (((a + b * i) % p, (c + d * i) % p), ((-c + d * i) % p, (a - b * i) % p))
+
+    elements = closure(field, [quat(0, 1, 0, 0), quat(0, 0, 1, 0)])
+    assert len(elements) == 8
+    rows, sizes, _, _, _ = dixon_character_table(field, elements)
+    dims = sorted(r[0] for r in rows)
+    assert dims == [1, 1, 1, 1, 2]
     assert g.order == 8
     assert sorted(g.irrep_dims) == dims
     assert sorted(g.class_sizes) == sorted(sizes)
@@ -73,14 +89,16 @@ E_LITERATURE = {
 def test_e_series_against_literature(rank):
     """Pin the E groups by facts that do not come from Dixon's table."""
     order, class_sizes = E_LITERATURE[rank]
-    assert len(closure(E_GENERATORS[rank])) == order
     g = build_group(f"E{rank}")
+    field = PrimeField(g.prime)
+    z = root_of_unity(field, exponent(g.descriptor))
+    assert len(closure(field, e_generators(rank, field, z))) == order
     assert g.order == len(g.elements) == order
     assert sorted(g.class_sizes) == class_sizes
     for c, r in enumerate(g.class_reps):
         (a, _), (_, d) = g.elements[r]
         assert g.class_of[r] == c
-        assert abs(g.chi_v[c] - (a + d)) < 1e-12
+        assert g.chi_v[c] == (a + d) % g.prime
 
 
 BUILD_ONCE_SCRIPT = """
@@ -88,22 +106,22 @@ import sys
 from mckaykit import gamma_data
 tables = []
 dixon = gamma_data.dixon_character_table
-def counted(elements):
+def counted(field, elements):
     tables.append(len(elements))
-    return dixon(elements)
+    return dixon(field, elements)
 gamma_data.dixon_character_table = counted
 labels = sys.argv[1:]
 for _ in range(2):
     for label in labels:
         gamma_data.build_group(label)
 assert len(tables) == len(labels), tables
-assert "numpy.random" not in sys.modules
+assert "numpy" not in sys.modules
 """
 
 
-def test_groups_built_once_without_numpy_random():
+def test_groups_built_once_without_numpy():
     """In a fresh process, building every group twice computes one Dixon
-    table per group and never imports numpy.random."""
+    table per group and never imports numpy."""
     src = os.path.dirname(os.path.dirname(mckaykit.__file__))
     proc = subprocess.run([sys.executable, "-c", BUILD_ONCE_SCRIPT, *ALL_LABELS],
                           env=dict(os.environ, PYTHONPATH=src),
@@ -151,18 +169,8 @@ def test_orthogonality_self_check(label):
 def test_corrupted_table_detected():
     g = build_group("A2")
     rows = [list(r) for r in g.characters]
-    rows[1][1] += 0.2
-    bad = GroupData(
-        descriptor=g.descriptor,
-        order=g.order,
-        elements=g.elements,
-        characters=tuple(tuple(r) for r in rows),
-        class_sizes=g.class_sizes,
-        irrep_dims=g.irrep_dims,
-        chi_v=g.chi_v,
-        class_of=g.class_of,
-        class_reps=g.class_reps,
-    )
+    rows[1][1] = (rows[1][1] + 1) % g.prime
+    bad = dataclasses.replace(g, characters=tuple(tuple(r) for r in rows))
     with pytest.raises(NonIntegralMultiplicity):
         for i in range(3):
             for j in range(3):
@@ -173,6 +181,71 @@ def test_trivial_row_and_chi_v_real():
     for label in ALL_LABELS:
         g = build_group(label)
         assert g.irrep_dims[0] == 1
-        assert all(abs(x - 1) < 1e-9 for x in g.characters[0])
-        # traces of SL2 torsion elements are real
-        assert all(abs(x.imag) < 1e-9 for x in g.chi_v)
+        assert all(x == 1 for x in g.characters[0])
+        # traces of SL2 torsion elements are real: chi_V(c) = chi_V(c^-1)
+        assert all(g.chi_v[c] == g.chi_v[g.class_inverse[c]]
+                   for c in range(g.num_classes))
+
+
+# sha256 of every Molien sequence to degree 30 of the groups below, both
+# flavors, as computed by the complex floating-point character tables
+# that the GF(p) tables replace
+MOLIEN_LABELS = ([f"A{r}" for r in range(1, 9)] + [f"D{r}" for r in range(4, 9)]
+                 + ["E6", "E7", "E8"])
+MOLIEN_DIGEST = "e454dea4f37b647ca6a17b5ff52445df16b0af5fcb0e7a1a10788664f3f0b740"
+
+
+def test_molien_digest():
+    h = hashlib.sha256()
+    for label in MOLIEN_LABELS:
+        g = build_group(label)
+        for with_z in (False, True):
+            for i in range(g.num_irreps):
+                for j in range(g.num_irreps):
+                    seq = molien_sequence(g, i, j, with_z, 30)
+                    h.update(f"{label} {int(with_z)} {i} {j} "
+                             f"{','.join(map(str, seq))}\n".encode())
+    assert h.hexdigest() == MOLIEN_DIGEST
+
+
+def test_molien_refuses_bound_at_prime():
+    """E8's largest irrep has dimension 6, so with z the degree-k bound
+    6 (k+1)(k+2)/2 passes p > 2^31 below k = 26,760."""
+    g = build_group("E8")
+    i = g.irrep_dims.index(6)
+    kmax = 27000
+    assert 3 * (kmax + 1) * (kmax + 2) >= g.prime
+    with pytest.raises(DimensionTooLarge):
+        molien_sequence(g, i, 0, True, kmax)
+    assert len(molien_sequence(g, i, 0, False, 30)) == 31
+
+
+LAYOUT_LABELS = ([f"A{r}" for r in range(1, 31)] + [f"D{r}" for r in range(4, 13)]
+                 + ["E6", "E7", "E8"])
+
+
+@pytest.mark.parametrize("label", LAYOUT_LABELS)
+def test_match_layout_any_row_order(label):
+    """The canonical layout with its rows shuffled maps back onto the
+    canonical layout, by the inverse permutation up to a diagram symmetry
+    fixing vertex 0, for every row order.  Placing rows in the given order
+    took seconds from A20 on and grew exponentially with the rank."""
+    desc = parse_descriptor(label)
+    target = dynkin.adjacency(desc.series, desc.rank)
+    marks = dynkin.marks(desc.series, desc.rank)
+    n = len(target)
+    shuffle = list(range(n))
+    random.Random(n).shuffle(shuffle)  # computed row r is canonical row shuffle[r]
+    mult = [[target[shuffle[r]][shuffle[s]] for s in range(n)] for r in range(n)]
+    dims = [marks[shuffle[r]] for r in range(n)]
+    perm = dynkin.match_layout(mult, dims, shuffle.index(0), desc.series, desc.rank)
+    assert sorted(perm) == list(range(n))
+    assert perm[shuffle.index(0)] == 0
+    assert all(mult[r][s] == target[perm[r]][perm[s]] for r in range(n) for s in range(n))
+    assert [marks[perm[r]] for r in range(n)] == dims
+
+
+def test_match_layout_rejects_disconnected():
+    mult = [[0, 2, 0], [2, 0, 0], [0, 0, 0]]
+    with pytest.raises(InvariantViolation):
+        dynkin.match_layout(mult, [1, 1, 1], 0, "A", 2)
