@@ -27,6 +27,7 @@ from .graded_algebra import (
 )
 from .io_formats import (
     dump_json,
+    fraction_to_str,
     load_json,
     quiver_to_dict,
     rep_from_dict,
@@ -133,7 +134,7 @@ def _refuse_unflat(rep):
     worst = max_relation_residual(rep)
     if worst:
         raise RelationViolation(
-            f"relations violated; largest residual entry {float(worst)}"
+            f"relations violated; largest residual entry {fraction_to_str(worst)}"
         )
 
 

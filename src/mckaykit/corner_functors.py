@@ -15,6 +15,13 @@ assembled over the ungraded flavor with the loop action threaded through
 the corner; the output carries genuine loop matrices and satisfies both
 relation families.
 
+A cornered module has the same generator view as a framed
+representation: its matrices listed as ``(i, j, matrix)``, the loops
+first, then the class actions in sorted key order.  Closure, quotients,
+reduction mod p, hom spaces and isomorphism are the shared ``linalg``
+kernels on that view; ``c_star`` is the same quotient kernel on the
+degree window of a truncated graded module.
+
 Caution: nothing here relies on higher extension groups vanishing
 against modules killed by the corner idempotent.  Only degree-zero and
 degree-one compatibility of the extension functor is a safe assumption
@@ -47,13 +54,12 @@ from .linalg import (
     QQ,
     Echelon,
     PrimeField,
-    find_surjection,
     hom_space,
-    induced_map,
+    isomorphic,
     mat_mul,
-    mat_vec,
     nullspace,
-    quotient_projection,
+    quotient_maps,
+    reduce_entries,
     spans_closed,
     zeros,
 )
@@ -63,20 +69,19 @@ from .rep_theory import QuiverRep, is_flat
 TRUNCATION_WINDOW = 4
 
 
-def pi_context(group, degree_cap=None):
+def pi_context(group):
     """The shared plain-flavor algebra context of a group."""
-    return _pi_context(group.descriptor.label, degree_cap)
+    return _pi_context(group.descriptor.label)
 
 
 @functools.lru_cache(maxsize=None)
-def _pi_context(label, degree_cap):
-    kwargs = {} if degree_cap is None else {"degree_cap": degree_cap}
-    return AlgebraContext(build_group(label), "pi", **kwargs)
+def _pi_context(label):
+    return AlgebraContext(build_group(label), "pi")
 
 
 @functools.lru_cache(maxsize=None)
 def _generation_degree(label, corner):
-    return corner_generation_bound(_pi_context(label, None), corner)
+    return corner_generation_bound(_pi_context(label), corner)
 
 
 def generation_degree(group, corner):
@@ -109,8 +114,30 @@ class CorneredModule:
     def total_dim(self):
         return sum(self.dims.values())
 
-    def dims_dict(self):
-        return dict(self.dims)
+    def vertex_dims(self):
+        """Component dimensions in sorted corner order."""
+        return {v: self.dim(v) for v in sorted(self.corner)}
+
+    def generators(self):
+        """The loops, then the class actions in sorted key order, each
+        matrix as ``(i, j, matrix)`` acting from component j to i."""
+        gens = [(v, v, self.z_mats[v]) for v in sorted(self.corner)]
+        for key in sorted(self.actions):
+            gens.extend((key[1], key[2], mat) for mat in self.actions[key])
+        return gens
+
+    def rebuild(self, dims, mats, field=None):
+        """The module over the same cornered algebra with dimensions
+        ``dims`` and the matrices ``mats`` of ``generators`` order."""
+        mats = iter(mats)
+        z_mats = {v: next(mats) for v in sorted(self.corner)}
+        actions = {key: [next(mats) for _ in self.actions[key]]
+                   for key in sorted(self.actions)}
+        return CorneredModule(
+            group=self.group, corner=self.corner, dims=dict(dims),
+            z_mats=z_mats, actions=actions, gen_degree=self.gen_degree,
+            field=self.field if field is None else field,
+        )
 
 
 def cornered_vertex_simple(group, corner, i, field=QQ):
@@ -191,34 +218,35 @@ def j_star(rep, corner):
 
 @dataclass
 class ExtensionData:
-    """Internal coordinates of a computed corner extension."""
+    """A computed corner extension with its internal coordinates.
+
+    A tensor coordinate is keyed ``(-k, src, c, b)``: degree k, corner
+    vertex src, coordinate c of the degree-k layer of the column at src,
+    module basis index b.  ``normal_form(key)`` is the sparse normal form
+    of a coordinate modulo the bilinearity span; its keys are basis keys,
+    and ``place[key]`` is the (vertex, position) of a basis key in ``rep``.
+    """
 
     module: object
     rep: object
     k_max: int
-    coords: dict
-    basis_keys: list
-    basis_pos: dict
-    vertex_of_key: dict
-    pos_in_vertex: dict
-    reduce_key: object  # key -> dense vector over the quotient basis
-    coord_key: object
+    normal_form: object
+    place: dict
 
 
-def j_shriek(module, degree_cap=None, window=TRUNCATION_WINDOW):
+def j_shriek(module):
     """Corner extension: the universal module generated by the corner data.
 
     Computed degreewise as (algebra column tensor module) modulo the
     bilinearity span, with coordinates eliminated from the top degree
-    downward; stops once ``window`` consecutive degrees (at least the
-    module's generation degree) contribute no new quotient coordinates
-    and returns a module over the tripled quiver.
+    downward; stops once ``TRUNCATION_WINDOW`` consecutive degrees (at
+    least the module's generation degree) contribute no new quotient
+    coordinates and returns a module over the tripled quiver.
     """
-    return j_shriek_with_data(module, degree_cap=degree_cap, window=window).rep
+    return j_shriek_with_data(module).rep
 
 
-def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
-                       force_degree=0):
+def j_shriek_with_data(module, force_degree=0):
     """Corner extension together with its internal coordinates.
 
     ``force_degree`` keeps extending at least that far even after the
@@ -227,51 +255,17 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
     field raises BadPrime.
     """
     group = module.group
-    corner = module.corner
     field = module.field
     if field is not QQ:
         raise BadPrime(f"corner extension runs over QQ, not {field}")
     ctx = pi_context(group)
-    cap = degree_cap if degree_cap is not None else ctx.degree_cap
     quiver_b = triple_quiver(mckay_quiver(group))
-
-    if module.total_dim() == 0:
-        comps = {v: 0 for v in quiver_b.vertices}
-        rep = QuiverRep(
-            quiver=quiver_b,
-            dims=DimVector(components=comps),
-            maps={a.id: () for a in quiver_b.arrows},
-            field=field,
-        )
-        return ExtensionData(
-            module=module, rep=rep, k_max=0, coords={}, basis_keys=[],
-            basis_pos={}, vertex_of_key={}, pos_in_vertex={},
-            reduce_key=lambda key: (), coord_key=lambda *a: None,
-        )
-
-    corner_sorted = sorted(corner)
+    corner_sorted = sorted(module.corner)
     gen_deg = module.gen_degree
     # a bilinearity row of degree k reaches down to degree k - gen_deg, so
     # a shorter quiet window could stop before the relations it would
     # still insert into the lower degrees
-    window = max(window, gen_deg)
-
-    # T coordinates: (k, src corner vertex, layer coord, module basis index)
-    def coord_key(k, src, c, b):
-        return (-k, corner_sorted.index(src), c, b)
-
-    coords = {}  # key -> (k, src, c, b)
-
-    def layer(src, k):
-        return ctx.layer(src, k)
-
-    def add_degree(k):
-        for src in corner_sorted:
-            lay = layer(src, k)
-            for c in range(lay.dim):
-                for b in range(module.dim(src)):
-                    key = coord_key(k, src, c, b)
-                    coords[key] = (k, src, c, b)
+    window = max(TRUNCATION_WINDOW, gen_deg)
 
     ech = Echelon(QQ)
 
@@ -285,7 +279,7 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
                     classes = slice_class_basis(ctx, i, src, d)
                     if not classes:
                         continue
-                    lay_m = layer(i, m)
+                    lay_m = ctx.layer(i, m)
                     for cls, act in zip(classes, acts):
                         base = {
                             c: x for c, x in zip(
@@ -296,32 +290,33 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
                             path = lay_m.paths[u]
                             prod = _expand_path_on(ctx, path, dict(base), src, d)
                             for b in range(module.dim(src)):
-                                row = {}
-                                for c, val in prod.items():
-                                    row[coord_key(k_top, src, c, b)] = val
+                                row = {(-k_top, src, c, b): val
+                                       for c, val in prod.items()}
                                 for bb in range(module.dim(i)):
                                     coef = act[bb][b]
-                                    if coef != field.zero:
-                                        key = coord_key(m, i, u, bb)
+                                    if coef != QQ.zero:
+                                        key = (-m, i, u, bb)
                                         row[key] = row.get(key, QQ.zero) - coef
                                 row = {kk: v for kk, v in row.items() if v}
                                 if row:
                                     ech.insert(row)
 
-    add_degree(0)
+    def degree_keys(k):
+        return [(-k, src, c, b) for src in corner_sorted
+                for c in range(ctx.layer(src, k).dim)
+                for b in range(module.dim(src))]
+
     new_content = []
     k = 0
     while True:
         k += 1
-        if k > cap:
+        if k > ctx.degree_cap:
             raise TruncationNotReached(
-                f"corner extension did not stabilise below degree {cap}"
+                f"corner extension did not stabilise below degree {ctx.degree_cap}"
             )
-        add_degree(k)
         insert_bilinearity(k)
-        pivots_at_k = sum(1 for key in ech.rows if -key[0] == k)
-        coords_at_k = sum(1 for key in coords if -key[0] == k)
-        new_content.append(coords_at_k - pivots_at_k)
+        pivots_at_k = sum(1 for key in ech.rows if key[0] == -k)
+        new_content.append(len(degree_keys(k)) - pivots_at_k)
         if (
             k >= force_degree
             and len(new_content) >= window
@@ -330,103 +325,58 @@ def j_shriek_with_data(module, degree_cap=None, window=TRUNCATION_WINDOW,
             break
     k_max = k
 
-    pivot_keys = set(ech.rows.keys())
-    basis_keys = [key for key in sorted(coords) if key not in pivot_keys]
-    basis_pos = {key: t for t, key in enumerate(basis_keys)}
-    ndim = len(basis_keys)
+    # the basis keys in key order, placed blockwise by vertex
+    place = {}
+    comps = {v: 0 for v in quiver_b.vertices}
+    for kdeg in range(k_max, -1, -1):
+        for key in degree_keys(kdeg):
+            if key not in ech.rows:
+                v = ctx.layer(key[1], kdeg).vertex_of[key[2]]
+                place[key] = (v, comps[v])
+                comps[v] += 1
 
-    reduce_cache = {}
+    @functools.lru_cache(maxsize=None)
+    def normal_form(key):
+        return ech.reduce({key: QQ.one})
 
-    def reduce_key(key):
-        out = reduce_cache.get(key)
-        if out is not None:
-            return out
-        red = ech.reduce({key: QQ.one})
-        vec = [QQ.zero] * ndim
-        for kk, val in red.items():
-            vec[basis_pos[kk]] = val
-        out = tuple(vec)
-        reduce_cache[key] = out
-        return out
-
-    # vertex assignment and blockwise index
-    vertex_of_key = {}
-    for key in basis_keys:
-        kdeg, src, c, b = coords[key]
-        vertex_of_key[key] = layer(src, kdeg).vertex_of[c]
-    by_vertex = {v: [key for key in basis_keys if vertex_of_key[key] == v]
-                 for v in quiver_b.vertices}
-    pos_in_vertex = {}
-    for v, keys in by_vertex.items():
-        for t, key in enumerate(keys):
-            pos_in_vertex[key] = t
-
-    comps = {v: len(by_vertex[v]) for v in quiver_b.vertices}
-    dims = DimVector(components=comps)
-
-    def blank_maps():
-        return {
-            a.id: [
-                [field.zero] * comps[a.head] for _ in range(comps[a.tail])
-            ]
-            for a in quiver_b.arrows
-        }
-
-    maps = blank_maps()
-    for key in basis_keys:
-        kdeg, src, c, b = coords[key]
-        col = pos_in_vertex[key]
-        v_here = vertex_of_key[key]
+    maps = {
+        a.id: [[QQ.zero] * comps[a.head] for _ in range(comps[a.tail])]
+        for a in quiver_b.arrows
+    }
+    for key, (v, col) in place.items():
+        neg_k, src, c, b = key
         # non-loop arrows: left multiplication on the class factor
-        if kdeg + 1 <= k_max:
-            lay_next = layer(src, kdeg + 1)
+        if -neg_k < k_max:
+            lay_next = ctx.layer(src, 1 - neg_k)
             for a in quiver_b.non_loop_arrows():
-                if a.head != v_here:
+                if a.head != v:
                     continue
-                img = lay_next.lmul_in.get(a.id, {}).get(c)
-                if img is None:
-                    continue
-                acc = [QQ.zero] * ndim
-                for c2, val in img:
-                    red = reduce_key(coord_key(kdeg + 1, src, c2, b))
-                    for t, x in enumerate(red):
-                        if x:
-                            acc[t] += val * x
-                for key2, t in basis_pos.items():
-                    if acc[t] and vertex_of_key[key2] == a.tail:
-                        maps[a.id][pos_in_vertex[key2]][col] = acc[t]
+                for c2, val in lay_next.lmul_in.get(a.id, {}).get(c, ()):
+                    _scatter(maps[a.id], col, val,
+                             normal_form((neg_k - 1, src, c2, b)), place, a.tail)
         # loops: thread the corner loop action through the module factor
-        lid = quiver_b.loops[v_here]
         zmat = module.z_mats[src]
-        acc = [QQ.zero] * ndim
         for bb in range(module.dim(src)):
-            coef = zmat[bb][b]
-            if coef == field.zero:
-                continue
-            red = reduce_key(coord_key(kdeg, src, c, bb))
-            for t, x in enumerate(red):
-                if x:
-                    acc[t] += coef * x
-        for key2, t in basis_pos.items():
-            if acc[t] and vertex_of_key[key2] == v_here:
-                maps[lid][pos_in_vertex[key2]][col] = acc[t]
+            if zmat[bb][b] != QQ.zero:
+                _scatter(maps[quiver_b.loops[v]], col, zmat[bb][b],
+                         normal_form((neg_k, src, c, bb)), place, v)
 
     maps = {aid: tuple(tuple(row) for row in rows) for aid, rows in maps.items()}
-    out = QuiverRep(quiver=quiver_b, dims=dims, maps=maps, field=field)
+    out = QuiverRep(quiver=quiver_b, dims=DimVector(components=comps), maps=maps,
+                    field=field)
     if not is_flat(out):
         raise InvariantViolation("corner extension broke the relations")
-    return ExtensionData(
-        module=module,
-        rep=out,
-        k_max=k_max,
-        coords=coords,
-        basis_keys=basis_keys,
-        basis_pos=basis_pos,
-        vertex_of_key=vertex_of_key,
-        pos_in_vertex=pos_in_vertex,
-        reduce_key=reduce_key,
-        coord_key=coord_key,
-    )
+    return ExtensionData(module=module, rep=out, k_max=k_max,
+                         normal_form=normal_form, place=place)
+
+
+def _scatter(rows, col, coef, red, place, vertex):
+    """Add ``coef`` times the normal form ``red`` to column ``col`` of
+    ``rows``, a block whose rows are the basis keys placed at ``vertex``."""
+    for key, x in red.items():
+        v, r = place[key]
+        if v == vertex:
+            rows[r][col] += coef * x
 
 
 def j_shriek_on_hom(data_m, data_n, phi_blocks):
@@ -437,33 +387,18 @@ def j_shriek_on_hom(data_m, data_n, phi_blocks):
     coordinate through phi on the module factor and reduces in the
     target extension.  Returns per-vertex matrices.
     """
-    m_mod, n_mod = data_m.module, data_n.module
-    field = m_mod.field
-    quiver_b = data_m.rep.quiver
+    zero = data_m.module.field.zero
     blocks = {
-        v: [
-            [field.zero] * data_m.rep.dims.get(v)
-            for _ in range(data_n.rep.dims.get(v))
-        ]
-        for v in quiver_b.vertices
+        v: [[zero] * data_m.rep.dims.get(v) for _ in range(data_n.rep.dims.get(v))]
+        for v in data_m.rep.quiver.vertices
     }
-    for key in data_m.basis_keys:
-        kdeg, src, c, b = data_m.coords[key]
-        v = data_m.vertex_of_key[key]
-        col = data_m.pos_in_vertex[key]
+    for key, (v, col) in data_m.place.items():
+        neg_k, src, c, b = key
         phi = phi_blocks[src]
-        for b2 in range(n_mod.dim(src)):
-            coef = phi[b2][b]
-            if coef == field.zero:
-                continue
-            red = data_n.reduce_key(data_n.coord_key(kdeg, src, c, b2))
-            for key2, t in data_n.basis_pos.items():
-                val = red[t]
-                if val and data_n.vertex_of_key[key2] == v:
-                    row = data_n.pos_in_vertex[key2]
-                    blocks[v][row][col] = field.add(
-                        blocks[v][row][col], field.mul(coef, val)
-                    )
+        for b2 in range(data_n.module.dim(src)):
+            if phi[b2][b] != zero:
+                _scatter(blocks[v], col, phi[b2][b],
+                         data_n.normal_form((neg_k, src, c, b2)), data_n.place, v)
     return {v: tuple(tuple(r) for r in rows) for v, rows in blocks.items()}
 
 
@@ -478,36 +413,23 @@ def cornered_hom_space(a, b):
         raise InvariantViolation("hom space needs matching group and corner")
     if a.gen_degree != b.gen_degree:
         raise InvariantViolation("hom space needs matching generator tables")
-    verts = sorted(a.corner)
-    constraints = [(v, v, a.z_mats[v], b.z_mats[v]) for v in verts]
-    for key in sorted(a.actions, key=lambda t: (t[0], t[1], t[2])):
-        _, i, j = key
-        for ma, mb in zip(a.actions[key], b.actions[key]):
-            constraints.append((i, j, ma, mb))
-    dims_a = {v: a.dim(v) for v in verts}
-    dims_b = {v: b.dim(v) for v in verts}
-    return hom_space(a.field, constraints, dims_a, dims_b, verts)
+    return hom_space(a.field, a.generators(), b.generators(), a.vertex_dims(),
+                     b.vertex_dims())
 
 
-def cornered_isomorphic(a, b, seed=0, tries=40):
+def cornered_isomorphic(a, b):
     """Whether two cornered modules are isomorphic (invertible intertwiner)."""
     if a.group.descriptor != b.group.descriptor or a.corner != b.corner:
         return False
-    if a.dims != b.dims:
-        return False
-    if a.total_dim() == 0:
-        return True
-    basis, offsets = cornered_hom_space(a, b)
-    dims = {v: a.dim(v) for v in offsets}
-    return find_surjection(a.field, basis, offsets, dims, dims, seed, tries)
+    if a.gen_degree != b.gen_degree:
+        raise InvariantViolation("isomorphism test needs matching generator tables")
+    return isomorphic(a.field, a.generators(), b.generators(), a.vertex_dims(),
+                      b.vertex_dims())
 
 
 def cornered_submodule_is_closed(module, spaces):
     """Whether per-vertex subspaces are closed under all stored actions."""
-    gens = [(v, v, module.z_mats[v]) for v in sorted(module.corner)]
-    for (_, i, j), mats in module.actions.items():
-        gens.extend((i, j, mat) for mat in mats)
-    return spans_closed(module.field, spaces, gens)
+    return spans_closed(module.field, spaces, module.generators())
 
 
 def cornered_quotient(module, spaces, with_projection=False):
@@ -516,54 +438,17 @@ def cornered_quotient(module, spaces, with_projection=False):
     With ``with_projection`` also returns the per-vertex projection
     matrices realising the quotient map.
     """
-    field = module.field
-    proj = {}
-    lift = {}
-    qdim = {}
-    for v in sorted(module.corner):
-        proj[v], lift[v] = quotient_projection(
-            field, spaces.get(v, ()), module.dim(v)
-        )
-        qdim[v] = len(lift[v])
-
-    def push(mat, i, j):
-        return induced_map(field, mat, lift[j], proj[i])
-
-    z_mats = {v: push(module.z_mats[v], v, v) for v in sorted(module.corner)}
-    actions = {
-        key: [push(mat, key[1], key[2]) for mat in mats]
-        for key, mats in module.actions.items()
-    }
-    quotient = CorneredModule(
-        group=module.group,
-        corner=module.corner,
-        dims={v: qdim[v] for v in sorted(module.corner)},
-        z_mats=z_mats,
-        actions=actions,
-        gen_degree=module.gen_degree,
-        field=field,
-    )
-    if with_projection:
-        return quotient, proj
-    return quotient
+    dims, mats, proj = quotient_maps(module.field, module.generators(),
+                                     module.vertex_dims(), spaces)
+    quotient = module.rebuild(dims, mats)
+    return (quotient, proj) if with_projection else quotient
 
 
 def cornered_mod_p(module, p):
     """Entrywise reduction of a rational cornered module modulo p."""
     field = PrimeField(p)
-
-    def conv(mat):
-        return tuple(tuple(field.from_fraction(x) for x in row) for row in mat)
-
-    return CorneredModule(
-        group=module.group,
-        corner=module.corner,
-        dims=dict(module.dims),
-        z_mats={v: conv(m) for v, m in module.z_mats.items()},
-        actions={k: [conv(m) for m in mats] for k, mats in module.actions.items()},
-        gen_degree=module.gen_degree,
-        field=field,
-    )
+    return module.rebuild(module.vertex_dims(),
+                          reduce_entries(field, module.generators()), field)
 
 
 # ---------------------------------------------------------------------------
@@ -590,31 +475,6 @@ class TruncatedGradedModule:
     def dim(self, k, v):
         return self.dims.get((k, v), 0)
 
-    def action(self, gid, k):
-        src, dst, _ = self.gens[gid]
-        mat = self.actions.get(gid, {}).get(k)
-        if mat is None:
-            return zeros(self.field, self.dim(k + 1, dst), self.dim(k, v=src))
-        return mat
-
-    def z_image_basis(self, k):
-        """Spanning rows of the z-image inside each degree-(k+1) component."""
-        field = self.field
-        out = {}
-        for v in self.vertices:
-            vecs = []
-            for gid, (src, dst, is_z) in self.gens.items():
-                if not is_z or dst != v:
-                    continue
-                mat = self.actions.get(gid, {}).get(k)
-                if not mat:
-                    continue
-                ncols = len(mat[0]) if mat else 0
-                for c in range(ncols):
-                    vecs.append(tuple(row[c] for row in mat))
-            out[v] = vecs
-        return out
-
 
 def c_star(m):
     """Degreewise quotient by the image of the degree-one loops.
@@ -627,36 +487,34 @@ def c_star(m):
     if k1 - k0 < 1:
         raise InvariantViolation("window of length >= 2 required")
     field = m.field
-    proj = {}
-    lift = {}
-    new_dims = {}
-    for k in range(k0 + 1, k1 + 1):
-        z_img = m.z_image_basis(k - 1)
-        for v in m.vertices:
-            n = m.dim(k, v)
-            proj[(k, v)], lift[(k, v)] = quotient_projection(
-                field, z_img.get(v, ()), n
-            )
-            new_dims[(k, v)] = len(lift[(k, v)])
-    new_actions = {}
+    # one vertex (k, v) per component; the z-image at (k, v) is spanned by
+    # the columns of the loops arriving from degree k - 1
+    dims = {(k, v): m.dim(k, v) for k in range(k0 + 1, k1 + 1) for v in m.vertices}
+    z_image = {key: [] for key in dims}
+    moves = []  # (gid, k) of the non-loop actions that descend
     for gid, (src, dst, is_z) in m.gens.items():
-        per_degree = {}
-        for k in range(k0 + 1, k1):
-            mat = m.actions.get(gid, {}).get(k)
-            if mat is None:
-                continue
-            if is_z:
-                continue
-            per_degree[k] = induced_map(
-                field, mat, lift[(k, src)], proj[(k + 1, dst)]
-            )
-            _check_descends(field, m, gid, k, proj)
+        acts = m.actions.get(gid, {})
+        if is_z:
+            for k in range(k0 + 1, k1 + 1):
+                z_image[(k, dst)].extend(zip(*(acts.get(k - 1) or ())))
+        else:
+            moves += [(gid, k) for k in range(k0 + 1, k1) if acts.get(k) is not None]
+    gens = [((k + 1, m.gens[gid][1]), (k, m.gens[gid][0]), m.actions[gid][k])
+            for gid, k in moves]
+    if not spans_closed(field, z_image, gens):
+        raise InvariantViolation(
+            "action does not descend to the z-quotient (commutation broken)"
+        )
+    new_dims, mats, _ = quotient_maps(field, gens, dims, z_image)
+    new_actions = {gid: {} for gid in m.gens}
+    for (gid, k), mat in zip(moves, mats):
+        new_actions[gid][k] = mat
+    for gid, (src, dst, is_z) in m.gens.items():
         if is_z:
             for k in range(k0 + 1, k1):
-                per_degree[k] = zeros(
+                new_actions[gid][k] = zeros(
                     field, new_dims[(k + 1, dst)], new_dims[(k, src)]
                 )
-        new_actions[gid] = per_degree
     return TruncatedGradedModule(
         kind_label=m.kind_label,
         window=(k0 + 1, k1),
@@ -666,20 +524,6 @@ def c_star(m):
         actions=new_actions,
         field=field,
     )
-
-
-def _check_descends(field, m, gid, k, proj):
-    """The action must send the z-image into the z-image."""
-    src, dst, _ = m.gens[gid]
-    mat = m.actions.get(gid, {}).get(k)
-    if mat is None:
-        return
-    for vec in m.z_image_basis(k - 1).get(src, ()):
-        red = mat_vec(field, proj[(k + 1, dst)], mat_vec(field, mat, vec))
-        if any(x != field.zero for x in red):
-            raise InvariantViolation(
-                "action does not descend to the z-quotient (commutation broken)"
-            )
 
 
 def z_torsion(m):

@@ -46,22 +46,10 @@ from .linalg import QQ, Echelon
 from .quiver_core import frame_quiver, mckay_quiver, triple_quiver
 
 DEFAULT_DEGREE_CAP = 16
+# saturated degrees that certify a corner generation bound
+GENERATION_WINDOW = 4
 
 FLAVORS = ("pi", "piw", "pibullet")
-
-
-@dataclass(frozen=True)
-class AlgebraKind:
-    """Flavor plus optional corner set."""
-
-    flavor: str
-    corner: frozenset = None
-
-    def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise InvalidArgument(f"unknown algebra flavor {self.flavor!r}")
-        if self.corner is not None and not self.corner:
-            raise EmptyI("corner set must be nonempty when present")
 
 
 @dataclass(frozen=True)
@@ -228,10 +216,6 @@ class AlgebraContext:
         self.relgens = relation_generators(self.quiver)
         self._tables = {}
         self._paths_memo = {}
-
-    @property
-    def kind(self):
-        return AlgebraKind(self.flavor, self.corner)
 
     def endpoints(self):
         if self.corner is not None:
@@ -573,12 +557,13 @@ def factor_through_bound(g, corner, safety=4, degree_cap=DEFAULT_DEGREE_CAP):
 # corner generation bound
 # ---------------------------------------------------------------------------
 
-def corner_generation_bound(ctx, corner, window=4):
+def corner_generation_bound(ctx, corner):
     """Largest degree whose corner classes are not products of lower ones.
 
-    Certified by checking that every degree in the following window is
-    spanned by products of strictly lower-degree corner classes.  Used to
-    size the generator tables of cornered modules.
+    Certified by checking that every degree in the following window of
+    ``GENERATION_WINDOW`` degrees is spanned by products of strictly
+    lower-degree corner classes.  Used to size the generator tables of
+    cornered modules.
     """
     corner = sorted(frozenset(corner), key=str)
     if not corner:
@@ -612,7 +597,7 @@ def corner_generation_bound(ctx, corner, window=4):
     for k in range(1, ctx.degree_cap + 1):
         if saturated(k):
             streak += 1
-            if streak >= window:
+            if streak >= GENERATION_WINDOW:
                 return last_unsaturated
         else:
             last_unsaturated = k

@@ -9,10 +9,13 @@ inferred.
 
 There is one elimination kernel, the sparse incremental ``Echelon``;
 ``rref``, ``rank``, ``solve`` and ``nullspace`` are dense views of it.
-The kernels shared by the module-theory layers live here too: linear
-combinations, the closure test for families of subspaces, quotient
-projections and induced maps, the intertwiner (hom-space) system, and
-the seeded search for a hom-space element that is onto at every vertex.
+The kernels shared by the module-theory layers live here too.  They act
+on a module's generator view: its per-vertex dimensions and a list of
+``(i, j, mat)`` generators, each a dims[i] x dims[j] matrix.  On that view
+there is one closure test for families of subspaces, one quotient (with
+its projections and induced maps), one mod-p reduction, one intertwiner
+(hom-space) system, and one seeded search for a hom-space element that is
+onto at every vertex, which is also the isomorphism search.
 """
 
 import itertools
@@ -20,6 +23,9 @@ import random
 from fractions import Fraction
 
 from .errors import BadPrime
+
+# seeded random candidates tried by ``isomorphic`` after the basis vectors
+ISOMORPHISM_TRIES = 40
 
 
 class RationalField:
@@ -375,29 +381,48 @@ def quotient_projection(field, sub_rows, n):
     return proj, lift
 
 
-def induced_map(field, mat, lift, proj):
-    """Matrix of the map that ``mat`` induces between quotients: column c
-    is ``proj . mat . lift[c]``, where ``lift`` is the lifted basis of the
-    source quotient and ``proj`` the projection onto the target quotient."""
-    cols = [mat_vec(field, proj, mat_vec(field, mat, vec)) for vec in lift]
-    return tuple(tuple(col[r] for col in cols) for r in range(len(proj)))
+def reduce_entries(field, gens):
+    """The matrices of the ``(i, j, mat)`` generators with every entry
+    mapped into ``field`` by ``from_fraction`` (reduction mod p)."""
+    return [tuple(tuple(field.from_fraction(x) for x in row) for row in mat)
+            for _, _, mat in gens]
 
 
-def hom_space(field, constraints, dims_a, dims_b, verts):
-    """Basis of the families phi_v: A_v -> B_v with phi_i . A - B . phi_j = 0.
+def quotient_maps(field, gens, dims, spaces):
+    """Quotient of a module by a closed family of subspaces.
 
-    ``constraints`` lists ``(i, j, A, B)`` with A a dims_a[i] x dims_a[j]
-    and B a dims_b[i] x dims_b[j] matrix.  Returns (basis vectors,
-    offsets): in a solution vector the block of vertex v has shape
-    dims_b[v] x dims_a[v] and starts at offsets[v], row-major.
+    ``gens`` lists ``(i, j, mat)`` with mat a dims[i] x dims[j] matrix and
+    ``spaces`` maps vertices to spanning rows.  Returns (quotient dims,
+    induced matrices in the order of ``gens``, projection per vertex); the
+    induced matrix has column c equal to ``proj[i] . mat . lift[j][c]``,
+    ``lift`` being the lifted bases of the quotients.
+    """
+    proj, lift = {}, {}
+    for v, n in dims.items():
+        proj[v], lift[v] = quotient_projection(field, spaces.get(v, ()), n)
+    mats = []
+    for i, j, mat in gens:
+        cols = [mat_vec(field, proj[i], mat_vec(field, mat, vec)) for vec in lift[j]]
+        mats.append(tuple(tuple(col[r] for col in cols) for r in range(len(proj[i]))))
+    return {v: len(lift[v]) for v in dims}, mats, proj
+
+
+def hom_space(field, gens_a, gens_b, dims_a, dims_b):
+    """Basis of the families phi_v: A_v -> B_v with phi_i . a = b . phi_j
+    for every generator pair ``(i, j, a)``, ``(i, j, b)`` of ``gens_a`` and
+    ``gens_b`` (two lists in the same order).
+
+    Returns (basis vectors, offsets): in a solution vector the block of
+    vertex v has shape dims_b[v] x dims_a[v] and starts at offsets[v],
+    row-major, the vertices taken in the order of ``dims_a``.
     """
     offsets = {}
     nvars = 0
-    for v in verts:
+    for v in dims_a:
         offsets[v] = nvars
         nvars += dims_b[v] * dims_a[v]
     rows = []
-    for i, j, ma, mb in constraints:
+    for (i, j, ma), (_, _, mb) in zip(gens_a, gens_b):
         for r in range(dims_b[i]):
             for c in range(dims_a[j]):
                 # phi_i . A - B . phi_j = 0 at entry (r, c)
@@ -448,3 +473,15 @@ def find_surjection(field, basis, offsets, dims_a, dims_b, seed, tries):
         ):
             return True
     return False
+
+
+def isomorphic(field, gens_a, gens_b, dims_a, dims_b, seed=0):
+    """Whether a seeded search finds an invertible intertwiner between two
+    modules given by matching generator lists (see ``hom_space``)."""
+    if dims_a != dims_b:
+        return False
+    if not any(dims_a.values()):
+        return True
+    basis, offsets = hom_space(field, gens_a, gens_b, dims_a, dims_b)
+    return find_surjection(field, basis, offsets, dims_a, dims_b, seed,
+                           ISOMORPHISM_TRIES)

@@ -47,6 +47,8 @@ from .rep_theory import (
 
 FIXPOINT_ITERATION_CAP = 10000
 QUOT_TRUNCATION_WINDOW = 4
+# seeded random candidates tried for a surjection from the truncated column
+QUOT_SEARCH_TRIES = 60
 
 
 def is_sufficient(v, corner, quiver):
@@ -340,12 +342,13 @@ def truncated_corner_column(g, corner, bound=None, field=QQ):
     )
 
 
-def check_quot_correspondence(qmod, corner, g, seed=0, tries=60):
+def check_quot_correspondence(qmod, corner, g):
     """Certify a cornered module as a quotient of the truncated column.
 
     Solves for module homomorphisms from the degree-truncated column onto
     the candidate and searches the solution space for a surjection
-    (exhaustively over a small prime-field space, seeded otherwise).
+    (exhaustively over a small prime-field space, otherwise among
+    ``QUOT_SEARCH_TRIES`` combinations drawn with seed 0).
     Returns the candidate's dimension vector or raises NotAQuotient.
     """
     corner = frozenset(corner)
@@ -365,6 +368,7 @@ def check_quot_correspondence(qmod, corner, g, seed=0, tries=60):
         raise NotAQuotient("no homomorphisms from the truncated column")
     dims_col = {v: column.dim(v) for v in offsets}
     dims_q = {v: qmod.dim(v) for v in offsets}
-    if find_surjection(qmod.field, basis, offsets, dims_col, dims_q, seed, tries):
+    if find_surjection(qmod.field, basis, offsets, dims_col, dims_q, 0,
+                       QUOT_SEARCH_TRIES):
         return dims
     raise NotAQuotient("no surjection found at the certified truncation")

@@ -5,6 +5,12 @@ the component at ``a.tail``; the matrix of ``maps[a]`` therefore has
 ``dims[tail]`` rows and ``dims[head]`` columns.  That single convention
 is enforced in :func:`validate_shapes` and relied on everywhere else.
 
+The submodule closure test, quotients, reduction mod p and the
+isomorphism search are the shared ``linalg`` kernels applied to a
+representation's generator view: the arrow matrices in arrow order as
+``(tail, head, matrix)``, which ``QuiverRep.rebuild`` turns back into a
+representation.  Cornered modules share the same kernels.
+
 Stability is the usual submodule-slope inequality for a parameter that
 vanishes on the total dimension.  For parameters of corner shape (one on
 a vertex subset, zero elsewhere, balancing value at the framing vertex)
@@ -32,15 +38,14 @@ from .linalg import (
     Echelon,
     PrimeField,
     combine,
-    find_surjection,
-    hom_space,
-    induced_map,
+    isomorphic,
     mat_add,
     mat_mul,
     mat_sub,
     mat_vec,
     nullspace,
-    quotient_projection,
+    quotient_maps,
+    reduce_entries,
     solve,
     spans_closed,
     vec_to_sparse,
@@ -51,7 +56,13 @@ from .quiver_core import INFINITY, DimVector, vertex_sort_key
 
 @dataclass
 class QuiverRep:
-    """A representation: dimension vector plus one matrix per arrow."""
+    """A representation: dimension vector plus one matrix per arrow.
+
+    Its generator view (``vertex_dims``, ``generators``, ``rebuild``) is
+    what the shared closure, quotient, mod-p, hom-space and isomorphism
+    kernels of ``linalg`` act on: the arrows in arrow order, each as
+    ``(tail, head, matrix)``.
+    """
 
     quiver: object
     dims: DimVector
@@ -71,8 +82,26 @@ class QuiverRep:
             return zeros(self.field, self.dims.get(a.tail), self.dims.get(a.head))
         return m
 
+    def vertex_dims(self):
+        """Component dimensions in vertex order, the framing vertex last."""
+        return {v: self.dims.get(v)
+                for v in sorted(self.quiver.vertices, key=vertex_sort_key)}
 
-FramedRep = QuiverRep
+    def generators(self):
+        """The arrow matrices as ``(tail, head, matrix)``, in arrow order."""
+        return [(a.tail, a.head, self.matrix(a.id)) for a in self.quiver.arrows]
+
+    def rebuild(self, dims, mats, field=None):
+        """The representation of the same quiver with vertex dimensions
+        ``dims`` and the matrices ``mats`` of ``generators`` order."""
+        comps = {v: dims[v] for v in self.quiver.vertices if v != INFINITY}
+        at_inf = dims[INFINITY] if INFINITY in self.quiver.vertices else None
+        return QuiverRep(
+            quiver=self.quiver,
+            dims=DimVector(components=comps, at_infinity=at_inf),
+            maps={a.id: m for a, m in zip(self.quiver.arrows, mats)},
+            field=self.field if field is None else field,
+        )
 
 
 def make_rep(quiver, dims, maps, field=QQ):
@@ -122,28 +151,14 @@ def direct_sum(a, b):
     """Blockwise direct sum of two representations of the same quiver."""
     if a.quiver != b.quiver or a.field is not b.field and a.field != b.field:
         raise ShapeMismatch("direct sum needs the same quiver and field")
-    field = a.field
-    comps = {
-        v: a.dims.get(v) + b.dims.get(v)
-        for v in a.quiver.vertices
-        if v != INFINITY
-    }
-    at_inf = None
-    if INFINITY in a.quiver.vertices:
-        at_inf = a.dims.get(INFINITY) + b.dims.get(INFINITY)
-    dims = DimVector(components=comps, at_infinity=at_inf)
-    maps = {}
-    for arr in a.quiver.arrows:
-        am, bm = a.matrix(arr.id), b.matrix(arr.id)
-        rt, ct = a.dims.get(arr.tail), a.dims.get(arr.head)
-        rb, cb = b.dims.get(arr.tail), b.dims.get(arr.head)
-        rows = []
-        for r in range(rt):
-            rows.append(tuple(am[r]) + tuple(field.zero for _ in range(cb)))
-        for r in range(rb):
-            rows.append(tuple(field.zero for _ in range(ct)) + tuple(bm[r]))
-        maps[arr.id] = tuple(rows)
-    return QuiverRep(quiver=a.quiver, dims=dims, maps=maps, field=field)
+    zero = a.field.zero
+    mats = []
+    for (_, head, am), (_, _, bm) in zip(a.generators(), b.generators()):
+        ct, cb = a.dims.get(head), b.dims.get(head)
+        mats.append(tuple(tuple(row) + (zero,) * cb for row in am)
+                    + tuple((zero,) * ct + tuple(row) for row in bm))
+    return a.rebuild({v: a.dims.get(v) + b.dims.get(v) for v in a.quiver.vertices},
+                     mats)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +231,9 @@ class SubmoduleWitness:
     def total(self):
         return sum(len(rows) for rows in self.spaces.values())
 
-    def get(self, v):
-        if v == INFINITY:
-            return len(self.spaces.get(INFINITY, ()))
-        return len(self.spaces.get(v, ()))
-
 
 def witness_is_closed(rep, witness):
-    maps = ((a.tail, a.head, rep.matrix(a.id)) for a in rep.quiver.arrows)
-    return spans_closed(rep.field, witness.spaces, maps)
+    return spans_closed(rep.field, witness.spaces, rep.generators())
 
 
 def generated_submodule(rep, seeds):
@@ -261,6 +270,18 @@ def generated_submodule(rep, seeds):
     return SubmoduleWitness(spaces=spaces)
 
 
+def _unit_rows(field, n):
+    return [tuple(field.one if i == j else field.zero for j in range(n))
+            for i in range(n)]
+
+
+def _framing_submodule(rep):
+    """The submodule generated by the framing component."""
+    return generated_submodule(
+        rep, {INFINITY: _unit_rows(rep.field, rep.dims.get(INFINITY))}
+    )
+
+
 def max_submodule_avoiding(rep, avoid):
     """Greatest submodule with zero component at every avoided vertex.
 
@@ -272,14 +293,7 @@ def max_submodule_avoiding(rep, avoid):
     avoid = set(avoid)
     basis = {}
     for v in rep.quiver.vertices:
-        n = rep.dims.get(v)
-        if v in avoid:
-            basis[v] = []
-        else:
-            basis[v] = [
-                tuple(field.one if i == j else field.zero for j in range(n))
-                for i in range(n)
-            ]
+        basis[v] = [] if v in avoid else _unit_rows(field, rep.dims.get(v))
     changed = True
     while changed:
         changed = False
@@ -340,16 +354,8 @@ def corner_of_theta(theta, dims):
 def stability_verdict(rep, theta):
     """(semistable, stable, witness dims or None) for a corner parameter."""
     corner = corner_of_theta(theta, rep.dims)
-    field = rep.field
-    d_inf = rep.dims.get(INFINITY)
-    seeds = {
-        INFINITY: [
-            tuple(field.one if i == j else field.zero for j in range(d_inf))
-            for i in range(d_inf)
-        ]
-    }
-    gen = generated_submodule(rep, seeds)
-    semistable = all(gen.get(i) == rep.dims.get(i) for i in corner)
+    gen = _framing_submodule(rep)
+    semistable = all(gen.dim(i) == rep.dims.get(i) for i in corner)
     if not semistable:
         return False, False, gen.dims_dict()
     if gen.total() != rep.total_dim():
@@ -427,12 +433,8 @@ def reduce_mod_p(rep, p):
     homomorphism, so flat representations stay flat.
     """
     field = PrimeField(p)
-    maps = {}
-    for aid, mat in rep.maps.items():
-        maps[aid] = tuple(
-            tuple(field.from_fraction(x) for x in row) for row in mat
-        )
-    return QuiverRep(quiver=rep.quiver, dims=rep.dims, maps=maps, field=field)
+    return rep.rebuild(rep.vertex_dims(), reduce_entries(field, rep.generators()),
+                       field)
 
 
 def brute_force_stability(rep, theta):
@@ -551,42 +553,23 @@ def express_in_basis(field, basis_rows, vectors):
 def restrict_rep(rep, witness):
     """The representation induced on a closed family of subspaces."""
     field = rep.field
-    comps = {}
-    for v in rep.quiver.vertices:
-        if v != INFINITY:
-            comps[v] = witness.dim(v)
-    at_inf = witness.dim(INFINITY) if INFINITY in rep.quiver.vertices else None
-    dims = DimVector(components=comps, at_infinity=at_inf)
-    maps = {}
-    for a in rep.quiver.arrows:
-        src = witness.spaces.get(a.head, ())
-        tgt = witness.spaces.get(a.tail, ())
-        images = [mat_vec(field, rep.matrix(a.id), vec) for vec in src]
-        coords = express_in_basis(field, list(tgt), images)
-        maps[a.id] = tuple(
+    mats = []
+    for tail, head, mat in rep.generators():
+        src = witness.spaces.get(head, ())
+        tgt = witness.spaces.get(tail, ())
+        coords = express_in_basis(field, list(tgt),
+                                  [mat_vec(field, mat, vec) for vec in src])
+        mats.append(tuple(
             tuple(coords[c][r] for c in range(len(src))) for r in range(len(tgt))
-        )
-    return QuiverRep(quiver=rep.quiver, dims=dims, maps=maps, field=field)
+        ))
+    return rep.rebuild({v: witness.dim(v) for v in rep.quiver.vertices}, mats)
 
 
 def quotient_rep(rep, witness):
     """The quotient by a closed family of subspaces."""
-    field = rep.field
-    proj = {}
-    lift = {}
-    qdim = {}
-    for v in rep.quiver.vertices:
-        proj[v], lift[v] = quotient_projection(
-            field, witness.spaces.get(v, ()), rep.dims.get(v)
-        )
-        qdim[v] = len(lift[v])
-    comps = {v: qdim[v] for v in rep.quiver.vertices if v != INFINITY}
-    at_inf = qdim.get(INFINITY) if INFINITY in rep.quiver.vertices else None
-    dims = DimVector(components=comps, at_infinity=at_inf)
-    maps = {}
-    for a in rep.quiver.arrows:
-        maps[a.id] = induced_map(field, rep.matrix(a.id), lift[a.head], proj[a.tail])
-    return QuiverRep(quiver=rep.quiver, dims=dims, maps=maps, field=field)
+    dims, mats, _ = quotient_maps(rep.field, rep.generators(), rep.vertex_dims(),
+                                  witness.spaces)
+    return rep.rebuild(dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +586,7 @@ def polystable_decomposition(rep, corner):
     if not semistable:
         raise NotSemistable("polystable decomposition needs a semistable input")
     field = rep.field
-    d_inf = rep.dims.get(INFINITY)
-    seeds = {
-        INFINITY: [
-            tuple(field.one if i == j else field.zero for j in range(d_inf))
-            for i in range(d_inf)
-        ]
-    }
-    gen = generated_submodule(rep, seeds)
-    sub = restrict_rep(rep, gen)
+    sub = restrict_rep(rep, _framing_submodule(rep))
     torsion = max_submodule_avoiding(sub, set(corner) | {INFINITY})
     core = quotient_rep(sub, torsion)
     summands = [core]
@@ -623,23 +598,12 @@ def polystable_decomposition(rep, corner):
     return summands
 
 
-def are_isomorphic(a, b, seed=0, tries=40):
+def are_isomorphic(a, b, seed=0):
     """Whether an invertible intertwiner exists (seeded randomised search)."""
     if a.quiver != b.quiver:
         return False
-    if a.dims.as_dict() != b.dims.as_dict():
-        return False
-    if a.total_dim() == 0:
-        return True
-    field = a.field
-    verts = sorted(a.quiver.vertices, key=vertex_sort_key)
-    dims = {v: a.dims.get(v) for v in verts}
-    constraints = [
-        (arr.tail, arr.head, a.matrix(arr.id), b.matrix(arr.id))
-        for arr in a.quiver.arrows
-    ]
-    basis, offsets = hom_space(field, constraints, dims, dims, verts)
-    return find_surjection(field, basis, offsets, dims, dims, seed, tries)
+    return isomorphic(a.field, a.generators(), b.generators(), a.vertex_dims(),
+                      b.vertex_dims(), seed)
 
 
 def s_equivalence_classes(summand_lists, seed=0):
@@ -672,17 +636,18 @@ def s_equivalent(list_a, list_b, seed=0):
 # random flat representations
 # ---------------------------------------------------------------------------
 
-def random_flat_rep(quiver, dims, seed, field=QQ, entry_range=2):
+def random_flat_rep(quiver, dims, seed, field=QQ):
     """Seeded flat representation, or None when the seed yields nothing.
 
-    Positively oriented arrows (and loop maps, when tripled) are sampled;
+    Positively oriented arrows (and loop maps, when tripled) are sampled
+    with entries in [-2, 2];
     the bar maps are then solved for exactly from the vertex relations,
     picking a seeded element of the solution space.
     """
     rng = random.Random(seed)
 
     def rand_entry():
-        return field.from_int(rng.randint(-entry_range, entry_range))
+        return field.from_int(rng.randint(-2, 2))
 
     maps = {}
     if quiver.is_tripled:

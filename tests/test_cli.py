@@ -160,6 +160,13 @@ def test_stability_relation_violation_exit(capsys, tmp_path):
     code, _, err = run(capsys, "stability", str(path), "--corner", "0")
     assert code == 5
     assert "residual" in err
+    # an exact residual is printed exactly, never as a float
+    data["maps"] = {str(a.id): [["0"]] for a in q.arrows}
+    data["maps"]["0"], data["maps"]["1"] = [["1/3"]], [["1"]]
+    dump_json(data, str(path))
+    code, _, err = run(capsys, "stability", str(path), "--corner", "0")
+    assert code == 5
+    assert "largest residual entry 1/3" in err
 
 
 def test_vgit_identity_and_compare(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Corner restriction/extension and truncated graded module operations."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,16 @@ from helpers import flat_reps
 from mckaykit.errors import BadPrime, RepresentativeDependence
 from mckaykit.gamma_data import build_group
 from mckaykit.graded_algebra import AlgebraContext
+from mckaykit.io_formats import fraction_to_str
 from mckaykit.linalg import QQ, rank
+from mckaykit.moduli_tools import truncated_corner_column
 from mckaykit.quiver_core import DimVector, mckay_quiver, triple_quiver
-from mckaykit.rep_theory import QuiverRep, random_flat_rep, vertex_simple
+from mckaykit.rep_theory import (
+    QuiverRep,
+    random_flat_rep,
+    subspaces_of_dimension,
+    vertex_simple,
+)
 from mckaykit.corner_functors import (
     CorneredModule,
     c_star,
@@ -267,3 +275,99 @@ def test_c_star_zero_when_z_invertible(a1):
     assert all(out.dim(k, 0) == 0 for k in range(1, 4))
     tors = z_torsion(tgm)
     assert all(len(v) == 0 for v in tors.values())
+
+
+#: sha256 of the corner layer's outputs in the canonical form of
+#: ``test_corner_layer_identity``: entries through ``fraction_to_str``, so
+#: only values count, not whether they are held as ``int`` or ``Fraction``.
+#: The value was computed when ``j_shriek`` still reduced into dense
+#: coordinate vectors and the cornered and framed modules each had their own
+#: quotient and hom-space code, so it pins the outputs across that merge.
+CORNER_DIGEST = "37b96287b97fc38d6640e2a8ff1e89f103520f664ceb36365fa560f99995c1a2"
+
+# (group, corner, component dims): the round trips of the benchmark's
+# corner_modules workload
+DIGEST_ROUND_TRIPS = [
+    ("A1", (0,), {0: 2, 1: 1}),
+    ("A1", (0, 1), {0: 2, 1: 2}),
+    ("A2", (0,), {0: 2, 1: 1, 2: 1}),
+    ("A2", (0, 1), {0: 1, 1: 1, 2: 2}),
+    ("A3", (0,), {0: 2, 1: 1, 2: 1, 3: 1}),
+    ("A3", (0, 2), {0: 1, 1: 1, 2: 1, 3: 1}),
+    ("D4", (0,), {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}),
+    ("D4", (0, 2), {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}),
+    ("D5", (0,), {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}),
+    ("D5", (0, 1), {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}),
+]
+
+
+def _canon_mat(mat):
+    return tuple(tuple(fraction_to_str(x) for x in row) for row in mat)
+
+
+def _canon_rep(rep):
+    return (sorted(rep.dims.as_dict().items(), key=str),
+            [(a.id, _canon_mat(rep.matrix(a.id))) for a in rep.quiver.arrows])
+
+
+def _canon_cornered(cm):
+    return (sorted(cm.dims.items()),
+            sorted((v, _canon_mat(m)) for v, m in cm.z_mats.items()),
+            sorted((key, [_canon_mat(m) for m in mats])
+                   for key, mats in cm.actions.items()))
+
+
+def _canon_tgm(m):
+    return (m.window, sorted(m.dims.items()),
+            sorted((gid, sorted((k, _canon_mat(mat)) for k, mat in acts.items()))
+                   for gid, acts in m.actions.items()))
+
+
+def test_corner_layer_identity():
+    digest = hashlib.sha256()
+
+    def feed(*parts):
+        digest.update(repr(parts).encode())
+
+    for label, corner, comps in DIGEST_ROUND_TRIPS:
+        quiver = triple_quiver(mckay_quiver(build_group(label)))
+        for seed, rep in flat_reps(quiver, DimVector(components=comps), 2):
+            data = j_shriek_with_data(j_star(rep, corner))
+            feed(label, corner, seed, data.k_max, _canon_rep(data.rep))
+
+    a1 = build_group("A1")
+    quiver = triple_quiver(mckay_quiver(a1))
+    spaces = {0: ((Fraction(1), Fraction(0)),)}
+    for seed, rep in flat_reps(quiver, DimVector(components={0: 2, 1: 1}), 6):
+        cm = j_star(rep, {0})
+        if not cornered_submodule_is_closed(cm, spaces):
+            continue
+        quo, proj = cornered_quotient(cm, spaces, with_projection=True)
+        data_m = j_shriek_with_data(cm)
+        data_n = j_shriek_with_data(quo, force_degree=data_m.k_max)
+        data_m = j_shriek_with_data(cm, force_degree=data_n.k_max)
+        blocks = j_shriek_on_hom(data_m, data_n, proj)
+        feed(seed, _canon_cornered(quo), sorted((v, _canon_mat(m)) for v, m in proj.items()),
+             sorted((v, _canon_mat(m)) for v, m in blocks.items()))
+        feed(seed, _canon_cornered(cornered_mod_p(cm, 5)))
+
+    column = cornered_mod_p(truncated_corner_column(a1, {0}), 2)
+    feed(_canon_cornered(column))
+    n = column.dim(0)
+    # the top-degree coordinates span submodules, since every class raises
+    # the degree; add the closed hyperplanes
+    tops = [tuple(tuple(int(c == r) for c in range(n)) for r in range(n - t, n))
+            for t in range(1, 5)]
+    for basis in tops + list(subspaces_of_dimension(2, n, n - 1)):
+        if cornered_submodule_is_closed(column, {0: basis}):
+            feed(basis, _canon_cornered(cornered_quotient(column, {0: basis})))
+
+    for label in ("A1", "A2", "D4"):
+        ctx = AlgebraContext(build_group(label), "pibullet", corner={0})
+        tgm = free_column_tgm(ctx, 0, (0, 5))
+        feed(label, _canon_tgm(c_star(tgm)),
+             sorted((key, [_canon_mat((vec,)) for vec in kern])
+                    for key, kern in z_torsion(tgm).items()))
+
+    feed(_canon_rep(j_shriek(j_star(vertex_simple(quiver, 1), {0}))))
+    assert digest.hexdigest() == CORNER_DIGEST
