@@ -27,7 +27,8 @@ class NonIntegralCoefficient(MckayError):
 
 
 class MalformedFile(MckayError):
-    """An input file lacks a required entry or holds a value of the wrong type."""
+    """An input file cannot be read as UTF-8 text, lacks a required entry or
+    holds a value of the wrong type."""
 
 
 class InvariantViolation(MckayError):

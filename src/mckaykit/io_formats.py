@@ -200,8 +200,17 @@ def dump_json(obj, path=None):
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a JSON file; a file that cannot be read as UTF-8 text raises
+    MalformedFile and a JSON syntax error reports its line and column."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise MalformedFile(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

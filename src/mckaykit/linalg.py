@@ -9,6 +9,12 @@ inferred.
 
 There is one elimination kernel, the sparse incremental ``Echelon``;
 ``rref``, ``rank``, ``solve`` and ``nullspace`` are dense views of it.
+Each field exposes its characteristic ``p`` (``QQ.p == 0``).  The echelon
+and the sparse images compute on the stored values with Python's native
+``-`` and ``*`` and reduce each computed entry once mod ``p`` when ``p`` is
+nonzero.  So GF(p) values, given in ``range(p)``, stay there, and a QQ
+value stays an ``int`` until a division makes it a ``Fraction``.  The
+dense helpers use the field's methods.
 The kernels shared by the module-theory layers live here too.  They act
 on a module's generator view: its per-vertex dimensions and a list of
 ``(i, j, mat)`` generators, each a dims[i] x dims[j] matrix.  On that view
@@ -18,6 +24,7 @@ its projections and induced maps), one mod-p reduction, one intertwiner
 onto at every vertex, which is also the isomorphism search.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -26,6 +33,8 @@ from .errors import BadPrime
 
 # seeded random candidates tried by ``isomorphic`` after the basis vectors
 ISOMORPHISM_TRIES = 40
+# matrices whose sparse columns ``sparse_image`` and ``spans_closed`` keep
+COLUMN_CACHE_SIZE = 256
 
 
 class RationalField:
@@ -36,6 +45,7 @@ class RationalField:
     zero = 0
     one = 1
     name = "QQ"
+    p = 0
 
     @staticmethod
     def add(a, b):
@@ -173,6 +183,20 @@ def mat_vec(field, a, v):
 # echelon accumulation (sparse rows keyed by column index)
 # ---------------------------------------------------------------------------
 
+def _subtract(work, coef, row, p):
+    """``work -= coef * row`` on sparse dicts in place, reduced mod ``p``
+    when ``p`` is nonzero; entries that become zero are dropped."""
+    get = work.get
+    for c, v in row.items():
+        nv = get(c, 0) - coef * v
+        if p:
+            nv %= p
+        if nv:
+            work[c] = nv
+        else:
+            work.pop(c, None)
+
+
 class Echelon:
     """Incremental row echelon basis over an exact field.
 
@@ -184,6 +208,7 @@ class Echelon:
 
     def __init__(self, field):
         self.field = field
+        self.p = field.p
         self.rows = {}  # pivot column -> sparse row
 
     @property
@@ -193,25 +218,21 @@ class Echelon:
     def _reduce_leading(self, work):
         """Eliminate stored rows from ``work`` in place until its smallest
         column has no pivot; return that column, or None once it is empty."""
-        field = self.field
-        zero = field.zero
+        rows, p = self.rows, self.p
         while work:
             piv = min(work)
-            row = self.rows.get(piv)
+            row = rows.get(piv)
             if row is None:
                 return piv
-            coef = work[piv]
-            for c, v in row.items():
-                nv = field.sub(work.get(c, zero), field.mul(coef, v))
-                if nv == zero:
-                    work.pop(c, None)
-                else:
-                    work[c] = nv
+            _subtract(work, work[piv], row, p)
         return None
 
-    def _nonzero(self, vec):
-        zero = self.field.zero
-        return {c: v for c, v in vec.items() if v != zero}
+    @staticmethod
+    def _nonzero(vec):
+        """A new dict of the nonzero entries of ``vec``."""
+        if all(vec.values()):
+            return dict(vec)
+        return {c: v for c, v in vec.items() if v}
 
     def reduce(self, vec):
         """Return the normal form of ``vec`` (a new dict): ``vec`` minus the
@@ -228,8 +249,14 @@ class Echelon:
         piv = self._reduce_leading(work)
         if piv is None:
             return False
-        inv = self.field.inv(work[piv])
-        self.rows[piv] = {c: self.field.mul(inv, v) for c, v in work.items()}
+        lead = work[piv]
+        if lead != 1:
+            inv, p = self.field.inv(lead), self.p
+            if p:
+                work = {c: v * inv % p for c, v in work.items()}
+            else:
+                work = {c: v * inv for c, v in work.items()}
+        self.rows[piv] = work
         return True
 
     def contains(self, vec):
@@ -241,25 +268,17 @@ class Echelon:
         Back-substitutes from the highest pivot down, so no row keeps an
         entry in another row's pivot column; the stored rows are unchanged.
         """
-        field = self.field
-        zero = field.zero
         out = {}
         for piv in sorted(self.rows, reverse=True):
             row = dict(self.rows[piv])
             for col in [c for c in row if c != piv and c in out]:
-                coef = row[col]
-                for c, v in out[col].items():
-                    nv = field.sub(row.get(c, zero), field.mul(coef, v))
-                    if nv == zero:
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
+                _subtract(row, row[col], out[col], self.p)
             out[piv] = row
         return out
 
 
 def vec_to_sparse(field, vec):
-    return {i: x for i, x in enumerate(vec) if x != field.zero}
+    return dict(itertools.compress(enumerate(vec), vec))
 
 
 def _echelon(field, rows):
@@ -293,16 +312,32 @@ def solve(field, a, b):
 
     ``a`` is a list of rows; ``b`` a vector of matching length.
     """
+    sols = solve_columns(field, a, [b])
+    return None if sols is None else sols[0]
+
+
+def solve_columns(field, a, bs):
+    """One solution of A x = b for each vector b of ``bs``, all from one
+    elimination of the augmented rows, or None if any is inconsistent.
+
+    Free variables are set to zero, so each solution is the one ``solve``
+    gives for its vector alone.
+    """
     if not a:
-        return ()
+        return [() for _ in bs]
     ncols = len(a[0])
-    ech = _echelon(field, [tuple(row) + (bv,) for row, bv in zip(a, b)])
-    if ncols in ech.rows:
-        return None  # pivot in augmented column: inconsistent
-    x = [field.zero] * ncols
-    for p, row in ech.reduced_rows().items():
-        x[p] = row.get(ncols, field.zero)
-    return tuple(x)
+    ech = _echelon(field, [tuple(row) + tuple(b[r] for b in bs)
+                           for r, row in enumerate(a)])
+    if max(ech.rows, default=-1) >= ncols:
+        return None  # pivot in an augmented column: inconsistent
+    red = ech.reduced_rows()
+    sols = []
+    for k in range(ncols, ncols + len(bs)):
+        x = [field.zero] * ncols
+        for p, row in red.items():
+            x[p] = row.get(k, field.zero)
+        sols.append(tuple(x))
+    return sols
 
 
 def nullspace(field, a, ncols=None):
@@ -341,18 +376,65 @@ def combine(field, coeffs, vectors, n):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=COLUMN_CACHE_SIZE)
+def _columns(p, mat):
+    """The nonzero columns of ``mat``, a matrix over the field of
+    characteristic ``p``, as ((column, ((row, value), ...)), ...); empty
+    for a zero map.  ``p`` is in the key so that a GF(p) matrix never
+    receives the ``Fraction`` values of an equal QQ matrix (within QQ, an
+    integral ``Fraction`` and the equal ``int`` are one value)."""
+    cols = {}
+    for r, row in enumerate(mat):
+        for c, x in enumerate(row):
+            if x:
+                cols.setdefault(c, []).append((r, x))
+    return tuple((c, tuple(col)) for c, col in cols.items())
+
+
+def _image(p, cols, vec):
+    """The nonzero entries of mat . vec from the columns of ``mat`` (see
+    ``_columns``) and a dense ``vec``, reduced mod p when p != 0."""
+    out = {}
+    get = out.get
+    for c, col in cols:
+        x = vec[c]
+        if x:
+            for r, y in col:
+                out[r] = get(r, 0) + x * y
+    if p:
+        return {r: m for r, v in out.items() if (m := v % p)}
+    return {r: v for r, v in out.items() if v}
+
+
+def sparse_image(field, mat, vec):
+    """``vec_to_sparse(field, mat_vec(field, mat, vec))``, computed from the
+    nonzero columns of ``mat``."""
+    return _image(field.p, _columns(field.p, mat), vec)
+
+
 def spans_closed(field, spaces, maps):
     """Whether every ``(i, j, mat)`` of ``maps`` sends span(spaces[j])
-    into span(spaces[i]); ``spaces`` maps keys to lists of row vectors."""
+    into span(spaces[i]); ``spaces`` maps keys to lists of row vectors.
+
+    Zero maps and zero images are skipped; the echelon of a target space
+    is built only when a nonzero image needs a membership test.
+    """
+    p = field.p
     ech = {}
     for i, j, mat in maps:
-        src = spaces.get(j, ())
+        src = spaces.get(j)
         if not src:
             continue
-        if i not in ech:
-            ech[i] = _echelon(field, spaces.get(i, ()))
+        cols = _columns(p, mat)
+        if not cols:
+            continue
         for vec in src:
-            if not ech[i].contains(vec_to_sparse(field, mat_vec(field, mat, vec))):
+            img = _image(p, cols, vec)
+            if not img:
+                continue
+            if i not in ech:
+                ech[i] = _echelon(field, spaces.get(i, ()))
+            if not ech[i].contains(img):
                 return False
     return True
 

@@ -46,7 +46,8 @@ from .linalg import (
     nullspace,
     quotient_maps,
     reduce_entries,
-    solve,
+    solve_columns,
+    sparse_image,
     spans_closed,
     vec_to_sparse,
     zeros,
@@ -248,15 +249,16 @@ def generated_submodule(rep, seeds):
         for vec in vecs:
             if ech[v].insert(vec_to_sparse(field, vec)):
                 queue.append((v, tuple(vec)))
-    arrows_by_head = {}
-    for a in rep.quiver.arrows:
-        arrows_by_head.setdefault(a.head, []).append(a)
+    maps_by_head = {}
+    for tail, head, mat in rep.generators():
+        maps_by_head.setdefault(head, []).append((tail, mat))
     while queue:
         v, vec = queue.pop()
-        for a in arrows_by_head.get(v, ()):
-            img = mat_vec(field, rep.matrix(a.id), vec)
-            if ech[a.tail].insert(vec_to_sparse(field, img)):
-                queue.append((a.tail, img))
+        for tail, mat in maps_by_head.get(v, ()):
+            img = sparse_image(field, mat, vec)
+            if ech[tail].insert(img):
+                queue.append((tail, tuple(img.get(r, field.zero)
+                                          for r in range(rep.dims.get(tail)))))
     spaces = {}
     for v in rep.quiver.vertices:
         n = rep.dims.get(v)
@@ -303,12 +305,12 @@ def max_submodule_avoiding(rep, avoid):
                 continue
             tgt = basis[a.tail]
             m = rep.matrix(a.id)
-            images = [mat_vec(field, m, vec) for vec in src]
+            images = [sparse_image(field, m, vec) for vec in src]
             d_t = rep.dims.get(a.tail)
             rows = []
             for r in range(d_t):
                 rows.append(
-                    tuple(img[r] for img in images)
+                    tuple(img.get(r, field.zero) for img in images)
                     + tuple(field.neg(t[r]) for t in tgt)
                 )
             kept_combos = [
@@ -392,18 +394,18 @@ def subspaces_of_dimension(p, n, s):
         yield ()
         return
     for pivots in itertools.combinations(range(n), s):
+        base = [[0] * n for _ in range(s)]
         free_positions = []
         for r, pc in enumerate(pivots):
+            base[r][pc] = 1
             for c in range(pc + 1, n):
                 if c not in pivots:
                     free_positions.append((r, c))
         for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(s)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
+            rows = [row[:] for row in base]
             for (r, c), val in zip(free_positions, values):
                 rows[r][c] = val
-            yield tuple(tuple(row) for row in rows)
+            yield tuple(map(tuple, rows))
 
 
 def all_subspaces(p, n):
@@ -459,11 +461,11 @@ def brute_force_stability(rep, theta):
             f"{count} vertex subspaces > {BRUTE_FORCE_SUBSPACE_LIMIT}"
         )
     choices = {v: all_subspaces(p, rep.dims.get(v)) for v in verts}
-    arrows_between = [[] for _ in verts]
+    # the (tail, head, matrix) triples whose later endpoint is verts[idx]
+    maps_into = [[] for _ in verts]
     pos = {v: i for i, v in enumerate(verts)}
-    for a in rep.quiver.arrows:
-        later = max(pos[a.tail], pos[a.head])
-        arrows_between[later].append(a)
+    for tail, head, mat in rep.generators():
+        maps_into[max(pos[tail], pos[head])].append((tail, head, mat))
 
     semistable = True
     stable = True
@@ -474,29 +476,7 @@ def brute_force_stability(rep, theta):
         violations.append(rep.dims.as_dict())
 
     assignment = {}
-    ech_cache = {}
-
-    def subspace_ech(v, basis):
-        key = (v, basis)
-        e = ech_cache.get(key)
-        if e is None:
-            e = Echelon(field)
-            for row in basis:
-                e.insert(vec_to_sparse(field, row))
-            ech_cache[key] = e
-        return e
-
     results = []
-
-    def closed_here(idx):
-        for a in arrows_between[idx]:
-            src = assignment[a.head]
-            tgt_ech = subspace_ech(a.tail, assignment[a.tail])
-            m = rep.matrix(a.id)
-            for vec in src:
-                if not tgt_ech.contains(vec_to_sparse(field, mat_vec(field, m, vec))):
-                    return False
-        return True
 
     def walk(idx):
         if idx == len(verts):
@@ -506,7 +486,7 @@ def brute_force_stability(rep, theta):
         v = verts[idx]
         for basis in choices[v]:
             assignment[v] = basis
-            if closed_here(idx):
+            if spans_closed(field, assignment, maps_into[idx]):
                 walk(idx + 1)
         del assignment[v]
 
@@ -534,19 +514,17 @@ def brute_force_stability(rep, theta):
 # ---------------------------------------------------------------------------
 
 def express_in_basis(field, basis_rows, vectors):
-    """Coordinates of each vector in the given row basis (must lie in span)."""
+    """Coordinates of each vector in the given row basis (must lie in span),
+    from one elimination for all the vectors."""
     if not basis_rows:
         return [() for _ in vectors]
     n = len(basis_rows[0])
     rows = [
         tuple(basis_rows[b][r] for b in range(len(basis_rows))) for r in range(n)
     ]
-    out = []
-    for vec in vectors:
-        sol = solve(field, rows, vec)
-        if sol is None:
-            raise ShapeMismatch("vector not in the subspace span")
-        out.append(sol)
+    out = solve_columns(field, rows, vectors)
+    if out is None:
+        raise ShapeMismatch("vector not in the subspace span")
     return out
 
 

@@ -216,6 +216,22 @@ def test_json_parse_error_diagnostics(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["stability", "--corner", "0"],
+    ["vgit", "--from-corner", "0,1", "--to-corner", "0"],
+], ids=["stability", "vgit"])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "utf16"])
+def test_unreadable_module_file_exit_2(capsys, tmp_path, command, content):
+    path = tmp_path / "module.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 @pytest.mark.parametrize("change", [
     {"quiver": None},
     {"dims": None},

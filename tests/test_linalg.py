@@ -2,14 +2,29 @@
 matrices over QQ and small prime fields, zero-row and zero-column shapes
 included, checked against a textbook dense elimination kept here.  QQ is
 fed both ``Fraction`` entries and plain ``int`` entries; either way the
-results stay exact and never hold a ``float``."""
+results stay exact and never hold a ``float``.  The closure test and the
+sparse image are checked against the same dense reference, and the values
+an ``Echelon`` stores against its field's arithmetic convention."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from mckaykit.linalg import QQ, PrimeField, mat_vec, nullspace, rank, rref, solve
+from mckaykit.linalg import (
+    QQ,
+    Echelon,
+    PrimeField,
+    mat_vec,
+    nullspace,
+    rank,
+    rref,
+    solve,
+    solve_columns,
+    sparse_image,
+    spans_closed,
+    vec_to_sparse,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
 SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 4), (5, 2), (6, 6)]
@@ -100,3 +115,135 @@ def test_elimination_kernel(field, integral, nrows, ncols, seed):
                 assert x is not None
                 assert_no_float([x])
                 assert mat_vec(field, a, x) == tuple(b)
+
+    # several right-hand sides from one elimination give the same solutions
+    if nrows:
+        bs = [mat_vec(field, a, random_matrix(field, rng, 1, ncols, integral)[0])
+              for _ in range(3)]
+        assert solve_columns(field, a, bs) == [solve(field, a, b) for b in bs]
+        bad = random_matrix(field, rng, 1, nrows, integral)[0]
+        if reference_rank(field, [row + (bv,) for row, bv in zip(a, bad)]) > r:
+            assert solve_columns(field, a, bs + [bad]) is None
+
+
+def field_cases():
+    return [pytest.param(field, integral, id="QQint" if integral else str(field))
+            for field, integral in [(QQ, False), (QQ, True), (PrimeField(2), False),
+                                    (PrimeField(3), False), (PrimeField(5), False)]]
+
+
+def reference_image(field, mat, vec):
+    """mat . vec by the field's own add and mul."""
+    out = []
+    for row in mat:
+        acc = field.zero
+        for x, y in zip(row, vec):
+            acc = field.add(acc, field.mul(x, y))
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_closed(field, spaces, maps):
+    """rank(B_i) == rank(B_i + M B_j) for every map (i, j, M)."""
+    for i, j, mat in maps:
+        tgt = [tuple(r) for r in spaces.get(i, ())]
+        imgs = [reference_image(field, mat, vec) for vec in spaces.get(j, ())]
+        if reference_rank(field, tgt + imgs) != reference_rank(field, tgt):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field,integral", field_cases())
+def test_spans_closed_matches_dense_reference(field, integral):
+    verdicts = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        dims = {k: rng.randint(0, 4) for k in range(3)}
+        spaces = {k: random_matrix(field, rng, rng.randint(0, n), n, integral)
+                  for k, n in dims.items() if rng.random() < 0.9}
+        maps = []
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.randrange(3), rng.randrange(3)
+            mat = tuple(random_matrix(field, rng, dims[i], dims[j], integral))
+            maps.append((i, j, mat))
+            if rng.random() < 0.5 and j in spaces:
+                # make this map closed by adding its images to the target
+                images = [reference_image(field, mat, v) for v in spaces[j]]
+                spaces[i] = spaces.get(i, []) + images
+        want = reference_closed(field, spaces, maps)
+        assert spans_closed(field, spaces, maps) == want, seed
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("field,integral", field_cases())
+def test_spans_closed_edge_cases(field, integral):
+    one, zero = field.one, field.zero
+    shift = ((zero, zero), (one, zero))  # e_0 -> e_1
+    zero_map = ((zero, zero), (zero, zero))
+    line0, line1 = [(one, zero)], [(zero, one)]
+    # zero maps and zero images need no target at all
+    assert spans_closed(field, {0: line0}, [(1, 0, zero_map)])
+    assert spans_closed(field, {0: line1}, [(1, 0, shift)])
+    # a nonzero image needs a target holding it
+    assert not spans_closed(field, {0: line0}, [(1, 0, shift)])
+    assert not spans_closed(field, {0: line0, 1: []}, [(1, 0, shift)])
+    assert not spans_closed(field, {0: line0, 1: line0}, [(1, 0, shift)])
+    assert spans_closed(field, {0: line0, 1: line1}, [(1, 0, shift)])
+    # a missing or empty source is closed
+    assert spans_closed(field, {}, [(1, 0, shift)])
+    assert spans_closed(field, {0: [], 1: []}, [(1, 0, shift)])
+    assert spans_closed(field, {0: line0}, [])
+    # zero-row (into F^0) and zero-column (from F^0) matrices
+    assert spans_closed(field, {0: line0, 1: []}, [(1, 0, ())])
+    assert spans_closed(field, {0: [()], 1: []}, [(1, 0, ((), ()))])
+
+
+@pytest.mark.parametrize("field,integral", field_cases())
+def test_sparse_image_equals_mat_vec(field, integral):
+    for seed in range(40):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+        mat = tuple(random_matrix(field, rng, nrows, ncols, integral))
+        vec = random_matrix(field, rng, 1, ncols, integral)[0]
+        dense = mat_vec(field, mat, vec)
+        assert dense == reference_image(field, mat, vec)
+        assert sparse_image(field, mat, vec) == vec_to_sparse(field, dense)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_echelon_values_in_range(p):
+    field = PrimeField(p)
+    for seed in range(20):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 7)
+        ech = Echelon(field)
+        vecs = random_matrix(field, rng, rng.randint(1, 9), ncols)
+        seen = []
+        for vec in vecs:
+            ech.insert(vec_to_sparse(field, vec))
+            seen.append(ech.reduce(vec_to_sparse(field, vec)))
+        seen += list(ech.rows.values()) + list(ech.reduced_rows().values())
+        for row in seen:
+            assert all(type(v) is int and 0 < v < p for v in row.values())
+        assert all(ech.rows[piv][piv] == 1 for piv in ech.rows)
+
+
+def test_rational_echelon_with_unit_pivots_stays_int():
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        # a unit upper-triangular basis, pivots +-1, inserted in random order
+        basis = [tuple(0 if c < r else rng.choice((1, -1)) if c == r
+                       else rng.randint(-3, 3) for c in range(n)) for r in range(n)]
+        rng.shuffle(basis)
+        ech = Echelon(QQ)
+        for vec in basis:
+            assert ech.insert(vec_to_sparse(QQ, vec))
+        extra = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(5)]
+        for vec in extra:
+            assert ech.contains(vec_to_sparse(QQ, vec))
+            assert not ech.insert(vec_to_sparse(QQ, vec))
+            assert ech.reduce(vec_to_sparse(QQ, vec)) == {}
+        for row in list(ech.rows.values()) + list(ech.reduced_rows().values()):
+            assert all(type(v) is int for v in row.values())
