@@ -6,6 +6,7 @@ All commands are deterministic for a fixed --seed.
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import (
@@ -160,22 +161,22 @@ def cmd_stability(args):
             "specialized": list(got),
             "exhaustive": list(want),
         }
-        if got != want:
-            print(dump_json(report) if args.json else report)
-            raise OracleMismatch(
-                f"specialized {got} vs exhaustive {want} over GF({args.prime})"
-            )
     if args.json:
         sys.stdout.write(dump_json(report))
-        return EXIT_OK
-    print(f"semistable: {str(semistable).lower()}")
-    print(f"stable: {str(stable).lower()}")
-    if witness is not None:
-        wtxt = ", ".join(f"{k}:{v}" for k, v in sorted(
-            witness.items(), key=lambda t: str(t[0])))
-        print(f"destabilizing dims: {wtxt}")
-    if args.brute_force:
-        print(f"brute force over GF({args.prime}): agreement")
+    else:
+        print(f"semistable: {str(semistable).lower()}")
+        print(f"stable: {str(stable).lower()}")
+        if witness is not None:
+            wtxt = ", ".join(f"{k}:{v}" for k, v in sorted(
+                witness.items(), key=lambda t: str(t[0])))
+            print(f"destabilizing dims: {wtxt}")
+        if args.brute_force:
+            verdict = "agreement" if got == want else "mismatch"
+            print(f"brute force over GF({args.prime}): {verdict}")
+    if args.brute_force and got != want:
+        raise OracleMismatch(
+            f"specialized {got} vs exhaustive {want} over GF({args.prime})"
+        )
     return EXIT_OK
 
 
@@ -233,7 +234,10 @@ def cmd_vgit(args):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="mckaykit",
         description="Desk-scale computations with McKay quivers, graded "

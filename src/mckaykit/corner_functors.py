@@ -120,11 +120,21 @@ class CorneredModule:
 
     def generators(self):
         """The loops, then the class actions in sorted key order, each
-        matrix as ``(i, j, matrix)`` acting from component j to i."""
+        matrix as ``(i, j, matrix)`` acting from component j to i.
+
+        The tuple is built on the first call and kept outside the fields,
+        so ``==`` and ``repr`` do not see it.  Nothing in the package
+        changes ``z_mats`` or ``actions`` after construction (``rebuild``
+        makes a new module), which keeps it valid.
+        """
+        return self._generators
+
+    @functools.cached_property
+    def _generators(self):
         gens = [(v, v, self.z_mats[v]) for v in sorted(self.corner)]
         for key in sorted(self.actions):
             gens.extend((key[1], key[2], mat) for mat in self.actions[key])
-        return gens
+        return tuple(gens)
 
     def rebuild(self, dims, mats, field=None):
         """The module over the same cornered algebra with dimensions

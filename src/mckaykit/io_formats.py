@@ -29,7 +29,8 @@ def fraction_to_str(x):
 
 
 def str_to_fraction(s):
-    return Fraction(s)
+    """Parse a "p/q" entry as a QQ element: an ``int`` when integral."""
+    return QQ.from_fraction(s)
 
 
 def vertex_to_key(v):

@@ -73,7 +73,8 @@ class RationalField:
 
     @staticmethod
     def from_fraction(fr):
-        return Fraction(fr)
+        fr = Fraction(fr)
+        return fr.numerator if fr.denominator == 1 else fr
 
     def __repr__(self):
         return "QQ"
@@ -282,9 +283,22 @@ def vec_to_sparse(field, vec):
 
 
 def _echelon(field, rows):
+    """The ``Echelon`` of the dense ``rows``, inserted in order.
+
+    A row whose leading entry is 1 in a column without a pivot is stored as
+    it is, which is what ``insert`` would store; every other row goes
+    through ``insert``.
+    """
     ech = Echelon(field)
+    stored = ech.rows
     for row in rows:
-        ech.insert(vec_to_sparse(field, row))
+        vec = vec_to_sparse(field, row)
+        if vec:
+            piv = next(iter(vec))  # vec_to_sparse keeps column order
+            if vec[piv] == 1 and piv not in stored:
+                stored[piv] = vec
+                continue
+            ech.insert(vec)
     return ech
 
 

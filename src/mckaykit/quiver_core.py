@@ -14,12 +14,12 @@ Conventions fixed here and used everywhere:
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import dynkin
 from .errors import AlreadyFramed, AlreadyTripled, EmptyI, InvariantViolation
 from .gamma_data import tensor_multiplicity_matrix
+from .linalg import QQ
 
 INFINITY = "inf"
 
@@ -163,15 +163,17 @@ class DimVector:
 
 @dataclass(frozen=True)
 class StabilityParam:
-    """Rational weights on the vertices, including the framing vertex."""
+    """Rational weights on the vertices, including the framing vertex.
+
+    The pairing with a dimension vector is exact, and an ``int`` when it is
+    integral.
+    """
 
     values: dict
 
     def __call__(self, dims):
-        total = Fraction(0)
-        for v, weight in self.values.items():
-            total += Fraction(weight) * dims.get(v)
-        return total
+        return sum(QQ.from_fraction(weight) * dims.get(v)
+                   for v, weight in self.values.items())
 
 
 def mckay_quiver(g):
@@ -288,10 +290,10 @@ def theta_I(corner, v):
     missing = [i for i in corner if i not in v.components]
     if missing:
         raise InvariantViolation(f"dimension vector lacks corner vertices {missing}")
-    values = {i: Fraction(0) for i in v.components}
+    values = {i: 0 for i in v.components}
     for i in corner:
-        values[i] = Fraction(1)
-    values[INFINITY] = -Fraction(sum(v.components[i] for i in corner))
+        values[i] = 1
+    values[INFINITY] = -sum(v.components[i] for i in corner)
     return StabilityParam(values)
 
 

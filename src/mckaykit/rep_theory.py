@@ -439,6 +439,42 @@ def reduce_mod_p(rep, p):
                        field)
 
 
+def _subspace_images(field, mat, subspaces):
+    """For each basis of ``subspaces``, the tuple of the nonzero images
+    ``sparse_image(field, mat, vec)`` of its vectors; a vector that lies
+    in several bases is mapped once."""
+    seen = {}
+    out = []
+    for basis in subspaces:
+        imgs = []
+        for vec in basis:
+            img = seen.get(vec)
+            if img is None:
+                img = seen[vec] = sparse_image(field, mat, vec)
+            if img:
+                imgs.append(img)
+        out.append(tuple(imgs))
+    return out
+
+
+def _subspace_echelons(field, subspaces):
+    """The ``Echelon`` of each basis of ``subspaces``, which are canonical
+    reduced-echelon bases (see ``all_subspaces``), so every row is stored
+    as it is.  A row that lies in several bases is one shared sparse dict;
+    an echelon never changes a row it has stored."""
+    sparse = {}
+    out = []
+    for basis in subspaces:
+        ech = Echelon(field)
+        for vec in basis:
+            row = sparse.get(vec)
+            if row is None:
+                row = sparse[vec] = vec_to_sparse(field, vec)
+            ech.rows[next(iter(row))] = row
+        out.append(ech)
+    return out
+
+
 def brute_force_stability(rep, theta):
     """Exhaustive stability check by enumerating all submodules.
 
@@ -446,6 +482,14 @@ def brute_force_stability(rep, theta):
     dimension at most BRUTE_FORCE_DIM_LIMIT, and its vertices together
     at most BRUTE_FORCE_SUBSPACE_LIMIT subspaces.  Returns
     (semistable, stable, violating dimension dicts).
+
+    The walk picks one subspace per vertex, in vertex order and in the
+    order of ``all_subspaces``, and goes on to the next vertex only while
+    every arrow between the vertices picked so far maps the head's
+    subspace into the tail's.  The subspaces, the echelons of the tail
+    subspaces and the images of the head subspaces' bases under each
+    nonzero arrow matrix are computed once per call, before the walk; a
+    closed family is scored when it is reached.
     """
     if not isinstance(rep.field, PrimeField):
         raise BadPrime("brute force runs over a prime field; reduce mod p first")
@@ -460,52 +504,63 @@ def brute_force_stability(rep, theta):
         raise DimensionTooLarge(
             f"{count} vertex subspaces > {BRUTE_FORCE_SUBSPACE_LIMIT}"
         )
-    choices = {v: all_subspaces(p, rep.dims.get(v)) for v in verts}
-    # the (tail, head, matrix) triples whose later endpoint is verts[idx]
-    maps_into = [[] for _ in verts]
+    dims = [rep.dims.get(v) for v in verts]
+    # vertices of one dimension share their subspaces and echelons
+    spaces = {n: all_subspaces(p, n) for n in set(dims)}
+    echelons = {}
+    # per position idx, the arrows with a nonzero matrix whose later
+    # endpoint is verts[idx], as (tail position, head position, images of
+    # each head subspace, echelons of the tail subspaces)
+    tests_at = [[] for _ in verts]
     pos = {v: i for i, v in enumerate(verts)}
     for tail, head, mat in rep.generators():
-        maps_into[max(pos[tail], pos[head])].append((tail, head, mat))
+        if not any(map(any, mat)):
+            continue
+        t, h = pos[tail], pos[head]
+        if dims[t] not in echelons:
+            echelons[dims[t]] = _subspace_echelons(field, spaces[dims[t]])
+        images = _subspace_images(field, mat, spaces[dims[h]])
+        tests_at[max(t, h)].append((t, h, images, echelons[dims[t]]))
+    weights = [QQ.from_fraction(theta.values.get(v, 0)) for v in verts]
 
     semistable = True
     stable = True
     violations = []
-    theta_total = theta(rep.dims)
-    if theta_total != 0:
+    if theta(rep.dims) != 0:
         semistable = stable = False
         violations.append(rep.dims.as_dict())
 
-    assignment = {}
-    results = []
+    chosen = [0] * len(verts)  # index of the subspace picked at each vertex
+    sizes = [0] * len(verts)  # its dimension
 
-    def walk(idx):
+    def closed(tests):
+        for t, h, images, echs in tests:
+            imgs = images[chosen[h]]
+            if imgs:
+                ech = echs[chosen[t]]
+                for img in imgs:
+                    if not ech.contains(img):
+                        return False
+        return True
+
+    def walk(idx, value, size):
+        nonlocal semistable, stable
         if idx == len(verts):
-            dims = {v: len(assignment[v]) for v in verts}
-            results.append(dims)
+            if value < 0:
+                semistable = stable = False
+                violations.append(dict(zip(verts, sizes)))
+            elif value == 0 and 0 < size < total:
+                stable = False
+                violations.append(dict(zip(verts, sizes)))
             return
-        v = verts[idx]
-        for basis in choices[v]:
-            assignment[v] = basis
-            if spans_closed(field, assignment, maps_into[idx]):
-                walk(idx + 1)
-        del assignment[v]
+        tests, weight = tests_at[idx], weights[idx]
+        for k, basis in enumerate(spaces[dims[idx]]):
+            chosen[idx] = k
+            if closed(tests):
+                sizes[idx] = len(basis)
+                walk(idx + 1, value + weight * sizes[idx], size + sizes[idx])
 
-    walk(0)
-
-    for dims in results:
-        tot = sum(dims.values())
-        if tot == 0:
-            continue
-        value = sum(
-            Fraction(theta.values.get(v, 0)) * d for v, d in dims.items()
-        )
-        if value < 0:
-            semistable = False
-            stable = False
-            violations.append(dims)
-        elif value == 0 and tot < total:
-            stable = False
-            violations.append(dims)
+    walk(0, 0, 0)
     return semistable, stable, violations
 
 

@@ -1,11 +1,13 @@
 """Command-line surface: outputs, exit codes, file-format round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from helpers import etingof_eu_slices
-from mckaykit.cli import main
+from mckaykit import cli
+from mckaykit.cli import build_parser, main
 from mckaykit.gamma_data import build_group
 from mckaykit.io_formats import (
     dump_json,
@@ -13,6 +15,7 @@ from mckaykit.io_formats import (
     quiver_to_dict,
     rep_from_dict,
     rep_to_dict,
+    str_to_fraction,
 )
 from mckaykit.quiver_core import DimVector, frame_quiver, mckay_quiver, triple_quiver
 from mckaykit.rep_theory import random_flat_rep, zero_rep
@@ -146,6 +149,31 @@ def test_stability_brute_force_agreement(capsys, tmp_path):
                        "--brute-force")
     assert code == 0
     assert "agreement" in out
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_stability_oracle_mismatch_report(capsys, tmp_path, monkeypatch, as_json):
+    """A disagreeing oracle: the report is printed once, in the mode asked
+    for, and the exit code is 4."""
+    q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
+    rep = zero_rep(q, DimVector(components={0: 1, 1: 1}, at_infinity=1))
+    path = _write_module(tmp_path, rep)
+    monkeypatch.setattr(cli, "brute_force_stability",
+                        lambda rep, theta: (True, True, []))
+    argv = ["stability", path, "--corner", "0,1", "--brute-force", "--prime", "3"]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 4
+    assert err.startswith("error: specialized (False, False) vs exhaustive "
+                          "(True, True) over GF(3)") and err.count("\n") == 1
+    if as_json:
+        report = json.loads(out)
+        assert out == dump_json(report)
+        assert report["brute_force"] == {"prime": 3, "specialized": [False, False],
+                                         "exhaustive": [True, True]}
+    else:
+        assert out == ("semistable: false\nstable: false\n"
+                       "destabilizing dims: 0:0, 1:0, inf:1\n"
+                       "brute force over GF(3): mismatch\n")
 
 
 def test_stability_relation_violation_exit(capsys, tmp_path):
@@ -285,6 +313,58 @@ def test_module_json_round_trip():
     back = rep_from_dict(json.loads(text))
     assert json.dumps(rep_to_dict(back), sort_keys=True) == text
     assert back.maps == {a.id: rep.matrix(a.id) for a in q.arrows}
+
+
+def test_module_entries_parse_int_when_integral():
+    assert type(str_to_fraction("2")) is int and str_to_fraction("2") == 2
+    assert type(str_to_fraction("-1")) is int and str_to_fraction("-1") == -1
+    assert type(str_to_fraction("4/2")) is int and str_to_fraction("4/2") == 2
+    assert str_to_fraction("1/2") == Fraction(1, 2)
+    assert type(str_to_fraction("1/2")) is Fraction
+    q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
+    data = rep_to_dict(zero_rep(q, DimVector(components={0: 2, 1: 1}, at_infinity=1)))
+    data["maps"]["0"] = [["1/2"], ["-3"]]
+    data["maps"]["1"] = [["0", "-2/3"]]
+    rep = rep_from_dict(data)
+    assert rep.maps[0] == ((Fraction(1, 2),), (-3,))
+    assert [type(x) for row in rep.maps[1] for x in row] == [int, Fraction]
+    assert rep_to_dict(rep) == data
+
+
+# one cached parser serves calls that succeed, are refused by mckaykit
+# (exit 2) and are rejected by argparse itself (SystemExit 2)
+PARSER_ARGV = [
+    ("quiver", "A2", "--frame", "1,0,0"),
+    ("hilbert", "A1", "--kmax", "x"),
+    ("hilbert", "A1", "--kmax", "4", "--oracle"),
+    ("hilbert", "E8", "--kmax", "-1"),
+    ("quiver", "A1", "--json"),
+    ("--seed", "3", "hilbert", "A2", "--algebra", "pi", "--kmax", "3"),
+    ("stability",),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_shares_one_parser(capsys):
+    """Consecutive calls on the cached parser give what calls on freshly
+    built parsers give."""
+    fresh = []
+    for argv in PARSER_ARGV:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    parser = build_parser()
+    shared = [_outcome(capsys, argv) for argv in PARSER_ARGV]
+    assert build_parser() is parser
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 0, 2]
 
 
 def test_determinism_same_seed(capsys, tmp_path):

@@ -61,6 +61,17 @@ def test_j_star_full_corner_is_identity(a1, a1_tripled):
         assert cm.z_mats[v] == rep.matrix(lid)
 
 
+def test_generators_built_once_outside_fields(a1_tripled):
+    (_, rep), = flat_reps(a1_tripled, DimVector(components={0: 2, 1: 1}), 1)
+    cm = j_star(rep, {0})
+    same = j_star(rep, {0})
+    text = repr(cm)
+    gens = cm.generators()
+    assert isinstance(gens, tuple) and cm.generators() is gens
+    assert gens == tuple(cm.rebuild(cm.dims, [m for _, _, m in gens]).generators())
+    assert repr(cm) == text and cm == same
+
+
 def test_j_star_kills_off_corner_simple(a1_tripled):
     simple = vertex_simple(a1_tripled, 1)
     cm = j_star(simple, {0})

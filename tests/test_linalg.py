@@ -15,6 +15,7 @@ from mckaykit.linalg import (
     QQ,
     Echelon,
     PrimeField,
+    _echelon,
     mat_vec,
     nullspace,
     rank,
@@ -247,3 +248,29 @@ def test_rational_echelon_with_unit_pivots_stays_int():
             assert ech.reduce(vec_to_sparse(QQ, vec)) == {}
         for row in list(ech.rows.values()) + list(ech.reduced_rows().values()):
             assert all(type(v) is int for v in row.values())
+
+
+@pytest.mark.parametrize("field,integral", field_cases())
+def test_echelon_builder_equals_insert_one_by_one(field, integral):
+    """``_echelon`` stores a row with leading 1 in a new pivot column as it
+    is; its rows, their order and their value types equal those of
+    inserting every row in turn.  The rows mix unit and non-unit leads,
+    repeated pivots, repeated rows and zero rows."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 6)
+        rows = random_matrix(field, rng, rng.randint(0, 6), ncols, integral)
+        for row in list(rows):
+            nz = [x for x in row if x]
+            if nz and rng.random() < 0.5:  # the same row scaled to lead 1
+                inv = field.inv(nz[0])
+                rows.append(tuple(field.mul(inv, x) for x in row))
+        rows.append(tuple(field.zero for _ in range(ncols)))
+        rows += rng.sample(rows, min(2, len(rows)))
+        rng.shuffle(rows)
+        ref = Echelon(field)
+        for row in rows:
+            ref.insert(vec_to_sparse(field, row))
+        built = _echelon(field, rows).rows
+        assert built == ref.rows
+        assert repr(built) == repr(ref.rows)

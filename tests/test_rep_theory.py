@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import conjugated_copy, flat_reps
+from helpers import conjugated_copy, flat_reps, stable_reps
 from mckaykit.errors import (
     BadPrime,
     DimensionTooLarge,
@@ -13,16 +13,18 @@ from mckaykit.errors import (
     UnsupportedTheta,
 )
 from mckaykit.gamma_data import build_group
-from mckaykit.linalg import QQ, PrimeField
+from mckaykit.linalg import QQ, PrimeField, spans_closed
 from mckaykit.quiver_core import (
     INFINITY,
     DimVector,
     frame_quiver,
     mckay_quiver,
     theta_I,
+    vertex_sort_key,
 )
 from mckaykit.rep_theory import (
     QuiverRep,
+    all_subspaces,
     are_isomorphic,
     brute_force_stability,
     check_relations,
@@ -204,6 +206,84 @@ def test_specialized_vs_brute_force_sample(a1_framed, dims11):
             assert got == want, (seed, p)
             count += 1
     assert count >= 25
+
+
+def reference_brute_force(rep, theta):
+    """The exhaustive walk with ``spans_closed`` at every candidate and the
+    closed families scored after the walk in ``Fraction`` arithmetic."""
+    field = rep.field
+    verts = sorted(rep.quiver.vertices, key=vertex_sort_key)
+    pos = {v: i for i, v in enumerate(verts)}
+    maps_into = [[] for _ in verts]
+    for tail, head, mat in rep.generators():
+        maps_into[max(pos[tail], pos[head])].append((tail, head, mat))
+    assignment, leaves = {}, []
+
+    def walk(idx):
+        if idx == len(verts):
+            leaves.append({v: len(assignment[v]) for v in verts})
+            return
+        v = verts[idx]
+        for basis in all_subspaces(field.p, rep.dims.get(v)):
+            assignment[v] = basis
+            if spans_closed(field, assignment, maps_into[idx]):
+                walk(idx + 1)
+        del assignment[v]
+
+    walk(0)
+    total = rep.total_dim()
+    semistable = stable = True
+    violations = []
+    if sum(Fraction(w) * rep.dims.get(v) for v, w in theta.values.items()):
+        semistable = stable = False
+        violations.append(rep.dims.as_dict())
+    for dims in leaves:
+        tot = sum(dims.values())
+        value = sum(Fraction(theta.values.get(v, 0)) * d for v, d in dims.items())
+        if tot and value < 0:
+            semistable = stable = False
+            violations.append(dims)
+        elif tot and value == 0 and tot < total:
+            stable = False
+            violations.append(dims)
+    return semistable, stable, violations
+
+
+ORACLE_CASES = [
+    ("A1", {0: 2, 1: 1}),
+    ("A1", {0: 1, 1: 2}),
+    ("A2", {0: 1, 1: 1, 2: 1}),
+    ("A2", {0: 2, 1: 1, 2: 1}),
+    ("D4", {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}),
+    ("D4", {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}),
+]
+
+
+@pytest.mark.parametrize("label,comps", ORACLE_CASES,
+                         ids=[f"{g}-{''.join(map(str, c.values()))}"
+                              for g, c in ORACLE_CASES])
+def test_brute_force_matches_reference_walk(label, comps):
+    """Same triple as the reference walk, violation order included, on
+    seeded flat modules (one of them stable for the full corner) and the
+    zero module, for three corners, over GF(2), GF(3) and GF(5)."""
+    quiver = frame_quiver(mckay_quiver(build_group(label)), {0: 1})
+    dims = DimVector(components=comps, at_infinity=1)
+    every = tuple(range(len(comps)))
+    reps = [rep for _, rep in flat_reps(quiver, dims, 2)
+            + stable_reps(quiver, dims, every, 1)] + [zero_rep(quiver, dims)]
+    seen = set()
+    for rep in reps:
+        for p in (2, 3, 5):
+            try:
+                reduced = reduce_mod_p(rep, p)
+            except BadPrime:
+                continue
+            for corner in ((0,), (0, 1), every):
+                theta = theta_I(corner, dims)
+                got = brute_force_stability(reduced, theta)
+                assert got == reference_brute_force(reduced, theta), (p, corner)
+                seen.add((*got[:2], bool(got[2])))
+    assert (False, False, True) in seen and (True, True, False) in seen
 
 
 def test_cyclicity_criterion_for_full_corner(a1_framed, dims11):
