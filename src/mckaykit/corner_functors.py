@@ -64,7 +64,7 @@ from .linalg import (
     zeros,
 )
 from .quiver_core import DimVector, mckay_quiver, triple_quiver
-from .rep_theory import QuiverRep, is_flat
+from .rep_theory import QuiverRep, is_flat, vertex_simple
 
 TRUNCATION_WINDOW = 4
 
@@ -155,22 +155,7 @@ def cornered_vertex_simple(group, corner, i, field=QQ):
     corner = frozenset(corner)
     if i not in corner:
         raise VertexNotInCorner(f"vertex {i} outside the corner")
-    gen_deg = generation_degree(group, corner)
-    ctx = pi_context(group)
-    dims = {v: (1 if v == i else 0) for v in sorted(corner)}
-    z_mats = {v: zeros(field, dims[v], dims[v]) for v in dims}
-    actions = {}
-    for k in range(1, gen_deg + 1):
-        for a in sorted(corner):
-            for b in sorted(corner):
-                n = ctx.slice_dim(a, b, k)
-                actions[(k, a, b)] = [
-                    zeros(field, dims[a], dims[b]) for _ in range(n)
-                ]
-    return CorneredModule(
-        group=group, corner=corner, dims=dims, z_mats=z_mats,
-        actions=actions, gen_degree=gen_deg, field=field,
-    )
+    return j_star(vertex_simple(mckay_quiver(group), i, field), corner)
 
 
 def j_star(rep, corner):
@@ -208,16 +193,10 @@ def j_star(rep, corner):
             for j in sorted(corner):
                 mats = []
                 for path in ctx.slice_basis_paths(i, j, k):
-                    mat = None
-                    for aid in path:
-                        m = rep.matrix(aid)
-                        mat = m if mat is None else mat_mul(
-                            field, mat, m, b_ncols=len(m[0]) if m else 0
-                        )
-                        if not mat:
-                            break
-                    if mat is None or dims[i] == 0 or dims[j] == 0:
-                        mat = zeros(field, dims[i], dims[j])
+                    mat = rep.matrix(path[0])
+                    for aid in path[1:]:
+                        mat = mat_mul(field, mat, rep.matrix(aid),
+                                      b_ncols=rep.dims.get(quiver.arrow(aid).head))
                     mats.append(mat)
                 actions[(k, i, j)] = mats
     return CorneredModule(

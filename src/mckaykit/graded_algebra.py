@@ -1,6 +1,7 @@
 """Graded pieces of the preprojective-type path algebras, exactly over Q.
 
-Three flavors share one engine:
+Three flavors share one engine, with the relations of
+:func:`mckaykit.quiver_core.relation_generators`:
 
 * ``pi``       -- doubled McKay quiver modulo the signed vertex relations
                   sum_{tail(x)=v} sign(x) x.xbar;
@@ -13,10 +14,7 @@ Three flavors share one engine:
 Degreewise dimensions are computed by an exact quotient construction:
 the degree-(k+1) component is (arrows tensor degree-k) modulo relation
 generators placed at the left end, which reproduces the two-sided ideal
-span degree by degree.  The explicit path-space relation span of a slice
-(paths from j to i of length k, columns spanning the relation subspace)
-is available on demand; its rank always equals path count minus the
-quotient dimension.
+span degree by degree.
 
 A cornered context restricts slice endpoints to the corner set but
 builds relations in the full algebra (subalgebra semantics).
@@ -28,7 +26,6 @@ and ends at the tail of its first.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 from .errors import (
@@ -43,48 +40,13 @@ from .errors import (
 )
 from .gamma_data import character_inner
 from .linalg import QQ, Echelon
-from .quiver_core import frame_quiver, mckay_quiver, triple_quiver
+from .quiver_core import frame_quiver, mckay_quiver, relation_generators, triple_quiver
 
 DEFAULT_DEGREE_CAP = 16
 # saturated degrees that certify a corner generation bound
 GENERATION_WINDOW = 4
 
 FLAVORS = ("pi", "piw", "pibullet")
-
-
-@dataclass(frozen=True)
-class RelGen:
-    """Degree-2 relation generator: sum of signed two-arrow paths."""
-
-    tgt: object
-    src: object
-    terms: tuple  # ((coeff, (first_arrow_id, second_arrow_id)), ...)
-
-
-def relation_generators(quiver):
-    """Vertex commutator sums, plus loop commutation when tripled."""
-    gens = []
-    for v in quiver.vertices:
-        terms = []
-        for a in quiver.arrows_with_tail(v):
-            if a.id not in quiver.bar:
-                continue
-            terms.append((quiver.sign(a.id), (a.id, quiver.bar[a.id])))
-        if terms:
-            gens.append(RelGen(tgt=v, src=v, terms=tuple(terms)))
-    if quiver.is_tripled:
-        for a in quiver.non_loop_arrows():
-            gens.append(
-                RelGen(
-                    tgt=a.tail,
-                    src=a.head,
-                    terms=(
-                        (1, (quiver.loops[a.tail], a.id)),
-                        (-1, (a.id, quiver.loops[a.head])),
-                    ),
-                )
-            )
-    return tuple(gens)
 
 
 class _Layer:
@@ -215,7 +177,6 @@ class AlgebraContext:
                 raise VertexNotInCorner(f"vertices {bad} not in the quiver")
         self.relgens = relation_generators(self.quiver)
         self._tables = {}
-        self._paths_memo = {}
 
     def endpoints(self):
         if self.corner is not None:
@@ -258,95 +219,6 @@ class AlgebraContext:
     def slice_basis_paths(self, i, j, k):
         layer, coords = self.slice_coords(i, j, k)
         return tuple(layer.paths[c] for c in coords)
-
-    # -- full path space ---------------------------------------------------
-
-    def all_paths(self, i, j, k):
-        """Every length-k path from j to i (product order)."""
-        self._check_degree(k)
-        memo = self._paths_memo.setdefault(
-            j, {(0, v): (((),) if v == j else ()) for v in self.quiver.vertices}
-        )
-        for kk in range(1, k + 1):
-            for v in self.quiver.vertices:
-                if (kk, v) in memo:
-                    continue
-                acc = []
-                for a in self.quiver.arrows_with_tail(v):
-                    for p in memo.get((kk - 1, a.head), ()):
-                        acc.append((a.id,) + p)
-                memo[(kk, v)] = tuple(acc)
-        return memo[(k, i)]
-
-    def pathspace_relation_rows(self, i, j, k):
-        """Echelonised spanning rows of the relation subspace of a slice.
-
-        Rows are sparse dicts keyed by path tuples.  This is the honest
-        two-sided span {p . rel . q}; cost grows with the path count, so
-        use :meth:`slice_dim` when only dimensions are needed.
-        """
-        self._check_degree(k)
-        spans = {}
-        for kk in range(k + 1):
-            for v in self.quiver.vertices:
-                ech = Echelon(QQ)
-                if kk >= 2:
-                    for a in self.quiver.arrows_with_tail(v):
-                        for row in spans[(kk - 1, a.head)].rows.values():
-                            ech.insert({(a.id,) + p: val for p, val in row.items()})
-                    for gen in self.relgens:
-                        if gen.tgt != v:
-                            continue
-                        for q in self.all_paths(gen.src, j, kk - 2):
-                            vec = {}
-                            for coeff, (x, y) in gen.terms:
-                                key = (x, y) + q
-                                vec[key] = vec.get(key, QQ.zero) + coeff
-                            ech.insert({p: c for p, c in vec.items() if c})
-                spans[(kk, v)] = ech
-        return spans[(k, i)]
-
-
-@dataclass
-class GradedSlice:
-    """Degree-k piece e_i A_k e_j: path basis plus relation-span data."""
-
-    ctx: AlgebraContext
-    i: object
-    j: object
-    k: int
-    dim: int
-
-    @cached_property
-    def path_basis(self):
-        return self.ctx.all_paths(self.i, self.j, self.k)
-
-    @cached_property
-    def relation_rank(self):
-        return len(self.path_basis) - self.dim
-
-    @cached_property
-    def relation_span(self):
-        """Matrix (#paths rows, rank columns) spanning the relation subspace."""
-        ech = self.ctx.pathspace_relation_rows(self.i, self.j, self.k)
-        index = {p: r for r, p in enumerate(self.path_basis)}
-        cols = []
-        for _, row in sorted(ech.rows.items()):
-            col = [QQ.zero] * len(self.path_basis)
-            for p, val in row.items():
-                col[index[p]] = val
-            cols.append(col)
-        return tuple(
-            tuple(col[r] for col in cols) for r in range(len(self.path_basis))
-        )
-
-
-def graded_slice(ctx, i, j, k):
-    """The degree-k slice from j to i of the context's algebra."""
-    ctx._check_endpoint(i)
-    ctx._check_endpoint(j)
-    dim = ctx.slice_dim(i, j, k)
-    return GradedSlice(ctx=ctx, i=i, j=j, k=k, dim=dim)
 
 
 def hilbert_sequence(ctx, kmax):

@@ -70,22 +70,26 @@ def quiver_to_dict(q):
 
 
 def quiver_from_dict(data):
-    arrows = tuple(
-        Arrow(a["id"], key_to_vertex(a["tail"]), key_to_vertex(a["head"]))
-        for a in data["arrows"]
-    )
-    bar = {a["id"]: a["bar"] for a in data["arrows"] if a.get("bar") is not None}
-    framing = None
-    if data.get("framing") is not None:
-        framing = {key_to_vertex(k): w for k, w in data["framing"].items()}
-    return Quiver(
-        vertices=tuple(key_to_vertex(v) for v in data["vertices"]),
-        arrows=arrows,
-        bar=bar,
-        loops={key_to_vertex(k): aid for k, aid in data.get("loops", {}).items()},
-        framing=framing,
-        group=data.get("group"),
-    )
+    """Parse an explicit quiver; a malformed one raises MalformedFile."""
+    try:
+        arrows = tuple(
+            Arrow(a["id"], key_to_vertex(a["tail"]), key_to_vertex(a["head"]))
+            for a in data["arrows"]
+        )
+        bar = {a["id"]: a["bar"] for a in data["arrows"] if a.get("bar") is not None}
+        framing = None
+        if data.get("framing") is not None:
+            framing = {key_to_vertex(k): w for k, w in data["framing"].items()}
+        return Quiver(
+            vertices=tuple(key_to_vertex(v) for v in data["vertices"]),
+            arrows=arrows,
+            bar=bar,
+            loops={key_to_vertex(k): aid for k, aid in data.get("loops", {}).items()},
+            framing=framing,
+            group=data.get("group"),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedFile(f"bad quiver entry ({exc!r})") from None
 
 
 def resolve_quiver(data):
@@ -100,16 +104,18 @@ def resolve_quiver(data):
 
     if "group" not in data:
         raise InvalidDescriptor("quiver shorthand needs a group label")
+    if not isinstance(data["group"], str):
+        raise MalformedFile(f"bad group label {data['group']!r}")
     q = mckay_quiver(build_group(data["group"]))
     if data.get("triple"):
         q = triple_quiver(q)
-    if "frame" in data and data["frame"] is not None:
-        w = data["frame"]
-        if isinstance(w, dict):
-            w = {key_to_vertex(k): int(x) for k, x in w.items()}
-        else:
-            w = {i: int(x) for i, x in enumerate(w)}
-        q = frame_quiver(q, w)
+    w = data.get("frame")
+    if w is not None:
+        if not isinstance(w, (dict, list)):
+            raise MalformedFile(f"bad framing {w!r}")
+        pairs = w.items() if isinstance(w, dict) else enumerate(w)
+        q = frame_quiver(q, {_parsed("vertex", key_to_vertex, k):
+                             _parsed("framing", _dimension, x) for k, x in pairs})
     return q
 
 
@@ -122,7 +128,10 @@ def matrix_to_lists(mat):
 
 
 def matrix_from_lists(rows):
-    return tuple(tuple(str_to_fraction(x) for x in row) for row in rows)
+    """A matrix from a list of row lists of ``int`` or "p/q" entries."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TypeError(rows)
+    return tuple(tuple(str_to_fraction(_int_or_str(x)) for x in row) for row in rows)
 
 
 def rep_to_dict(rep):
@@ -148,10 +157,14 @@ def _parsed(what, parse, value):
         raise MalformedFile(f"bad {what} {value!r}") from None
 
 
-def _dimension(value):
+def _int_or_str(value):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(value)
-    d = int(value)
+    return value
+
+
+def _dimension(value):
+    d = int(_int_or_str(value))
     if d < 0:
         raise ValueError(value)
     return d
@@ -161,7 +174,7 @@ def rep_from_dict(data):
     """Parse a framed module; a malformed file raises MalformedFile."""
     from .rep_theory import QuiverRep, validate_shapes
 
-    if not (isinstance(data, dict) and "quiver" in data
+    if not (isinstance(data, dict) and isinstance(data.get("quiver"), dict)
             and isinstance(data.get("dims"), dict)):
         raise MalformedFile('a module needs a "quiver" and a "dims" object')
     quiver = resolve_quiver(data["quiver"])

@@ -21,12 +21,14 @@ on a module's generator view: its per-vertex dimensions and a list of
 there is one closure test for families of subspaces, one quotient (with
 its projections and induced maps), one mod-p reduction, one intertwiner
 (hom-space) system, and one seeded search for a hom-space element that is
-onto at every vertex, which is also the isomorphism search.
+onto at every vertex, which is also the isomorphism search.  Every linear
+system in unknown matrices is built by ``matrix_equation_rows``.
 """
 
 import functools
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 from .errors import BadPrime
@@ -461,19 +463,13 @@ def quotient_projection(field, sub_rows, n):
     """
     sub = list(sub_rows)
     ech = _echelon(field, sub)
-    extra = [i for i in range(n) if ech.insert({i: field.one})]
-    lift = [
-        tuple(field.one if i == e else field.zero for i in range(n)) for e in extra
-    ]
+    units = [tuple(field.one if r == i else field.zero for r in range(n))
+             for i in range(n)]
+    lift = [units[i] for i in range(n) if ech.insert({i: field.one})]
     combined = sub + lift
     cols = [tuple(combined[b][r] for b in range(len(combined))) for r in range(n)]
-    proj_rows = []
-    for i in range(n):
-        unit = tuple(field.one if r == i else field.zero for r in range(n))
-        proj_rows.append(solve(field, cols, unit)[len(sub):])
-    proj = tuple(
-        tuple(proj_rows[i][q] for i in range(n)) for q in range(len(extra))
-    )
+    sols = solve_columns(field, cols, units)
+    proj = tuple(tuple(sol[len(sub) + q] for sol in sols) for q in range(len(lift)))
     return proj, lift
 
 
@@ -503,6 +499,51 @@ def quotient_maps(field, gens, dims, spaces):
     return {v: len(lift[v]) for v in dims}, mats, proj
 
 
+def matrix_equation_rows(field, shapes, equations):
+    """The linear system, in the entries of unknown matrices, of the matrix
+    equations ``sum of terms = 0``.
+
+    ``shapes`` maps each unknown X (a key that is not a tuple or list) to
+    its (rows, cols).  An equation is a list of terms ``(coef, X, K)`` for
+    coef.X.K and ``(coef, K, X)`` for coef.K.X, K a matrix.  Returns (rows,
+    offsets, nvars): X's entries are variables offsets[X] onward, row-major,
+    in ``shapes`` order; ``rows`` has a dense row per entry of each
+    equation, in equation order and row-major, zero rows left out.
+    """
+    offsets = {}
+    nvars = 0
+    for x, (nr, nc) in shapes.items():
+        offsets[x] = nvars
+        nvars += nr * nc
+    zero, add, mul = field.zero, field.add, field.mul
+    rows = []
+    for terms in equations:
+        grid = defaultdict(lambda: [zero] * nvars)  # (r, c) -> its dense row
+        for coef, left, right in terms:
+            # add(zero, val) is val: a variable met first just takes val
+            if isinstance(left, (tuple, list)):  # coef.K.X: K[r][m] on X[m][c]
+                off, nc = offsets[right], shapes[right][1]
+                for r, krow in enumerate(left):
+                    nz = [(off + m * nc, mul(coef, k))
+                          for m, k in enumerate(krow) if k != zero]
+                    for c in range(nc) if nz else ():
+                        row = grid[(r, c)]
+                        for base, val in nz:
+                            i = base + c
+                            row[i] = val if row[i] is zero else add(row[i], val)
+            else:  # coef.X.K: K[m][c] on X[r][m]
+                off, (nr, nm) = offsets[left], shapes[left]
+                for c, kcol in enumerate(zip(*right)):
+                    nz = [(m, mul(coef, k)) for m, k in enumerate(kcol) if k != zero]
+                    for r in range(nr) if nz else ():
+                        row = grid[(r, c)]
+                        for m, val in nz:
+                            i = off + r * nm + m
+                            row[i] = val if row[i] is zero else add(row[i], val)
+        rows.extend(tuple(grid[key]) for key in sorted(grid) if any(grid[key]))
+    return rows, offsets, nvars
+
+
 def hom_space(field, gens_a, gens_b, dims_a, dims_b):
     """Basis of the families phi_v: A_v -> B_v with phi_i . a = b . phi_j
     for every generator pair ``(i, j, a)``, ``(i, j, b)`` of ``gens_a`` and
@@ -512,24 +553,10 @@ def hom_space(field, gens_a, gens_b, dims_a, dims_b):
     vertex v has shape dims_b[v] x dims_a[v] and starts at offsets[v],
     row-major, the vertices taken in the order of ``dims_a``.
     """
-    offsets = {}
-    nvars = 0
-    for v in dims_a:
-        offsets[v] = nvars
-        nvars += dims_b[v] * dims_a[v]
-    rows = []
-    for (i, j, ma), (_, _, mb) in zip(gens_a, gens_b):
-        for r in range(dims_b[i]):
-            for c in range(dims_a[j]):
-                # phi_i . A - B . phi_j = 0 at entry (r, c)
-                row = [field.zero] * nvars
-                for m in range(dims_a[i]):
-                    idx = offsets[i] + r * dims_a[i] + m
-                    row[idx] = field.add(row[idx], ma[m][c])
-                for m in range(dims_b[j]):
-                    idx = offsets[j] + m * dims_a[j] + c
-                    row[idx] = field.sub(row[idx], mb[r][m])
-                rows.append(tuple(row))
+    rows, offsets, nvars = matrix_equation_rows(
+        field, {v: (dims_b[v], dims_a[v]) for v in dims_a},
+        [[(1, i, a), (-1, b, j)]
+         for (i, j, a), (_, _, b) in zip(gens_a, gens_b)])
     return nullspace(field, rows, ncols=nvars), offsets
 
 

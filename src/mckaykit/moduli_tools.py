@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .corner_functors import (
     cornered_hom_space,
-    generation_degree,
+    cornered_mod_p,
+    j_star,
     pi_context,
-    CorneredModule,
 )
 from .errors import (
     EmptyI,
@@ -29,8 +29,8 @@ from .errors import (
     NotStableForSource,
 )
 from .gamma_data import build_group
-from .graded_algebra import factor_through_bound, slice_class_basis, _expand_path_on
-from .linalg import QQ, find_surjection, mat_add, mat_mul, mat_sub, zeros
+from .graded_algebra import factor_through_bound
+from .linalg import QQ, find_surjection, mat_add, mat_mul, mat_sub
 from .quiver_core import (
     INFINITY,
     DimVector,
@@ -277,69 +277,32 @@ def quot_truncation_degree(g, corner):
     return factor_through_bound(g, corner) + QUOT_TRUNCATION_WINDOW
 
 
-def truncated_corner_column(g, corner, bound=None, field=QQ):
+def truncated_corner_column(g, corner):
     """The degree-truncated column e_I . Pi . e_0 as a cornered module.
 
-    Left multiplication by corner classes acts; products beyond the
-    truncation degree are zero.  Loops act as zero (plain flavor).
+    The column Pi . e_0 of the plain flavor modulo the degrees above
+    ``quot_truncation_degree`` is a module over the doubled quiver, the
+    arrows acting by left multiplication; its corner restriction
+    ``j_star`` is the cornered module.  Loops act as zero.
     """
-    corner = frozenset(corner)
-    if not corner:
-        raise EmptyI("corner set must be nonempty")
-    if bound is None:
-        bound = quot_truncation_degree(g, corner)
-    ctx = pi_context(g)
-    gen_deg = generation_degree(g, corner)
-
-    coords = {i: [] for i in sorted(corner)}
-    for k in range(bound + 1):
-        layer = ctx.layer(0, k)
-        for i in sorted(corner):
-            for c in layer.by_vertex.get(i, ()):
-                coords[i].append((k, c))
-    dims = {i: len(coords[i]) for i in sorted(corner)}
-    index = {i: {kc: t for t, kc in enumerate(coords[i])} for i in sorted(corner)}
-
-    def convert(x):
-        return field.from_fraction(x) if field is not QQ else x
-
-    actions = {}
-    for d in range(1, gen_deg + 1):
-        for i in sorted(corner):
-            for j in sorted(corner):
-                mats = []
-                class_paths = ctx.slice_basis_paths(i, j, d)
-                for cls in slice_class_basis(ctx, i, j, d):
-                    rows = [[field.zero] * dims[j] for _ in range(dims[i])]
-                    for col, (k, c) in enumerate(coords[j]):
-                        if k + d > bound:
-                            continue
-                        acc = {}
-                        for coeff, path in zip(cls.coeffs, class_paths):
-                            if not coeff:
-                                continue
-                            vec = _expand_path_on(
-                                ctx, path, {c: QQ.one}, 0, k
-                            )
-                            for c2, val in vec.items():
-                                acc[c2] = acc.get(c2, QQ.zero) + coeff * val
-                        for c2, val in acc.items():
-                            if val:
-                                r = index[i][(k + d, c2)]
-                                rows[r][col] = convert(val)
-                    mats.append(tuple(tuple(row) for row in rows))
-                actions[(d, i, j)] = mats
-
-    z_mats = {i: zeros(field, dims[i], dims[i]) for i in sorted(corner)}
-    return CorneredModule(
-        group=g,
-        corner=corner,
-        dims=dims,
-        z_mats=z_mats,
-        actions=actions,
-        gen_degree=gen_deg,
-        field=field,
-    )
+    bound = quot_truncation_degree(g, corner)
+    layers = [pi_context(g).layer(0, k) for k in range(bound + 1)]
+    quiver = mckay_quiver(g)
+    # index[v]: the position at v of each class coordinate (k, c), by degree
+    index = {v: {} for v in quiver.vertices}
+    for k, layer in enumerate(layers):
+        for c, v in enumerate(layer.vertex_of):
+            index[v][(k, c)] = len(index[v])
+    maps = {}
+    for a in quiver.arrows:
+        rows = [[QQ.zero] * len(index[a.head]) for _ in index[a.tail]]
+        for col, (k, c) in enumerate(index[a.head]):
+            if k < bound:
+                for c2, val in layers[k + 1].lmul_in.get(a.id, {}).get(c, ()):
+                    rows[index[a.tail][(k + 1, c2)]][col] = val
+        maps[a.id] = tuple(map(tuple, rows))
+    dims = DimVector(components={v: len(pos) for v, pos in index.items()})
+    return j_star(QuiverRep(quiver=quiver, dims=dims, maps=maps), corner)
 
 
 def check_quot_correspondence(qmod, corner, g):
@@ -357,7 +320,9 @@ def check_quot_correspondence(qmod, corner, g):
     dims = DimVector(components={v: qmod.dim(v) for v in sorted(corner)})
     if qmod.total_dim() == 0:
         return dims
-    column = truncated_corner_column(g, corner, field=qmod.field)
+    column = truncated_corner_column(g, corner)
+    if qmod.field is not QQ:
+        column = cornered_mod_p(column, qmod.field.p)
     for i in sorted(corner):
         if qmod.dim(i) > column.dim(i):
             raise NotAQuotient(

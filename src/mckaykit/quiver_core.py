@@ -10,14 +10,22 @@ Conventions fixed here and used everywhere:
 * for series A the edges are created in cyclic orientation
   ``m -> m+1 (mod r+1)``, for D and E in the canonical layout order of
   :mod:`mckaykit.dynkin`;
-* the framing vertex is :data:`INFINITY`.
+* the framing vertex is :data:`INFINITY`;
+* the relations are the signed vertex sums and, on a tripled quiver, loop
+  commutation; :func:`relation_generators` is their one definition.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import dynkin
-from .errors import AlreadyFramed, AlreadyTripled, EmptyI, InvariantViolation
+from .errors import (
+    AlreadyFramed,
+    AlreadyTripled,
+    EmptyI,
+    InvalidArgument,
+    InvariantViolation,
+)
 from .gamma_data import tensor_multiplicity_matrix
 from .linalg import QQ
 
@@ -174,6 +182,37 @@ class StabilityParam:
     def __call__(self, dims):
         return sum(QQ.from_fraction(weight) * dims.get(v)
                    for v, weight in self.values.items())
+
+
+class RelGen(NamedTuple):
+    """Degree-2 relation generator: sum of signed two-arrow paths."""
+
+    tgt: object
+    src: object
+    terms: tuple  # ((coeff, (first_arrow_id, second_arrow_id)), ...)
+
+
+def relation_generators(quiver):
+    """Vertex commutator sums sum_{tail(a)=v} sign(a) a.abar, in vertex
+    order, then, when tripled, the loop commutation z_tail a - a z_head of
+    each non-loop arrow.  A tripled quiver whose arrow ends at a vertex
+    without a loop raises InvalidArgument."""
+    gens = []
+    bar, sign = quiver.bar, quiver.sign
+    for v in quiver.vertices:
+        terms = tuple((sign(a.id), (a.id, bar[a.id]))
+                      for a in quiver.arrows_with_tail(v) if a.id in bar)
+        if terms:
+            gens.append(RelGen(v, v, terms))
+    if quiver.is_tripled:
+        loops = quiver.loops
+        for a in quiver.non_loop_arrows():
+            if a.tail not in loops or a.head not in loops:
+                raise InvalidArgument(f"arrow {a.id} of a tripled quiver ends "
+                                      "at a vertex without a loop")
+            gens.append(RelGen(a.tail, a.head, (
+                (1, (loops[a.tail], a.id)), (-1, (a.id, loops[a.head])))))
+    return tuple(gens)
 
 
 def mckay_quiver(g):

@@ -43,6 +43,7 @@ from .linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
+    matrix_equation_rows,
     nullspace,
     quotient_maps,
     reduce_entries,
@@ -52,7 +53,7 @@ from .linalg import (
     vec_to_sparse,
     zeros,
 )
-from .quiver_core import INFINITY, DimVector, vertex_sort_key
+from .quiver_core import INFINITY, DimVector, relation_generators, vertex_sort_key
 
 
 @dataclass
@@ -167,46 +168,30 @@ def direct_sum(a, b):
 # ---------------------------------------------------------------------------
 
 def check_relations(rep):
-    """Signed vertex sums of two-step compositions; zero iff flat."""
+    """The residual sum of coeff . x . y over the terms of each relation
+    generator (``quiver_core.relation_generators``), keyed by generator; all
+    zero iff flat."""
     field = rep.field
     out = {}
-    for v in rep.quiver.vertices:
-        d = rep.dims.get(v)
-        total = zeros(field, d, d)
-        for a in rep.quiver.arrows_with_tail(v):
-            if a.id not in rep.quiver.bar:
-                continue
-            prod = mat_mul(field, rep.matrix(a.id), rep.matrix(rep.quiver.bar[a.id]),
-                           b_ncols=d)
-            if rep.quiver.sign(a.id) > 0:
-                total = mat_add(field, total, prod)
+    for gen in relation_generators(rep.quiver):
+        ncols = rep.dims.get(gen.src)
+        total = None
+        for coeff, (x, y) in gen.terms:
+            prod = mat_mul(field, rep.matrix(x), rep.matrix(y), b_ncols=ncols)
+            if total is None and coeff > 0:
+                total = prod
             else:
-                total = mat_sub(field, total, prod)
-        out[v] = total
-    return out
-
-
-def loop_commutation_residuals(rep):
-    """Residuals of loop/arrow commutation for tripled quivers."""
-    field = rep.field
-    out = {}
-    loops = rep.quiver.loops
-    for a in rep.quiver.non_loop_arrows():
-        left = mat_mul(field, rep.matrix(loops[a.tail]), rep.matrix(a.id),
-                       b_ncols=rep.dims.get(a.head))
-        right = mat_mul(field, rep.matrix(a.id), rep.matrix(loops[a.head]),
-                        b_ncols=rep.dims.get(a.head))
-        out[a.id] = mat_sub(field, left, right)
+                if total is None:
+                    total = zeros(field, rep.dims.get(gen.tgt), ncols)
+                total = (mat_add if coeff > 0 else mat_sub)(field, total, prod)
+        out[gen] = total
     return out
 
 
 def max_relation_residual(rep):
-    """Largest absolute residual entry of the vertex relations and, for a
-    tripled quiver, of loop commutation; zero exactly when flat."""
-    mats = list(check_relations(rep).values())
-    if rep.quiver.is_tripled:
-        mats.extend(loop_commutation_residuals(rep).values())
-    return max((abs(x) for mat in mats for row in mat for x in row), default=0)
+    """Largest absolute residual entry of the relations; zero iff flat."""
+    return max((abs(x) for mat in check_relations(rep).values()
+                for row in mat for x in row), default=0)
 
 
 def is_flat(rep):
@@ -702,43 +687,21 @@ def random_flat_rep(quiver, dims, seed, field=QQ):
         )
 
     unknown = [quiver.arrow(quiver.bar[a.id]) for a in plus_arrows]
-    offsets = {}
-    nvars = 0
-    for a in unknown:
-        offsets[a.id] = nvars
-        nvars += dims.get(a.tail) * dims.get(a.head)
-
-    rows = []
-    for v in quiver.vertices:
-        d = dims.get(v)
-        for r in range(d):
-            for c in range(d):
-                row = [field.zero] * nvars
-                for a in quiver.arrows_with_tail(v):
-                    if a.id not in quiver.bar:
-                        continue
-                    partner = quiver.bar[a.id]
-                    if quiver.sign(a.id) > 0:
-                        # known @ unknown: coefficient K[r, m] on U[m, c]
-                        known = maps[a.id]
-                        db = dims.get(a.head)
-                        for m in range(db):
-                            idx = offsets[partner] + m * d + c
-                            row[idx] = field.add(row[idx], known[r][m])
-                    else:
-                        # -(unknown @ known): coefficient -K[m, c] on U[r, m]
-                        known = maps[partner]
-                        db = dims.get(a.head)
-                        for m in range(db):
-                            idx = offsets[a.id] + r * db + m
-                            row[idx] = field.sub(row[idx], known[m][c])
-                if any(x != field.zero for x in row):
-                    rows.append(tuple(row))
-
+    shapes = {a.id: (dims.get(a.tail), dims.get(a.head)) for a in unknown}
+    # the loops are scalars, so the loop relations hold: solve the vertex
+    # relations, each term known . unknown or unknown . known
+    loops = set(quiver.loops.values())
+    equations = [
+        [(coeff, x, maps[y]) if x in shapes else (coeff, maps[x], y)
+         for coeff, (x, y) in gen.terms]
+        for gen in relation_generators(quiver)
+        if not loops.intersection(gen.terms[0][1])
+    ]
+    rows, offsets, nvars = matrix_equation_rows(field, shapes, equations)
     basis = nullspace(field, rows, ncols=nvars) if nvars else []
     sol = combine(field, [rand_entry() for _ in basis], basis, nvars)
     for a in unknown:
-        dt, dh = dims.get(a.tail), dims.get(a.head)
+        dt, dh = shapes[a.id]
         off = offsets[a.id]
         maps[a.id] = tuple(
             tuple(sol[off + r * dh + c] for c in range(dh)) for r in range(dt)

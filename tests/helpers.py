@@ -5,9 +5,14 @@ substitution, so it shares no code path with either the path-algebra
 quotients or the character-theoretic counts it is used to check.
 """
 
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from mckaykit import dynkin
+from mckaykit.graded_algebra import AlgebraContext
+from mckaykit.linalg import QQ, Echelon
 from mckaykit.rep_theory import is_stable, random_flat_rep
 
 
@@ -174,3 +179,101 @@ def conjugated_copy(rep, seed=17):
         maps[a.id] = mat_mul(field, m2, p_inv[a.head],
                              b_ncols=rep.dims.get(a.head))
     return QuiverRep(quiver=rep.quiver, dims=rep.dims, maps=maps, field=field)
+
+
+# ---------------------------------------------------------------------------
+# the explicit path-space route: a slice as all its paths modulo the honest
+# two-sided relation span, independent of the quotient layers
+# ---------------------------------------------------------------------------
+
+# per context, the paths by right endpoint: {j: {(k, v): paths}}
+_paths_memo = weakref.WeakKeyDictionary()
+
+
+def all_paths(ctx, i, j, k):
+    """Every length-k path from j to i (product order)."""
+    ctx._check_degree(k)
+    memo = _paths_memo.setdefault(ctx, {}).setdefault(
+        j, {(0, v): (((),) if v == j else ()) for v in ctx.quiver.vertices}
+    )
+    for kk in range(1, k + 1):
+        for v in ctx.quiver.vertices:
+            if (kk, v) in memo:
+                continue
+            acc = []
+            for a in ctx.quiver.arrows_with_tail(v):
+                for p in memo.get((kk - 1, a.head), ()):
+                    acc.append((a.id,) + p)
+            memo[(kk, v)] = tuple(acc)
+    return memo[(k, i)]
+
+
+def pathspace_relation_rows(ctx, i, j, k):
+    """Echelonised spanning rows of the relation subspace of a slice.
+
+    Rows are sparse dicts keyed by path tuples.  This is the honest
+    two-sided span {p . rel . q}; cost grows with the path count, so
+    use :meth:`AlgebraContext.slice_dim` when only dimensions are needed.
+    """
+    ctx._check_degree(k)
+    spans = {}
+    for kk in range(k + 1):
+        for v in ctx.quiver.vertices:
+            ech = Echelon(QQ)
+            if kk >= 2:
+                for a in ctx.quiver.arrows_with_tail(v):
+                    for row in spans[(kk - 1, a.head)].rows.values():
+                        ech.insert({(a.id,) + p: val for p, val in row.items()})
+                for gen in ctx.relgens:
+                    if gen.tgt != v:
+                        continue
+                    for q in all_paths(ctx, gen.src, j, kk - 2):
+                        vec = {}
+                        for coeff, (x, y) in gen.terms:
+                            key = (x, y) + q
+                            vec[key] = vec.get(key, QQ.zero) + coeff
+                        ech.insert({p: c for p, c in vec.items() if c})
+            spans[(kk, v)] = ech
+    return spans[(k, i)]
+
+
+@dataclass
+class GradedSlice:
+    """Degree-k piece e_i A_k e_j: path basis plus relation-span data."""
+
+    ctx: AlgebraContext
+    i: object
+    j: object
+    k: int
+    dim: int
+
+    @cached_property
+    def path_basis(self):
+        return all_paths(self.ctx, self.i, self.j, self.k)
+
+    @cached_property
+    def relation_rank(self):
+        return len(self.path_basis) - self.dim
+
+    @cached_property
+    def relation_span(self):
+        """Matrix (#paths rows, rank columns) spanning the relation subspace."""
+        ech = pathspace_relation_rows(self.ctx, self.i, self.j, self.k)
+        index = {p: r for r, p in enumerate(self.path_basis)}
+        cols = []
+        for _, row in sorted(ech.rows.items()):
+            col = [QQ.zero] * len(self.path_basis)
+            for p, val in row.items():
+                col[index[p]] = val
+            cols.append(col)
+        return tuple(
+            tuple(col[r] for col in cols) for r in range(len(self.path_basis))
+        )
+
+
+def graded_slice(ctx, i, j, k):
+    """The degree-k slice from j to i of the context's algebra."""
+    ctx._check_endpoint(i)
+    ctx._check_endpoint(j)
+    dim = ctx.slice_dim(i, j, k)
+    return GradedSlice(ctx=ctx, i=i, j=j, k=k, dim=dim)

@@ -268,6 +268,16 @@ def test_unreadable_module_file_exit_2(capsys, tmp_path, command, content):
     {"maps": {"99": [["0"]]}},
     {"dims": {"0": 2, "1": 1, "inf": 1}, "maps": {"0": [["0"], ["0", "1"]]}},
     {"dims": {"0": 1, "1": 1, "7": 3, "inf": 1}},
+    {"quiver": {"group": "A1", "vertices": ["0", "1", "inf"],
+                "arrows": [{"tail": "0", "head": "1"}]}},
+    {"quiver": {"group": "A1", "vertices": ["0", "1", "inf"],
+                "arrows": [{"id": 0, "tail": "0", "head": "1", "bar": 5}]}},
+    {"quiver": {"group": "A1", "frame": {"a": 1}}},
+    {"quiver": {"group": "A1", "frame": ["x", 0]}},
+    {"quiver": {"group": 5, "frame": [1, 0]}},
+    {"maps": {"5": "1"}},
+    {"maps": {"5": [[1.5]]}},
+    {"maps": {"5": [[True]]}},
 ])
 def test_stability_malformed_module_exit(capsys, tmp_path, change):
     q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
@@ -282,7 +292,19 @@ def test_stability_malformed_module_exit(capsys, tmp_path, change):
     dump_json(data, str(path))
     code, _, err = run(capsys, "stability", str(path), "--corner", "0")
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stability_framed_tripled_module_exit(capsys, tmp_path):
+    """The framing vertex of a tripled quiver has no loop, so the loop
+    relations are undefined: a usage error naming the arrow."""
+    path = tmp_path / "module.json"
+    dump_json({"quiver": {"group": "A1", "frame": [1, 0], "triple": True},
+               "dims": {"0": 1, "1": 1, "inf": 1}}, str(path))
+    code, out, err = run(capsys, "stability", str(path), "--corner", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: arrow ") and err.count("\n") == 1
 
 
 def test_quiver_json_round_trip():
@@ -325,8 +347,11 @@ def test_module_entries_parse_int_when_integral():
     data = rep_to_dict(zero_rep(q, DimVector(components={0: 2, 1: 1}, at_infinity=1)))
     data["maps"]["0"] = [["1/2"], ["-3"]]
     data["maps"]["1"] = [["0", "-2/3"]]
+    data["maps"]["5"] = [[2, 0]]
     rep = rep_from_dict(data)
     assert rep.maps[0] == ((Fraction(1, 2),), (-3,))
+    assert rep.maps[5] == ((2, 0),)
+    data["maps"]["5"] = [["2", "0"]]
     assert [type(x) for row in rep.maps[1] for x in row] == [int, Fraction]
     assert rep_to_dict(rep) == data
 

@@ -382,3 +382,16 @@ def test_corner_layer_identity():
 
     feed(_canon_rep(j_shriek(j_star(vertex_simple(quiver, 1), {0}))))
     assert digest.hexdigest() == CORNER_DIGEST
+
+
+def test_j_star_path_through_zero_component():
+    """A class whose paths pass through a vertex of dimension zero acts as
+    a zero matrix with the dimensions of its endpoints."""
+    quiver = triple_quiver(mckay_quiver(build_group("A2")))
+    _, rep = flat_reps(quiver, DimVector(components={0: 1, 1: 0, 2: 1}), 1)[0]
+    cm = j_star(rep, {0, 2})
+    assert cm.actions[(2, 0, 2)]
+    for (_, i, j), mats in cm.actions.items():
+        for mat in mats:
+            assert len(mat) == cm.dim(i)
+            assert all(len(row) == cm.dim(j) for row in mat)

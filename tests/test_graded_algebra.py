@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cyclic_invariant_count, invariant_dim_by_projector
+from helpers import cyclic_invariant_count, graded_slice, invariant_dim_by_projector
 from mckaykit.errors import (
     DegreeCapExceeded,
     EndpointMismatch,
@@ -17,7 +17,6 @@ from mckaykit.graded_algebra import (
     class_from_path,
     corner_generation_bound,
     factor_through_bound,
-    graded_slice,
     hilbert_sequence,
     molien_sequence,
     multiply_classes,

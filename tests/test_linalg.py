@@ -1,6 +1,7 @@
 """The elimination kernel: rref, rank, solve and nullspace on seeded
 matrices over QQ and small prime fields, zero-row and zero-column shapes
-included, checked against a textbook dense elimination kept here.  QQ is
+included, checked against a textbook dense elimination kept here.  The
+rows of matrix equations are checked against evaluating the equations.  QQ is
 fed both ``Fraction`` entries and plain ``int`` entries; either way the
 results stay exact and never hold a ``float``.  The closure test and the
 sparse image are checked against the same dense reference, and the values
@@ -16,7 +17,9 @@ from mckaykit.linalg import (
     Echelon,
     PrimeField,
     _echelon,
+    mat_mul,
     mat_vec,
+    matrix_equation_rows,
     nullspace,
     rank,
     rref,
@@ -274,3 +277,58 @@ def test_echelon_builder_equals_insert_one_by_one(field, integral):
         built = _echelon(field, rows).rows
         assert built == ref.rows
         assert repr(built) == repr(ref.rows)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_matrix_equation_rows(field):
+    """Row t of an equation's entry is the coefficient of variable t, so the
+    rows equal the entries of the equation evaluated at each unit vector.
+    Covered: both term sides, an unknown repeated in one equation, 0 x n
+    and n x 0 unknowns, equations that vanish, and over GF(5) the
+    coefficient -1 and entries reduced into range(5)."""
+
+    def mat(rows):
+        return tuple(tuple(field.from_int(x) for x in row) for row in rows)
+
+    k, m, p = mat([[1, -2], [0, 3]]), mat([[2], [0], [-1]]), mat([[4]])
+    shapes = {"x": (3, 2), "y": (1, 2), "e": (0, 2), "z": (2, 0)}
+    # (shape, terms): X.K - M.Y + 2 N.E, then 3 Y.K + P.Y, then Z.Q and
+    # X.K - X.K, which vanish
+    equations = [
+        ((3, 2), [(1, "x", k), (-1, m, "y"), (2, ((),) * 3, "e")]),
+        ((1, 2), [(3, "y", k), (1, p, "y")]),
+        ((2, 2), [(1, "z", ())]),
+        ((3, 2), [(1, "x", k), (-1, "x", k)]),
+    ]
+    rows, offsets, nvars = matrix_equation_rows(
+        field, shapes, [terms for _, terms in equations])
+    assert offsets == {"x": 0, "y": 6, "e": 8, "z": 8} and nvars == 8
+
+    def evaluate(terms, nrows, ncols, vec):
+        unknown = {u: tuple(tuple(vec[offsets[u] + r * nc + c] for c in range(nc))
+                            for r in range(nr))
+                   for u, (nr, nc) in shapes.items()}
+        total = [[field.zero] * ncols for _ in range(nrows)]
+        for coef, left, right in terms:
+            left = unknown.get(left, left) if isinstance(left, str) else left
+            right = unknown.get(right, right) if isinstance(right, str) else right
+            prod = mat_mul(field, left, right, b_ncols=ncols)
+            for r in range(nrows):
+                for c in range(ncols):
+                    total[r][c] = field.add(total[r][c],
+                                            field.mul(field.from_int(coef), prod[r][c]))
+        return total
+
+    units = [tuple(int(t == s) for s in range(nvars)) for t in range(nvars)]
+    want = []
+    for (nrows, ncols), terms in equations:
+        values = [evaluate(terms, nrows, ncols, unit) for unit in units]
+        for r in range(nrows):
+            for c in range(ncols):
+                row = tuple(values[t][r][c] for t in range(nvars))
+                if any(row):
+                    want.append(row)
+    assert rows == want
+    assert len(rows) == 6 + 2
+    if field is not QQ:
+        assert all(0 <= x < field.p for row in rows for x in row)

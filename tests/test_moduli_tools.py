@@ -1,8 +1,11 @@
 """Sufficiency, pushforwards, ADHM splitting, quotient correspondence."""
 
+import hashlib
+
 import pytest
 
 from helpers import stable_reps
+from mckaykit.cli import main as cli_main
 from mckaykit.errors import (
     MomentMapNonzero,
     NotAQuotient,
@@ -11,7 +14,8 @@ from mckaykit.errors import (
     NotStableForSource,
 )
 from mckaykit.gamma_data import build_group
-from mckaykit.linalg import PrimeField, zeros
+from mckaykit.io_formats import dump_json, fraction_to_str, rep_to_dict
+from mckaykit.linalg import QQ, PrimeField, hom_space, zeros
 from mckaykit.quiver_core import (
     DimVector,
     delta,
@@ -23,6 +27,7 @@ from mckaykit.rep_theory import (
     are_isomorphic,
     check_relations,
     is_stable,
+    random_flat_rep,
     s_equivalent,
     zero_rep,
 )
@@ -294,3 +299,69 @@ def test_quot_dimension_obstruction():
 def test_quot_truncation_degree_value():
     g = build_group("A1")
     assert quot_truncation_degree(g, {0}) == 4
+
+
+#: sha256 of framed-layer outputs in the canonical form of
+#: ``test_framed_layer_identity``: entries through ``fraction_to_str``, so
+#: only values count.  The value was computed when the relation signs were
+#: written out separately in the layer builder, the relation check and
+#: ``random_flat_rep``, when ``hom_space`` and ``random_flat_rep`` indexed
+#: their linear systems by hand, and when the truncated column had its own
+#: class-action loop, so it pins the outputs across their merge.
+FRAMED_DIGEST = "0609a970ddf09f03debf3f1f74a98f675a30850778e6715fa70cbb91a7be1c42"
+
+# (group, framing, component dims) of the sampled framed modules
+FRAMED_CASES = [
+    ("A1", {0: 1}, {0: 2, 1: 1}),
+    ("A2", {0: 1}, {0: 1, 1: 1, 2: 1}),
+    ("D4", {0: 1}, {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}),
+]
+COLUMN_CORNERS = [
+    ("A1", (0,)), ("A1", (0, 1)), ("A2", (0,)), ("A2", (0, 1)),
+    ("A3", (0,)), ("A3", (0, 2)), ("D4", (0,)), ("D4", (0, 2)),
+    ("D5", (0,)), ("D5", (0, 1)), ("E6", (0,)), ("E6", (0, 1)),
+]
+
+
+def _canon_mat(mat):
+    return tuple(tuple(fraction_to_str(x) for x in row) for row in mat)
+
+
+def test_framed_layer_identity(tmp_path, capsys):
+    digest = hashlib.sha256()
+
+    def feed(*parts):
+        digest.update(repr(parts).encode())
+
+    for label, w, comps in FRAMED_CASES:
+        q = frame_quiver(mckay_quiver(build_group(label)), w)
+        dims = DimVector(components=comps, at_infinity=1)
+        for field in (QQ, PrimeField(5)):
+            reps = []
+            for seed in range(6):
+                rep = random_flat_rep(q, dims, seed, field=field)
+                if rep is not None:
+                    reps.append(rep)
+                    feed(label, repr(field), seed,
+                         [_canon_mat(rep.matrix(a.id)) for a in q.arrows])
+            for a, b in zip(reps, reps[1:]):
+                basis, offsets = hom_space(field, a.generators(), b.generators(),
+                                           a.vertex_dims(), b.vertex_dims())
+                feed(_canon_mat(basis), sorted(offsets.items(), key=str))
+        corner = ",".join(str(v) for v in comps)
+        for n, (seed, rep) in enumerate(stable_reps(q, dims, set(comps), 2)):
+            path = tmp_path / f"{label}_{n}.json"
+            dump_json(rep_to_dict(rep), str(path))
+            prefix = tmp_path / f"{label}_{n}_summand"
+            assert cli_main(["vgit", str(path), "--from-corner", corner,
+                             "--to-corner", "0", "--out-prefix", str(prefix)]) == 0
+            for out in sorted(tmp_path.glob(f"{label}_{n}_summand_*.json")):
+                feed(seed, out.name, out.read_text())
+    capsys.readouterr()
+
+    for label, corner in COLUMN_CORNERS:
+        column = truncated_corner_column(build_group(label), corner)
+        feed(label, corner, sorted(column.dims.items()), column.gen_degree,
+             sorted((key, [_canon_mat(m) for m in mats])
+                    for key, mats in column.actions.items()))
+    assert digest.hexdigest() == FRAMED_DIGEST

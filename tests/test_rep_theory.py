@@ -19,7 +19,9 @@ from mckaykit.quiver_core import (
     DimVector,
     frame_quiver,
     mckay_quiver,
+    relation_generators,
     theta_I,
+    triple_quiver,
     vertex_sort_key,
 )
 from mckaykit.rep_theory import (
@@ -34,6 +36,7 @@ from mckaykit.rep_theory import (
     is_semistable,
     is_stable,
     make_rep,
+    max_relation_residual,
     max_submodule_avoiding,
     polystable_decomposition,
     reduce_mod_p,
@@ -73,6 +76,22 @@ def test_generic_scalars_violate_relations(a1_framed, dims11):
             maps[a.id] = ((Fraction(1),),)
     rep = make_rep(a1_framed, dims11, maps)
     assert not is_flat(rep)
+
+
+def test_loop_commutation_is_a_relation():
+    """On a tripled quiver ``check_relations`` has one residual per relation
+    generator, the loop commutation z_tail a - a z_head included."""
+    quiver = triple_quiver(mckay_quiver(build_group("A1")))
+    dims = DimVector(components={0: 1, 1: 1})
+    arrow = quiver.non_loop_arrows()[0]
+    for z_head, residual in ((1, 0), (3, 2)):
+        maps = {arrow.id: ((1,),), quiver.loops[arrow.tail]: ((1,),),
+                quiver.loops[arrow.head]: ((z_head,),)}
+        rep = make_rep(quiver, dims, maps)
+        residuals = check_relations(rep)
+        assert list(residuals) == list(relation_generators(quiver))
+        assert max_relation_residual(rep) == residual
+        assert is_flat(rep) == (residual == 0)
 
 
 def test_shape_mismatch(a1_framed, dims11):
