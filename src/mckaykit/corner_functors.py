@@ -80,6 +80,13 @@ def _pi_context(label):
 
 
 @functools.lru_cache(maxsize=None)
+def _tripled_quiver(label):
+    """The tripled McKay quiver of a group, which every corner extension
+    of its modules shares."""
+    return triple_quiver(mckay_quiver(build_group(label)))
+
+
+@functools.lru_cache(maxsize=None)
 def _generation_degree(label, corner):
     return corner_generation_bound(_pi_context(label), corner)
 
@@ -248,7 +255,7 @@ def j_shriek_with_data(module, force_degree=0):
     if field is not QQ:
         raise BadPrime(f"corner extension runs over QQ, not {field}")
     ctx = pi_context(group)
-    quiver_b = triple_quiver(mckay_quiver(group))
+    quiver_b = _tripled_quiver(group.descriptor.label)
     corner_sorted = sorted(module.corner)
     gen_deg = module.gen_degree
     # a bilinearity row of degree k reaches down to degree k - gen_deg, so

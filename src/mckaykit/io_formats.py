@@ -70,8 +70,13 @@ def quiver_to_dict(q):
 
 
 def quiver_from_dict(data):
-    """Parse an explicit quiver; a malformed one raises MalformedFile."""
+    """Parse an explicit quiver; a malformed one raises MalformedFile.
+
+    Every arrow id is an integer, every arrow joins two listed vertices,
+    and every ``"loops"`` entry names an arrow from its vertex to itself.
+    """
     try:
+        vertices = tuple(key_to_vertex(v) for v in data["vertices"])
         arrows = tuple(
             Arrow(a["id"], key_to_vertex(a["tail"]), key_to_vertex(a["head"]))
             for a in data["arrows"]
@@ -80,11 +85,22 @@ def quiver_from_dict(data):
         framing = None
         if data.get("framing") is not None:
             framing = {key_to_vertex(k): w for k, w in data["framing"].items()}
+        loops = {key_to_vertex(k): aid for k, aid in data.get("loops", {}).items()}
+        by_id = {a.id: a for a in arrows}
+        for a in arrows:
+            if type(a.id) is not int:
+                raise ValueError(f"arrow id {a.id!r} is not an integer")
+            if a.tail not in vertices or a.head not in vertices:
+                raise ValueError(f"arrow {a.id} joins a vertex that is not listed")
+        for v, aid in loops.items():
+            loop = by_id.get(aid) if type(aid) is int else None
+            if loop is None or not loop.tail == loop.head == v:
+                raise ValueError(f"loop entry {vertex_to_key(v)!r} names no loop arrow there")
         return Quiver(
-            vertices=tuple(key_to_vertex(v) for v in data["vertices"]),
+            vertices=vertices,
             arrows=arrows,
             bar=bar,
-            loops={key_to_vertex(k): aid for k, aid in data.get("loops", {}).items()},
+            loops=loops,
             framing=framing,
             group=data.get("group"),
         )

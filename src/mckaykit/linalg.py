@@ -9,12 +9,16 @@ inferred.
 
 There is one elimination kernel, the sparse incremental ``Echelon``;
 ``rref``, ``rank``, ``solve`` and ``nullspace`` are dense views of it.
-Each field exposes its characteristic ``p`` (``QQ.p == 0``).  The echelon
-and the sparse images compute on the stored values with Python's native
-``-`` and ``*`` and reduce each computed entry once mod ``p`` when ``p`` is
-nonzero.  So GF(p) values, given in ``range(p)``, stay there, and a QQ
-value stays an ``int`` until a division makes it a ``Fraction``.  The
-dense helpers use the field's methods.
+Over GF(p) a stored row has pivot 1.  Over QQ elimination is fraction-free
+(after Bareiss): a stored row is a primitive integer row with a positive
+pivot, every intermediate value is an ``int``, and a value is divided
+only where a caller reads it normalised (``reduce``, ``reduced_rows``,
+``monic_rows``), so a ``Fraction`` appears only in a result that is not
+integral.  Each field exposes its characteristic ``p`` (``QQ.p == 0``).
+The echelon, the sparse images and the dense helpers compute with
+Python's native ``+``, ``-`` and ``*`` and reduce each computed entry once
+mod ``p`` when ``p`` is nonzero, so GF(p) values, given in ``range(p)``,
+stay there.
 The kernels shared by the module-theory layers live here too.  They act
 on a module's generator view: its per-vertex dimensions and a list of
 ``(i, j, mat)`` generators, each a dims[i] x dims[j] matrix.  On that view
@@ -27,6 +31,7 @@ system in unknown matrices is built by ``matrix_equation_rows``.
 
 import functools
 import itertools
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -114,10 +119,15 @@ class PrimeField:
         return n % self.p
 
     def from_fraction(self, fr):
-        fr = Fraction(fr)
-        if fr.denominator % self.p == 0:
-            raise BadPrime(f"denominator {fr.denominator} divisible by {self.p}")
-        return (fr.numerator % self.p) * self.inv(fr.denominator % self.p) % self.p
+        p = self.p
+        if type(fr) is int:
+            return fr % p
+        if not isinstance(fr, Fraction):
+            fr = Fraction(fr)
+        den = fr.denominator
+        if den % p == 0:
+            raise BadPrime(f"denominator {den} divisible by {p}")
+        return fr.numerator * pow(den, -1, p) % p
 
     def __repr__(self):
         return self.name
@@ -140,12 +150,19 @@ def zeros(field, nrows, ncols):
     return tuple(tuple(field.zero for _ in range(ncols)) for _ in range(nrows))
 
 
+def _mod(p, values):
+    """``values`` as a tuple, each reduced mod ``p`` when ``p`` is nonzero."""
+    return tuple(v % p for v in values) if p else tuple(values)
+
+
 def mat_add(field, a, b):
-    return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    p = field.p
+    return tuple(_mod(p, [x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b))
 
 
 def mat_sub(field, a, b):
-    return tuple(tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    p = field.p
+    return tuple(_mod(p, [x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b))
 
 
 def mat_mul(field, a, b, b_ncols=None):
@@ -154,32 +171,30 @@ def mat_mul(field, a, b, b_ncols=None):
         b_ncols = len(b[0])
     if b_ncols is None:
         raise ValueError("b_ncols required for an empty middle dimension")
-    zero = field.zero
+    p = field.p
     out = []
     for row in a:
-        acc = [zero] * b_ncols
+        acc = [field.zero] * b_ncols
         for x, brow in zip(row, b):
-            if x == zero:
-                continue
-            for j, y in enumerate(brow):
-                if y != zero:
-                    acc[j] = field.add(acc[j], field.mul(x, y))
-        out.append(tuple(acc))
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(_mod(p, acc))
     return tuple(out)
 
 
 def mat_vec(field, a, v):
-    zero = field.zero
-    support = [(i, y) for i, y in enumerate(v) if y != zero]
+    support = [(i, y) for i, y in enumerate(v) if y]
     out = []
     for row in a:
-        s = zero
+        s = field.zero
         for i, y in support:
             x = row[i]
-            if x != zero:
-                s = field.add(s, field.mul(x, y))
+            if x:
+                s += x * y
         out.append(s)
-    return tuple(out)
+    return _mod(field.p, out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +215,74 @@ def _subtract(work, coef, row, p):
             work.pop(c, None)
 
 
+def _eliminate(work, row, col):
+    """One fraction-free step on ``int`` rows: cancel the entry ``w`` of
+    ``work`` at ``col`` against the stored ``row`` whose pivot is ``col``
+    and has value ``d > 1``, by ``work = (d/g) work - (w/g) row`` in place,
+    ``g = gcd(d, w)``.  Returns ``d/g``, the positive factor put on
+    ``work``.  A row with pivot 1 (every GF(p) row) is subtracted by
+    ``_subtract`` instead, at no scale."""
+    d, w = row[col], work[col]
+    g = math.gcd(d, w)
+    a = d // g
+    if a != 1:
+        for c in work:
+            work[c] *= a
+    _subtract(work, w // g, row, 0)
+    return a
+
+
+# ``_only_int(map(type, values))``: whether every one of the QQ elements
+# ``values`` is an ``int``, in one pass in C that stops at another type
+_only_int = frozenset((int,)).issuperset
+
+
+def _integral(vec):
+    """(row, m): a new dict of the nonzero entries of the QQ vector ``vec``
+    times ``m`` as ``int``s, ``m`` the lcm of their denominators."""
+    if _only_int(map(type, vec.values())):
+        return Echelon._nonzero(vec), 1
+    m = math.lcm(*(v.denominator for v in vec.values() if v))
+    return {c: v.numerator * (m // v.denominator) for c, v in vec.items() if v}, m
+
+
+def _ratio(n, d):
+    """The QQ element ``n / d`` of two ``int``s, ``d > 0``: an ``int`` when
+    it is integral."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _primitive(row, lead):
+    """The integer sparse ``row`` divided by the gcd of its entries, with
+    the sign of ``lead`` (its pivot entry) taken out too."""
+    g = math.gcd(*row.values())
+    if lead < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _divided(row, d):
+    """The integer sparse ``row`` divided by ``d > 0``, as QQ elements."""
+    return row if d == 1 else {c: _ratio(v, d) for c, v in row.items()}
+
+
 class Echelon:
     """Incremental row echelon basis over an exact field.
 
     Rows are sparse dicts ``{column: value}``; the pivot of a row is its
-    smallest column index, and stored rows are normalised to pivot value 1.
-    Feeding vectors one by one yields rank and span-membership tests;
-    ``reduced_rows`` gives the reduced row echelon form.
+    smallest column index.  Over GF(p) a stored row has pivot value 1.
+    Over QQ a stored row is a primitive integer row (its entries have gcd
+    1) with a positive pivot, and elimination is fraction-free: a step
+    against a stored row with pivot d scales the work row by d/gcd(d, w)
+    instead of dividing, w being the work row's entry at that pivot.  The
+    stored rows span what the inserted vectors span, and each is a
+    positive multiple of the row an elimination normalised to pivot 1
+    would store (``monic_rows``).  Feeding vectors one by one yields rank
+    and span-membership tests; ``reduced_rows`` gives the reduced row
+    echelon form.
     """
 
     def __init__(self, field):
@@ -220,14 +296,19 @@ class Echelon:
 
     def _reduce_leading(self, work):
         """Eliminate stored rows from ``work`` in place until its smallest
-        column has no pivot; return that column, or None once it is empty."""
+        column has no pivot; return that column, or None once it is empty.
+        Over QQ ``work`` holds ``int``s and ends as a positive multiple of
+        the reduced vector."""
         rows, p = self.rows, self.p
         while work:
             piv = min(work)
             row = rows.get(piv)
             if row is None:
                 return piv
-            _subtract(work, work[piv], row, p)
+            if p or row[piv] == 1:
+                _subtract(work, work[piv], row, p)
+            else:
+                _eliminate(work, row, piv)
         return None
 
     @staticmethod
@@ -240,43 +321,79 @@ class Echelon:
     def reduce(self, vec):
         """Return the normal form of ``vec`` (a new dict): ``vec`` minus the
         element of the stored span that leaves no entry in a pivot column."""
-        work = self._nonzero(vec)
+        rows, p = self.rows, self.p
+        # work is ``scale`` times the vector being reduced (over QQ), so an
+        # entry is divided by the scale when it leaves work
+        work, scale = (self._nonzero(vec), 1) if p else _integral(vec)
         out = {}
-        while (col := self._reduce_leading(work)) is not None:
-            out[col] = work.pop(col)
+        while work:
+            piv = min(work)
+            row = rows.get(piv)
+            if row is None:
+                out[piv] = _ratio(work.pop(piv), scale)
+            elif row[piv] == 1:
+                _subtract(work, work[piv], row, p)
+            else:
+                scale *= _eliminate(work, row, piv)
         return out
 
     def insert(self, vec):
         """Reduce and store ``vec``; return True if it enlarged the span."""
-        work = self._nonzero(vec)
+        p = self.p
+        if p or _only_int(map(type, vec.values())):
+            work = self._nonzero(vec)
+        else:
+            work = _integral(vec)[0]
         piv = self._reduce_leading(work)
         if piv is None:
             return False
         lead = work[piv]
         if lead != 1:
-            inv, p = self.field.inv(lead), self.p
             if p:
+                inv = self.field.inv(lead)
                 work = {c: v * inv % p for c, v in work.items()}
+            elif lead == -1:
+                work = {c: -v for c, v in work.items()}
             else:
-                work = {c: v * inv for c, v in work.items()}
+                work = _primitive(work, lead)
         self.rows[piv] = work
         return True
 
     def contains(self, vec):
-        return self._reduce_leading(self._nonzero(vec)) is None
+        work = self._nonzero(vec) if self.p else _integral(vec)[0]
+        return self._reduce_leading(work) is None
+
+    def monic_rows(self):
+        """The stored rows scaled to pivot value 1, as a dict keyed by
+        pivot; over GF(p) these are the stored rows themselves."""
+        if self.p:
+            return self.rows
+        return {piv: _divided(row, row[piv]) for piv, row in self.rows.items()}
 
     def reduced_rows(self):
         """The stored rows in reduced form, as a new dict keyed by pivot.
 
         Back-substitutes from the highest pivot down, so no row keeps an
         entry in another row's pivot column; the stored rows are unchanged.
+        Over QQ the back-substitution runs on primitive integer rows, and
+        each row is divided by its pivot once, at the end.
         """
+        p = self.p
         out = {}
+        ints = {}  # the reduced rows as stored: over QQ primitive integer rows
         for piv in sorted(self.rows, reverse=True):
             row = dict(self.rows[piv])
-            for col in [c for c in row if c != piv and c in out]:
-                _subtract(row, row[col], out[col], self.p)
-            out[piv] = row
+            for col in [c for c in row if c != piv and c in ints]:
+                above = ints[col]
+                if above[col] == 1:
+                    _subtract(row, row[col], above, p)
+                else:
+                    _eliminate(row, above, col)
+            ints[piv] = out[piv] = row
+            lead = row[piv]
+            if lead != 1:  # over QQ only: divide out what scaling added
+                ints[piv] = row = _primitive(row, lead)
+                out[piv] = _divided(row, row[piv])
         return out
 
 
@@ -287,17 +404,19 @@ def vec_to_sparse(field, vec):
 def _echelon(field, rows):
     """The ``Echelon`` of the dense ``rows``, inserted in order.
 
-    A row whose leading entry is 1 in a column without a pivot is stored as
-    it is, which is what ``insert`` would store; every other row goes
-    through ``insert``.
+    A row of ``int``s whose leading entry is 1 in a column without a pivot
+    is stored as it is, which is what ``insert`` would store; every other
+    row goes through ``insert``.
     """
     ech = Echelon(field)
     stored = ech.rows
+    p = field.p
     for row in rows:
         vec = vec_to_sparse(field, row)
         if vec:
             piv = next(iter(vec))  # vec_to_sparse keeps column order
-            if vec[piv] == 1 and piv not in stored:
+            if (vec[piv] == 1 and piv not in stored
+                    and (p or _only_int(map(type, vec.values())))):
                 stored[piv] = vec
                 continue
             ech.insert(vec)
@@ -381,15 +500,13 @@ def nullspace(field, a, ncols=None):
 
 def combine(field, coeffs, vectors, n):
     """The linear combination sum_i coeffs[i] * vectors[i] in F^n."""
-    zero = field.zero
-    out = [zero] * n
+    out = [field.zero] * n
     for coef, vec in zip(coeffs, vectors):
-        if coef == zero:
-            continue
-        for idx, x in enumerate(vec):
-            if x != zero:
-                out[idx] = field.add(out[idx], field.mul(coef, x))
-    return tuple(out)
+        if coef:
+            for idx, x in enumerate(vec):
+                if x:
+                    out[idx] += coef * x
+    return _mod(field.p, out)
 
 
 @functools.lru_cache(maxsize=COLUMN_CACHE_SIZE)
@@ -515,32 +632,34 @@ def matrix_equation_rows(field, shapes, equations):
     for x, (nr, nc) in shapes.items():
         offsets[x] = nvars
         nvars += nr * nc
-    zero, add, mul = field.zero, field.add, field.mul
+    zero, p = field.zero, field.p
     rows = []
     for terms in equations:
         grid = defaultdict(lambda: [zero] * nvars)  # (r, c) -> its dense row
         for coef, left, right in terms:
-            # add(zero, val) is val: a variable met first just takes val
+            # zero + val is val: a variable met first just takes val
             if isinstance(left, (tuple, list)):  # coef.K.X: K[r][m] on X[m][c]
                 off, nc = offsets[right], shapes[right][1]
                 for r, krow in enumerate(left):
-                    nz = [(off + m * nc, mul(coef, k))
-                          for m, k in enumerate(krow) if k != zero]
+                    nz = [(off + m * nc, coef * k) for m, k in enumerate(krow) if k]
                     for c in range(nc) if nz else ():
                         row = grid[(r, c)]
                         for base, val in nz:
                             i = base + c
-                            row[i] = val if row[i] is zero else add(row[i], val)
+                            row[i] = val if row[i] is zero else row[i] + val
             else:  # coef.X.K: K[m][c] on X[r][m]
                 off, (nr, nm) = offsets[left], shapes[left]
                 for c, kcol in enumerate(zip(*right)):
-                    nz = [(m, mul(coef, k)) for m, k in enumerate(kcol) if k != zero]
+                    nz = [(m, coef * k) for m, k in enumerate(kcol) if k]
                     for r in range(nr) if nz else ():
                         row = grid[(r, c)]
                         for m, val in nz:
                             i = off + r * nm + m
-                            row[i] = val if row[i] is zero else add(row[i], val)
-        rows.extend(tuple(grid[key]) for key in sorted(grid) if any(grid[key]))
+                            row[i] = val if row[i] is zero else row[i] + val
+        for key in sorted(grid):
+            row = _mod(p, grid[key])
+            if any(row):
+                rows.append(row)
     return rows, offsets, nvars
 
 

@@ -10,6 +10,7 @@ simples; composing pushforwards along nested corners is checked (in the
 tests) to agree with the direct pushforward up to summand isomorphism.
 """
 
+import functools
 from fractions import Fraction
 
 from .corner_functors import (
@@ -305,6 +306,15 @@ def truncated_corner_column(g, corner):
     return j_star(QuiverRep(quiver=quiver, dims=dims, maps=maps), corner)
 
 
+@functools.lru_cache(maxsize=None)
+def _quot_column(label, corner, p):
+    """``truncated_corner_column`` of a group and corner, reduced mod ``p``
+    when ``p`` is nonzero; built once and shared by every certification."""
+    if p:
+        return cornered_mod_p(_quot_column(label, corner, 0), p)
+    return truncated_corner_column(build_group(label), corner)
+
+
 def check_quot_correspondence(qmod, corner, g):
     """Certify a cornered module as a quotient of the truncated column.
 
@@ -320,9 +330,7 @@ def check_quot_correspondence(qmod, corner, g):
     dims = DimVector(components={v: qmod.dim(v) for v in sorted(corner)})
     if qmod.total_dim() == 0:
         return dims
-    column = truncated_corner_column(g, corner)
-    if qmod.field is not QQ:
-        column = cornered_mod_p(column, qmod.field.p)
+    column = _quot_column(g.descriptor.label, corner, qmod.field.p)
     for i in sorted(corner):
         if qmod.dim(i) > column.dim(i):
             raise NotAQuotient(

@@ -247,10 +247,11 @@ def generated_submodule(rep, seeds):
     spaces = {}
     for v in rep.quiver.vertices:
         n = rep.dims.get(v)
+        monic = ech[v].monic_rows()
         rows = []
-        for piv in sorted(ech[v].rows):
+        for piv in sorted(monic):
             row = [field.zero] * n
-            for c, val in ech[v].rows[piv].items():
+            for c, val in monic[piv].items():
                 row[c] = val
             rows.append(tuple(row))
         spaces[v] = tuple(rows)

@@ -272,6 +272,15 @@ def test_unreadable_module_file_exit_2(capsys, tmp_path, command, content):
                 "arrows": [{"tail": "0", "head": "1"}]}},
     {"quiver": {"group": "A1", "vertices": ["0", "1", "inf"],
                 "arrows": [{"id": 0, "tail": "0", "head": "1", "bar": 5}]}},
+    {"quiver": {"group": "A1", "vertices": ["0", "1", "inf"],
+                "arrows": [{"id": 0, "tail": "0", "head": "9"}]}},
+    {"quiver": {"group": "A1", "vertices": ["0", "1", "inf"],
+                "arrows": [{"id": "0", "tail": "0", "head": "1", "bar": 1},
+                           {"id": 1, "tail": "1", "head": "0", "bar": "0"}]}},
+    {"quiver": {"group": "A1", "vertices": ["0", "1", "inf"],
+                "arrows": [{"id": 0, "tail": "0", "head": "1", "bar": 1},
+                           {"id": 1, "tail": "1", "head": "0", "bar": 0}],
+                "loops": {"0": 7, "1": 8, "inf": 9}}},
     {"quiver": {"group": "A1", "frame": {"a": 1}}},
     {"quiver": {"group": "A1", "frame": ["x", 0]}},
     {"quiver": {"group": 5, "frame": [1, 0]}},

@@ -2,11 +2,16 @@
 matrices over QQ and small prime fields, zero-row and zero-column shapes
 included, checked against a textbook dense elimination kept here.  The
 rows of matrix equations are checked against evaluating the equations.  QQ is
-fed both ``Fraction`` entries and plain ``int`` entries; either way the
-results stay exact and never hold a ``float``.  The closure test and the
-sparse image are checked against the same dense reference, and the values
-an ``Echelon`` stores against its field's arithmetic convention."""
+fed small ``Fraction`` entries, plain ``int`` entries, and large numerators
+with denominators up to 10^3 (which exercise the fraction-free scaling and
+content division); either way the results stay exact, never hold a
+``float``, and hold an ``int`` wherever a value is integral.  The closure
+test and the sparse image are checked against the same dense reference,
+the values an ``Echelon`` stores against its field's arithmetic
+convention, and its normal forms on tuple-keyed sparse vectors against a
+reference computed here in ``Fraction`` arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -51,6 +56,18 @@ def reference_rank(field, rows):
     return r
 
 
+def random_entry(rng, integral=False):
+    """A QQ entry: a small ``int`` when ``integral`` is True, a small
+    ``Fraction`` when it is False, and when it is "big" a numerator up to
+    10^6 over a denominator up to 10^3 (half of them plain ``int``s)."""
+    if integral == "big":
+        num = rng.randint(-10**6, 10**6)
+        return num if rng.random() < 0.5 else Fraction(num, rng.randint(1, 1000))
+    if integral:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
 def random_matrix(field, rng, nrows, ncols, integral=False):
     density = rng.random()
 
@@ -58,26 +75,31 @@ def random_matrix(field, rng, nrows, ncols, integral=False):
         if rng.random() > density:
             return field.zero
         if field is QQ:
-            if integral:
-                return rng.randint(-4, 4)
-            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            return random_entry(rng, integral)
         return rng.randrange(field.p)
 
     return [tuple(entry() for _ in range(ncols)) for _ in range(nrows)]
 
 
 def cases():
-    inputs = [(field, False) for field in FIELDS] + [(QQ, True)]
+    inputs = [(field, False) for field in FIELDS] + [(QQ, True), (QQ, "big")]
     for field, integral in inputs:
-        name = "QQint" if integral else str(field)
+        name = {True: "QQint", "big": "QQbig"}.get(integral, str(field))
         for nrows, ncols in SHAPES:
             for seed in range(6):
                 yield pytest.param(field, integral, nrows, ncols, seed,
                                    id=f"{name}-{nrows}x{ncols}-{seed}")
 
 
+def assert_exact(values):
+    """No ``float``, and every integral QQ value an ``int``."""
+    for x in values:
+        assert not isinstance(x, float)
+        assert not (isinstance(x, Fraction) and x.denominator == 1), x
+
+
 def assert_no_float(rows):
-    assert not any(isinstance(x, float) for row in rows for x in row)
+    assert_exact(x for row in rows for x in row)
 
 
 @pytest.mark.parametrize("field,integral,nrows,ncols,seed", list(cases()))
@@ -251,6 +273,69 @@ def test_rational_echelon_with_unit_pivots_stays_int():
             assert ech.reduce(vec_to_sparse(QQ, vec)) == {}
         for row in list(ech.rows.values()) + list(ech.reduced_rows().values()):
             assert all(type(v) is int for v in row.values())
+
+
+def random_keyed_vector(rng, integral):
+    """A sparse QQ vector keyed like the corner extension's coordinates,
+    (-degree, vertex, class, basis index)."""
+    keys = [(-k, v, c, b) for k in range(3) for v in range(2)
+            for c in range(2) for b in range(2)]
+    return {key: random_entry(rng, integral)
+            for key in rng.sample(keys, rng.randint(0, 8))}
+
+
+def reference_reduce(rows, vec, leading_only=False):
+    """``vec`` reduced by ``rows`` (pivot -> row with pivot value 1) in
+    ``Fraction`` arithmetic: eliminate the smallest entry while it sits in
+    a pivot column, keep it otherwise.  With ``leading_only``, stop at the
+    first kept entry and return the rest unreduced."""
+    work = {c: Fraction(v) for c, v in vec.items() if v}
+    out = {}
+    while work:
+        piv = min(work)
+        if piv not in rows:
+            if leading_only:
+                return work
+            out[piv] = work.pop(piv)
+            continue
+        coef = work[piv]
+        for c, v in rows[piv].items():
+            work[c] = work.get(c, 0) - coef * v
+        work = {c: v for c, v in work.items() if v}
+    return out
+
+
+@pytest.mark.parametrize("integral", [False, True, "big"],
+                         ids=["QQ", "QQint", "QQbig"])
+def test_rational_echelon_reduce_matches_fraction_reference(integral):
+    """``Echelon(QQ)`` on tuple-keyed sparse vectors, as the corner
+    extension feeds it: its pivots equal those of a reference echelon kept
+    in ``Fraction`` arithmetic with pivot-1 rows, ``monic_rows`` equals the
+    reference's rows, every stored row is a primitive integer row with a
+    positive pivot, ``reduce`` gives the reference normal form, and every
+    integral value it returns is an ``int``."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        ech, ref = Echelon(QQ), {}
+        for _ in range(rng.randint(1, 8)):
+            vec = random_keyed_vector(rng, integral)
+            rest = reference_reduce(ref, vec, leading_only=True)
+            if rest:
+                piv = min(rest)
+                ref[piv] = {c: v / rest[piv] for c, v in rest.items()}
+            assert ech.insert(vec) == bool(rest)
+        assert ech.monic_rows() == ref
+        for piv, row in ech.rows.items():
+            assert all(type(v) is int for v in row.values())
+            assert row[piv] > 0 and math.gcd(*row.values()) == 1
+        for _ in range(10):
+            vec = random_keyed_vector(rng, integral)
+            got = ech.reduce(vec)
+            assert got == reference_reduce(ref, vec)
+            assert_exact(got.values())
+            assert ech.contains(vec) == (not got)
+        for row in list(ech.monic_rows().values()) + list(ech.reduced_rows().values()):
+            assert_exact(row.values())
 
 
 @pytest.mark.parametrize("field,integral", field_cases())

@@ -305,6 +305,17 @@ def test_brute_force_matches_reference_walk(label, comps):
     assert (False, False, True) in seen and (True, True, False) in seen
 
 
+def test_generated_submodule_rows_lead_with_one(a1_framed):
+    """The basis of a generated submodule is its echelon's rows scaled to
+    pivot 1, in pivot order, with ``int`` values where integral: these are
+    the coordinates a restricted module is written in."""
+    rep = zero_rep(a1_framed, DimVector(components={0: 3, 1: 0}, at_infinity=1))
+    seeds = {0: [(0, 0, 4), (2, 4, Fraction(1, 3)), (0, Fraction(3, 2), 6)]}
+    rows = generated_submodule(rep, seeds).spaces[0]
+    assert rows == ((1, 2, Fraction(1, 6)), (0, 1, 4), (0, 0, 1))
+    assert all(type(x) is int for row in rows for x in row if x != Fraction(1, 6))
+
+
 def test_cyclicity_criterion_for_full_corner(a1_framed, dims11):
     """For the full corner, stability collapses to the generation check."""
     theta = theta_I({0, 1}, dims11)
