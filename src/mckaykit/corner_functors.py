@@ -91,6 +91,20 @@ def _generation_degree(label, corner):
     return corner_generation_bound(_pi_context(label), corner)
 
 
+@functools.lru_cache(maxsize=None)
+def _bilinearity_products(label, i, src, d, m):
+    """The products u . t that the corner extension's bilinearity rows
+    need: for each quotient-basis class t of the degree-d slice from src
+    to i (a unit vector) and each basis path u of the degree-m layer at
+    i, the sparse expansion of u . t in the degree d + m layer of the
+    column at src.  Indexed [t][u]; the dicts are shared, never changed."""
+    ctx = _pi_context(label)
+    paths = ctx.layer(i, m).paths
+    return tuple(
+        tuple(_expand_path_on(ctx, path, {c: QQ.one}, src, d) for path in paths)
+        for c in ctx.slice_coords(i, src, d)[1])
+
+
 def generation_degree(group, corner):
     """Certified degree bound for generators of the cornered algebra."""
     return _generation_degree(group.descriptor.label, frozenset(corner))
@@ -254,8 +268,9 @@ def j_shriek_with_data(module, force_degree=0):
     field = module.field
     if field is not QQ:
         raise BadPrime(f"corner extension runs over QQ, not {field}")
+    label = group.descriptor.label
     ctx = pi_context(group)
-    quiver_b = _tripled_quiver(group.descriptor.label)
+    quiver_b = _tripled_quiver(label)
     corner_sorted = sorted(module.corner)
     gen_deg = module.gen_degree
     # a bilinearity row of degree k reaches down to degree k - gen_deg, so
@@ -272,19 +287,9 @@ def j_shriek_with_data(module, force_degree=0):
             for i in corner_sorted:
                 for src in corner_sorted:
                     acts = module.actions[(d, i, src)]
-                    classes = slice_class_basis(ctx, i, src, d)
-                    if not classes:
-                        continue
-                    lay_m = ctx.layer(i, m)
-                    for cls, act in zip(classes, acts):
-                        base = {
-                            c: x for c, x in zip(
-                                ctx.slice_coords(i, src, d)[1], cls.coeffs
-                            ) if x
-                        }
-                        for u in range(lay_m.dim):
-                            path = lay_m.paths[u]
-                            prod = _expand_path_on(ctx, path, dict(base), src, d)
+                    products = _bilinearity_products(label, i, src, d, m)
+                    for prods, act in zip(products, acts):
+                        for u, prod in enumerate(prods):
                             for b in range(module.dim(src)):
                                 row = {(-k_top, src, c, b): val
                                        for c, val in prod.items()}

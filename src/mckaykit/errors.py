@@ -80,7 +80,8 @@ class DimensionTooLarge(MckayError):
 
 
 class BadPrime(MckayError):
-    """The chosen prime divides a denominator of the representation."""
+    """The chosen number is not a prime, is too large to certify as one, or
+    divides a denominator of the representation."""
 
 
 class NotSemistable(MckayError):

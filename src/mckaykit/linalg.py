@@ -40,7 +40,8 @@ from .errors import BadPrime
 
 # seeded random candidates tried by ``isomorphic`` after the basis vectors
 ISOMORPHISM_TRIES = 40
-# matrices whose sparse columns ``sparse_image`` and ``spans_closed`` keep
+# matrices whose sparse columns ``sparse_image`` and ``spans_closed`` keep,
+# and dense rows whose sparse form ``spans_closed`` keeps
 COLUMN_CACHE_SIZE = 256
 
 
@@ -87,11 +88,45 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with these bases decides primality exactly below
+# PRIMALITY_BOUND (Sorenson and Webster, 2015)
+PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n):
+    """Whether ``n < PRIMALITY_BOUND`` is prime, by deterministic
+    Miller-Rabin with the bases ``PRIMALITY_BASES``."""
+    if n < 2:
+        return False
+    for q in PRIMALITY_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIMALITY_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """GF(p) for a small prime p; elements are ints in ``range(p)``."""
+    """GF(p) for a prime p below ``PRIMALITY_BOUND``; elements are ints in
+    ``range(p)``."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= PRIMALITY_BOUND:
+            raise BadPrime(f"{p} is too large to certify as prime")
+        if not _is_prime(p):
             raise BadPrime(f"{p} is not prime")
         self.p = p
         self.zero = 0
@@ -401,18 +436,32 @@ def vec_to_sparse(field, vec):
     return dict(itertools.compress(enumerate(vec), vec))
 
 
-def _echelon(field, rows):
-    """The ``Echelon`` of the dense ``rows``, inserted in order.
+@functools.lru_cache(maxsize=COLUMN_CACHE_SIZE)
+def _sparse_row(p, row):
+    """``vec_to_sparse`` of the dense tuple ``row`` over the field of
+    characteristic ``p`` (in the key for the reason given at ``_columns``).
+    Every caller gets the same dict, which ``_echelon_of_sparse`` may store
+    as it is: an ``Echelon`` never changes a row it has stored."""
+    return dict(itertools.compress(enumerate(row), row))
 
-    A row of ``int``s whose leading entry is 1 in a column without a pivot
+
+def _echelon(field, rows):
+    """The ``Echelon`` of the dense ``rows``, inserted in order."""
+    return _echelon_of_sparse(field, (vec_to_sparse(field, row) for row in rows))
+
+
+def _echelon_of_sparse(field, vecs):
+    """The ``Echelon`` of the sparse ``vecs`` (dicts in column order, as
+    ``vec_to_sparse`` makes them), inserted in order.
+
+    A vec of ``int``s whose leading entry is 1 in a column without a pivot
     is stored as it is, which is what ``insert`` would store; every other
-    row goes through ``insert``.
+    vec goes through ``insert``.
     """
     ech = Echelon(field)
     stored = ech.rows
     p = field.p
-    for row in rows:
-        vec = vec_to_sparse(field, row)
+    for vec in vecs:
         if vec:
             piv = next(iter(vec))  # vec_to_sparse keeps column order
             if (vec[piv] == 1 and piv not in stored
@@ -550,7 +599,10 @@ def spans_closed(field, spaces, maps):
     into span(spaces[i]); ``spaces`` maps keys to lists of row vectors.
 
     Zero maps and zero images are skipped; the echelon of a target space
-    is built only when a nonzero image needs a membership test.
+    is built only when a nonzero image needs a membership test, from the
+    sparse rows memoised per ``(p, tuple(row))`` in ``_sparse_row`` (at
+    most ``COLUMN_CACHE_SIZE`` of them, least recently used dropped
+    first), so a row shared by many spaces is converted once.
     """
     p = field.p
     ech = {}
@@ -566,7 +618,8 @@ def spans_closed(field, spaces, maps):
             if not img:
                 continue
             if i not in ech:
-                ech[i] = _echelon(field, spaces.get(i, ()))
+                ech[i] = _echelon_of_sparse(
+                    field, [_sparse_row(p, tuple(row)) for row in spaces.get(i, ())])
             if not ech[i].contains(img):
                 return False
     return True

@@ -22,6 +22,7 @@ ships together with an exhaustive finite-field checker and the test
 suite enforces their agreement.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,8 +108,11 @@ class QuiverRep:
 
 
 def make_rep(quiver, dims, maps, field=QQ):
-    rep = QuiverRep(quiver=quiver, dims=dims, maps=dict(maps), field=field)
-    validate_shapes(rep)
+    """The checked representation with the matrices ``maps``, each stored
+    as a tuple of row tuples (the kernels key caches by matrix)."""
+    rep = validate_shapes(QuiverRep(quiver=quiver, dims=dims, maps=dict(maps),
+                                    field=field))
+    rep.maps = {aid: tuple(map(tuple, m)) for aid, m in rep.maps.items()}
     return rep
 
 
@@ -373,25 +377,28 @@ BRUTE_FORCE_SUBSPACE_LIMIT = 100_000
 
 
 def subspaces_of_dimension(p, n, s):
-    """Yield the s-dimensional subspaces of GF(p)^n as echelon bases."""
-    import itertools
+    """Yield the s-dimensional subspaces of GF(p)^n as canonical
+    reduced-echelon bases (tuples of row tuples).
 
-    if s == 0:
-        yield ()
-        return
+    The pivot sets come in lexicographic order; for each, the free entries
+    (those right of a row's pivot outside the pivot columns) run through
+    GF(p), the last free entry of the last row fastest.  The choices of
+    each row are built once per pivot set, so bases with a row in common
+    share that row's tuple object.
+    """
     for pivots in itertools.combinations(range(n), s):
-        base = [[0] * n for _ in range(s)]
-        free_positions = []
-        for r, pc in enumerate(pivots):
-            base[r][pc] = 1
-            for c in range(pc + 1, n):
-                if c not in pivots:
-                    free_positions.append((r, c))
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [row[:] for row in base]
-            for (r, c), val in zip(free_positions, values):
-                rows[r][c] = val
-            yield tuple(map(tuple, rows))
+        choices = []
+        for pc in pivots:
+            free = [c for c in range(pc + 1, n) if c not in pivots]
+            row = [0] * n
+            row[pc] = 1
+            row_choices = []
+            for values in itertools.product(range(p), repeat=len(free)):
+                for c, val in zip(free, values):
+                    row[c] = val
+                row_choices.append(tuple(row))
+            choices.append(row_choices)
+        yield from itertools.product(*choices)
 
 
 def all_subspaces(p, n):

@@ -277,3 +277,28 @@ def graded_slice(ctx, i, j, k):
     ctx._check_endpoint(j)
     dim = ctx.slice_dim(i, j, k)
     return GradedSlice(ctx=ctx, i=i, j=j, k=k, dim=dim)
+
+
+def reference_subspaces_of_dimension(p, n, s):
+    """The s-dimensional subspaces of GF(p)^n as echelon bases, each built
+    by filling a fresh copy of its pivot set's template: the enumeration
+    that ``rep_theory.subspaces_of_dimension`` must reproduce, basis for
+    basis and in the same order."""
+    import itertools
+
+    if s == 0:
+        yield ()
+        return
+    for pivots in itertools.combinations(range(n), s):
+        base = [[0] * n for _ in range(s)]
+        free_positions = []
+        for r, pc in enumerate(pivots):
+            base[r][pc] = 1
+            for c in range(pc + 1, n):
+                if c not in pivots:
+                    free_positions.append((r, c))
+        for values in itertools.product(range(p), repeat=len(free_positions)):
+            rows = [row[:] for row in base]
+            for (r, c), val in zip(free_positions, values):
+                rows[r][c] = val
+            yield tuple(map(tuple, rows))

@@ -151,6 +151,21 @@ def test_stability_brute_force_agreement(capsys, tmp_path):
     assert "agreement" in out
 
 
+def test_stability_brute_force_prime_certificate(capsys, tmp_path):
+    """A prime near 2^61 is certified at once; a number too large for the
+    certificate, even a prime, is refused with exit code 2."""
+    q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
+    rep = random_flat_rep(q, DimVector(components={0: 1, 1: 1}, at_infinity=1), 0)
+    path = _write_module(tmp_path, rep)
+    argv = ["stability", path, "--corner", "0,1", "--brute-force", "--prime"]
+    code, out, _ = run(capsys, *argv, str(2**61 - 1))
+    assert code == 0
+    assert "agreement" in out
+    code, _, err = run(capsys, *argv, str(2**89 - 1))
+    assert code == 2
+    assert err == f"error: {2**89 - 1} is too large to certify as prime\n"
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_stability_oracle_mismatch_report(capsys, tmp_path, monkeypatch, as_json):
     """A disagreeing oracle: the report is printed once, in the mode asked

@@ -10,7 +10,7 @@ from mckaykit.errors import BadPrime, RepresentativeDependence
 from mckaykit.gamma_data import build_group
 from mckaykit.graded_algebra import AlgebraContext
 from mckaykit.io_formats import fraction_to_str
-from mckaykit.linalg import QQ, rank
+from mckaykit.linalg import QQ, PrimeField, _sparse_row, rank, vec_to_sparse
 from mckaykit.moduli_tools import truncated_corner_column
 from mckaykit.quiver_core import DimVector, mckay_quiver, triple_quiver
 from mckaykit.rep_theory import (
@@ -21,6 +21,7 @@ from mckaykit.rep_theory import (
 )
 from mckaykit.corner_functors import (
     CorneredModule,
+    _bilinearity_products,
     c_star,
     cornered_isomorphic,
     cornered_mod_p,
@@ -382,6 +383,46 @@ def test_corner_layer_identity():
 
     feed(_canon_rep(j_shriek(j_star(vertex_simple(quiver, 1), {0}))))
     assert digest.hexdigest() == CORNER_DIGEST
+
+
+def test_quotient_scan_row_memo():
+    """The GF(2)^9 codimension <= 2 scan of the truncated A1 column finds
+    its 9 closed subspaces; it converts each of its 129 distinct rows once,
+    and afterwards every memoised sparse row still equals its dense row."""
+    column = cornered_mod_p(truncated_corner_column(build_group("A1"), {0}), 2)
+    n = column.dim(0)
+    _sparse_row.cache_clear()
+    rows, closed = set(), 0
+    for s in (n, n - 1, n - 2):
+        for basis in subspaces_of_dimension(2, n, s):
+            closed += cornered_submodule_is_closed(column, {0: basis})
+            rows.update(basis)
+    assert (n, closed, len(rows)) == (9, 9, 129)
+    info = _sparse_row.cache_info()
+    assert info.misses == info.currsize == len(rows)
+    for row in rows:
+        assert _sparse_row(2, row) == vec_to_sparse(PrimeField(2), row)
+    after = _sparse_row.cache_info()
+    assert (after.hits, after.misses) == (info.hits + len(rows), info.misses)
+
+
+def test_bilinearity_products_stay_as_computed():
+    """The shared product table of the corner extension is read, never
+    changed: after extensions of several modules every entry they used
+    equals a fresh computation."""
+    quiver = triple_quiver(mckay_quiver(build_group("A2")))
+    corner = (0, 1)
+    k_max = 0
+    for _, rep in flat_reps(quiver, DimVector(components={0: 1, 1: 1, 2: 2}), 3):
+        data = j_shriek_with_data(j_star(rep, corner))
+        k_max = max(k_max, data.k_max)
+    gen_deg = data.module.gen_degree
+    for i in corner:
+        for src in corner:
+            for d in range(1, gen_deg + 1):
+                for m in range(k_max - d + 1):
+                    cached = _bilinearity_products("A2", i, src, d, m)
+                    assert cached == _bilinearity_products.__wrapped__("A2", i, src, d, m)
 
 
 def test_j_star_path_through_zero_component():

@@ -17,11 +17,14 @@ from fractions import Fraction
 
 import pytest
 
+from mckaykit.errors import BadPrime
 from mckaykit.linalg import (
+    PRIMALITY_BOUND,
     QQ,
     Echelon,
     PrimeField,
     _echelon,
+    _sparse_row,
     mat_mul,
     mat_vec,
     matrix_equation_rows,
@@ -200,6 +203,56 @@ def test_spans_closed_matches_dense_reference(field, integral):
         assert spans_closed(field, spaces, maps) == want, seed
         verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def fresh_closed(field, spaces, maps):
+    """The closure test with each target echelon built by ``_echelon`` from
+    the dense rows on every call."""
+    for i, j, mat in maps:
+        ech = _echelon(field, spaces.get(i, ()))
+        for vec in spaces.get(j, ()):
+            img = sparse_image(field, mat, vec)
+            if img and not ech.contains(img):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ], ids=str)
+def test_spans_closed_row_memo(field):
+    """The memoised sparse rows give the verdicts of a fresh echelon per
+    call, on tuple and list rows (``Fraction`` and ``int`` rows over QQ)
+    and on rows shared by several spaces, some stored as they are and
+    some reduced by ``insert`` against a shared stored row; afterwards
+    every memoised row still equals its dense row."""
+    _sparse_row.cache_clear()
+    seen, verdicts = [], []
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        pool = random_matrix(field, rng, 4, n) + random_matrix(field, rng, 2, n, True)
+        for row in list(pool):
+            nz = [x for x in row if x]
+            if nz:  # the same row scaled to lead 1, as ints where integral
+                inv = field.inv(nz[0])
+                pool.append(tuple(field.from_fraction(field.mul(inv, x)) for x in row))
+        spaces = {k: [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+                  for k in range(3)}
+        maps = [(rng.randrange(3), rng.randrange(3), tuple(random_matrix(field, rng, n, n)))
+                for _ in range(rng.randint(1, 3))]
+        i, j, mat = maps[0]
+        if rng.random() < 0.5:  # make the first map closed
+            spaces[i] = spaces[i] + [reference_image(field, mat, v) for v in spaces[j]]
+        spaces = {k: [list(row) if rng.random() < 0.3 else row for row in rows]
+                  for k, rows in spaces.items()}
+        want = fresh_closed(field, spaces, maps)
+        assert spans_closed(field, spaces, maps) == want, seed
+        assert spans_closed(field, spaces, maps) == want, seed
+        verdicts.append(want)
+        seen += [row for rows in spaces.values() for row in rows]
+    assert True in verdicts and False in verdicts
+    assert _sparse_row.cache_info().hits
+    for row in seen:
+        assert _sparse_row(field.p, tuple(row)) == vec_to_sparse(field, row)
 
 
 @pytest.mark.parametrize("field,integral", field_cases())
@@ -417,3 +470,28 @@ def test_matrix_equation_rows(field):
     assert len(rows) == 6 + 2
     if field is not QQ:
         assert all(0 <= x < field.p for row in rows for x in row)
+
+
+def test_prime_field_primality():
+    """Miller-Rabin with the first 13 prime bases agrees with trial
+    division below 10^5, refuses the base-2 strong pseudoprime 2047 and
+    the Carmichael number 561, certifies large primes at once, and refuses
+    to certify at or above its bound."""
+    divisors = [d for d in range(2, math.isqrt(10**5) + 1)
+                if all(d % e for e in range(2, d))]
+    for p in range(-2, 10**5):
+        prime = p >= 2 and all(p % d for d in divisors if d * d <= p)
+        try:
+            PrimeField(p)
+        except BadPrime:
+            assert not prime, p
+        else:
+            assert prime, p
+    for p in (2047, 561, 2**61 + 1, (2**31 - 1) * 1000000007):
+        with pytest.raises(BadPrime, match="not prime"):
+            PrimeField(p)
+    for p in (10**12 + 39, 10**14 + 31, 2**61 - 1, 2**31 + 11):
+        assert PrimeField(p).p == p
+    for p in (PRIMALITY_BOUND, 2**89 - 1):
+        with pytest.raises(BadPrime, match="too large to certify"):
+            PrimeField(p)

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import conjugated_copy, flat_reps, stable_reps
+from helpers import (
+    conjugated_copy,
+    flat_reps,
+    reference_subspaces_of_dimension,
+    stable_reps,
+)
 from mckaykit.errors import (
     BadPrime,
     DimensionTooLarge,
@@ -39,9 +44,12 @@ from mckaykit.rep_theory import (
     max_relation_residual,
     max_submodule_avoiding,
     polystable_decomposition,
+    random_flat_rep,
     reduce_mod_p,
     s_equivalent,
     stability_verdict,
+    subspace_count,
+    subspaces_of_dimension,
     vertex_simple,
     zero_rep,
 )
@@ -92,6 +100,22 @@ def test_loop_commutation_is_a_relation():
         assert list(residuals) == list(relation_generators(quiver))
         assert max_relation_residual(rep) == residual
         assert is_flat(rep) == (residual == 0)
+
+
+def test_list_matrices_give_the_tuple_verdict(a1_framed, dims11):
+    """``make_rep`` accepts list-of-list matrices; the closure kernels key
+    caches by matrix, so the rep must hold them as tuples."""
+    theta = theta_I({0}, dims11)
+    for seed in range(4):
+        rep = random_flat_rep(a1_framed, dims11, seed)
+        lists = make_rep(a1_framed, dims11,
+                         {aid: [list(row) for row in m] for aid, m in rep.maps.items()})
+        assert lists.maps == rep.maps
+        assert all(type(m) is tuple and all(type(r) is tuple for r in m)
+                   for m in lists.maps.values())
+        assert stability_verdict(lists, theta) == stability_verdict(rep, theta)
+        assert (brute_force_stability(reduce_mod_p(lists, 3), theta)
+                == brute_force_stability(reduce_mod_p(rep, 3), theta))
 
 
 def test_shape_mismatch(a1_framed, dims11):
@@ -185,6 +209,28 @@ def test_brute_force_subspace_guard(a1_framed):
     rep = zero_rep(a1_framed, dims, PrimeField(3))
     with pytest.raises(DimensionTooLarge):
         brute_force_stability(rep, theta_I({0}, dims))
+
+
+def test_subspace_enumeration_matches_reference():
+    """The same bases in the same order as the template enumeration, with
+    the Gaussian-binomial counts; a row repeated within a pivot set is one
+    shared tuple."""
+    cases = [(p, n, s) for p in (2, 3, 5) for n in range(6) for s in range(n + 1)]
+    cases += [(2, 9, s) for s in (9, 8, 7)]  # the quotient scan of criterion 10
+    totals = {}
+    for p, n, s in cases:
+        got = list(subspaces_of_dimension(p, n, s))
+        assert got == list(reference_subspaces_of_dimension(p, n, s)), (p, n, s)
+        totals[(p, n)] = totals.get((p, n), 0) + len(got)
+        rows = {}
+        for basis in got:
+            pivots = tuple(row.index(1) for row in basis)
+            for row in basis:
+                assert rows.setdefault((pivots, row), row) is row
+    for (p, n), total in totals.items():
+        if n < 6:
+            assert total == subspace_count(p, n), (p, n)
+    assert totals[(2, 9)] == 1 + 511 + 43435
 
 
 def test_brute_force_vacuous_stability(a1_framed):
