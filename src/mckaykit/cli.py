@@ -18,7 +18,6 @@ from .errors import (
     OracleMismatch,
     RelationViolation,
     UnsupportedSeries,
-    VertexNotInCorner,
 )
 from .gamma_data import build_group, parse_descriptor
 from .graded_algebra import (
@@ -55,6 +54,13 @@ EXIT_CAP = 3
 EXIT_ORACLE = 4
 EXIT_RELATIONS = 5
 EXIT_STABILITY = 6
+# every other MckayError exits with EXIT_USAGE
+EXIT_CODES = {
+    DegreeCapExceeded: EXIT_CAP,
+    OracleMismatch: EXIT_ORACLE,
+    RelationViolation: EXIT_RELATIONS,
+    NotStableForSource: EXIT_STABILITY,
+}
 
 
 def _parse_corner(text):
@@ -291,24 +297,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidDescriptor, EmptyI, VertexNotInCorner) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegreeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except OracleMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except RelationViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RELATIONS
-    except NotStableForSource as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
     except MckayError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

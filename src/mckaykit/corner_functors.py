@@ -45,9 +45,6 @@ from .graded_algebra import (
     AlgebraContext,
     _expand_path_on,
     corner_generation_bound,
-    class_from_path,
-    multiply_classes,
-    slice_class_basis,
 )
 from .gamma_data import build_group
 from .linalg import (
@@ -64,7 +61,7 @@ from .linalg import (
     zeros,
 )
 from .quiver_core import DimVector, mckay_quiver, triple_quiver
-from .rep_theory import QuiverRep, is_flat, vertex_simple
+from .rep_theory import QuiverRep, is_flat
 
 TRUNCATION_WINDOW = 4
 
@@ -169,14 +166,6 @@ class CorneredModule:
             z_mats=z_mats, actions=actions, gen_degree=self.gen_degree,
             field=self.field if field is None else field,
         )
-
-
-def cornered_vertex_simple(group, corner, i, field=QQ):
-    """One-dimensional cornered module concentrated at a corner vertex."""
-    corner = frozenset(corner)
-    if i not in corner:
-        raise VertexNotInCorner(f"vertex {i} outside the corner")
-    return j_star(vertex_simple(mckay_quiver(group), i, field), corner)
 
 
 def j_star(rep, corner):
@@ -582,33 +571,30 @@ def free_column_tgm(ctx, source_vertex, window):
             dims[(k, v)] = ctx.slice_dim(v, source_vertex, k)
 
     gens = {}
-    gen_classes = {}
+    gen_arrows = {}
     loops = ctx.quiver.loops
     for v in vertices:
         gid = f"z{v}"
         gens[gid] = (v, v, True)
-        gen_classes[gid] = (loops[v],)
+        gen_arrows[gid] = loops[v]
     if kind == "pibullet":
         for a in ctx.quiver.non_loop_arrows():
             gid = f"a{a.id}"
             gens[gid] = (a.head, a.tail, False)
-            gen_classes[gid] = (a.id,)
+            gen_arrows[gid] = a.id
 
+    # a generator's degree-k action is its arrow's left multiplication
+    # into layer k + 1, restricted to the slice coordinates
     actions = {}
     for gid, (src, dst, _) in gens.items():
         per_degree = {}
-        path = gen_classes[gid]
         for k in range(k0, k1):
-            src_basis = slice_class_basis(ctx, src, source_vertex, k)
-            cols = []
-            for cls in src_basis:
-                gen_cls = class_from_path(ctx, path, dst, src)
-                prod = multiply_classes(gen_cls, cls)
-                cols.append(prod.coeffs)
-            nrows = dims[(k + 1, dst)]
+            lmul = ctx.layer(source_vertex, k + 1).lmul_in.get(gen_arrows[gid], {})
+            cols = ctx.slice_coords(src, source_vertex, k)[1]
+            rows = ctx.slice_coords(dst, source_vertex, k + 1)[1]
+            images = [dict(lmul.get(c, ())) for c in cols]
             per_degree[k] = tuple(
-                tuple(cols[c][r] for c in range(len(cols))) for r in range(nrows)
-            )
+                tuple(img.get(r, QQ.zero) for img in images) for r in rows)
         actions[gid] = per_degree
     return TruncatedGradedModule(
         kind_label=kind,

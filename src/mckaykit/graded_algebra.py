@@ -25,7 +25,6 @@ and ends at the tail of its first.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import (
@@ -245,42 +244,6 @@ class SliceClass:
     k: int
     coeffs: tuple
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def scaled(self, c):
-        c = Fraction(c)
-        return SliceClass(self.ctx, self.i, self.j, self.k,
-                          tuple(c * x for x in self.coeffs))
-
-    def plus(self, other):
-        if (self.ctx, self.i, self.j, self.k) != (other.ctx, other.i, other.j, other.k):
-            raise EndpointMismatch("cannot add classes of different slices")
-        return SliceClass(self.ctx, self.i, self.j, self.k,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-
-def unit_class(ctx, i):
-    """The vertex idempotent e_i as a degree-0 class."""
-    dim = ctx.slice_dim(i, i, 0)
-    if dim != 1:
-        raise EndpointMismatch(f"no idempotent class at vertex {i}")
-    return SliceClass(ctx, i, i, 0, (QQ.one,))
-
-
-def class_from_path(ctx, path, i, j):
-    """The class of an explicit path, expanded in the quotient basis."""
-    vec = _expand_path_on(ctx, path, {0: QQ.one}, j, 0)
-    layer, coords = ctx.slice_coords(i, j, len(path))
-    pos = {c: t for t, c in enumerate(coords)}
-    out = [QQ.zero] * len(coords)
-    for c, val in vec.items():
-        if val:
-            if layer.vertex_of[c] != i:
-                raise EndpointMismatch("path does not end at the requested vertex")
-            out[pos[c]] = val
-    return SliceClass(ctx, i, j, len(path), tuple(out))
-
 
 def _expand_path_on(ctx, path, vec, right_end, level):
     """Left-multiply a sparse layer vector by a path, arrow by arrow."""
@@ -326,16 +289,6 @@ def multiply_classes(u, v):
                 raise EndpointMismatch("product escaped the expected vertex block")
             out[pos[c]] = val
     return SliceClass(ctx, u.i, v.j, u.k + v.k, tuple(out))
-
-
-def slice_class_basis(ctx, i, j, k):
-    """All quotient-basis classes of a slice, as SliceClass values."""
-    dim = ctx.slice_dim(i, j, k)
-    out = []
-    for t in range(dim):
-        coeffs = tuple(QQ.one if s == t else QQ.zero for s in range(dim))
-        out.append(SliceClass(ctx, i, j, k, coeffs))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +401,16 @@ def corner_generation_bound(ctx, corner):
                 if dim == 0:
                     continue
                 ech = Echelon(QQ)
-                got = 0
                 for a in range(1, k):
                     for mid in corner:
-                        for u in slice_class_basis(ctx, i, mid, a):
-                            for v in slice_class_basis(ctx, mid, j, k - a):
-                                prod = multiply_classes(u, v)
-                                if ech.insert(
-                                    {t: c for t, c in enumerate(prod.coeffs) if c}
-                                ):
-                                    got += 1
-                    if got == dim:
+                        coords = ctx.slice_coords(mid, j, k - a)[1]
+                        for path in ctx.slice_basis_paths(i, mid, a):
+                            for c in coords:
+                                ech.insert(_expand_path_on(ctx, path, {c: QQ.one},
+                                                           j, k - a))
+                    if ech.rank == dim:
                         break
-                if got < dim:
+                if ech.rank < dim:
                     return False
         return True
 

@@ -124,6 +124,8 @@ class PrimeField:
     ``range(p)``."""
 
     def __init__(self, p):
+        if not isinstance(p, int):
+            raise BadPrime(f"the characteristic must be an int, not {p!r}")
         if p >= PRIMALITY_BOUND:
             raise BadPrime(f"{p} is too large to certify as prime")
         if not _is_prime(p):

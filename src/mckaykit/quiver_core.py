@@ -119,17 +119,6 @@ class Quiver:
         verts = self.plain_vertices
         return tuple(tuple(self.pair_count(i, j) for j in verts) for i in verts)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Quiver)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-            and self.bar == other.bar
-            and self.loops == other.loops
-            and self.framing == other.framing
-            and self.group == other.group
-        )
-
 
 @dataclass(frozen=True)
 class DimVector:
@@ -160,13 +149,6 @@ class DimVector:
         if self.at_infinity is not None:
             d[INFINITY] = self.at_infinity
         return d
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DimVector)
-            and self.at_infinity == other.at_infinity
-            and self.as_dict() == other.as_dict()
-        )
 
 
 @dataclass(frozen=True)
@@ -284,21 +266,6 @@ def frame_quiver(q, w):
     )
 
 
-def unframe_quiver(q):
-    """Drop the framing vertex and its arrows (inverse of frame_quiver)."""
-    if not q.is_framed:
-        raise InvariantViolation("quiver is not framed")
-    arrows = tuple(a for a in q.arrows if a.tail != INFINITY and a.head != INFINITY)
-    keep = {a.id for a in arrows}
-    return Quiver(
-        vertices=tuple(v for v in q.vertices if v != INFINITY),
-        arrows=arrows,
-        bar={a: b for a, b in q.bar.items() if a in keep},
-        loops=dict(q.loops),
-        group=q.group,
-    )
-
-
 def triple_quiver(q):
     """Add one loop per vertex (the degree-one central elements)."""
     if q.is_tripled:
@@ -339,8 +306,3 @@ def theta_I(corner, v):
 def delta(g):
     """The affine marks vector: dimensions of the irreducibles."""
     return DimVector(components={i: d for i, d in enumerate(g.irrep_dims)})
-
-
-def one_bar(g):
-    """Indicator dimension vector of the trivial vertex."""
-    return DimVector(components={i: 1 if i == 0 else 0 for i in range(g.num_irreps)})

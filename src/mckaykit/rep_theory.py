@@ -38,6 +38,7 @@ from .linalg import (
     QQ,
     Echelon,
     PrimeField,
+    _echelon_of_sparse,
     combine,
     isomorphic,
     mat_add,
@@ -50,7 +51,6 @@ from .linalg import (
     reduce_entries,
     solve_columns,
     sparse_image,
-    spans_closed,
     vec_to_sparse,
     zeros,
 )
@@ -222,10 +222,6 @@ class SubmoduleWitness:
         return sum(len(rows) for rows in self.spaces.values())
 
 
-def witness_is_closed(rep, witness):
-    return spans_closed(rep.field, witness.spaces, rep.generators())
-
-
 def generated_submodule(rep, seeds):
     """Least arrow-closed family of subspaces containing the seed vectors.
 
@@ -358,10 +354,6 @@ def stability_verdict(rep, theta):
     return True, True, None
 
 
-def is_semistable(rep, theta):
-    return stability_verdict(rep, theta)[0]
-
-
 def is_stable(rep, theta):
     return stability_verdict(rep, theta)[1]
 
@@ -452,19 +444,16 @@ def _subspace_images(field, mat, subspaces):
 
 def _subspace_echelons(field, subspaces):
     """The ``Echelon`` of each basis of ``subspaces``, which are canonical
-    reduced-echelon bases (see ``all_subspaces``), so every row is stored
-    as it is.  A row that lies in several bases is one shared sparse dict;
-    an echelon never changes a row it has stored."""
+    reduced-echelon bases (see ``all_subspaces``), so ``_echelon_of_sparse``
+    stores every row as it is.  A row that lies in several bases is one
+    shared sparse dict."""
     sparse = {}
     out = []
     for basis in subspaces:
-        ech = Echelon(field)
         for vec in basis:
-            row = sparse.get(vec)
-            if row is None:
-                row = sparse[vec] = vec_to_sparse(field, vec)
-            ech.rows[next(iter(row))] = row
-        out.append(ech)
+            if vec not in sparse:
+                sparse[vec] = vec_to_sparse(field, vec)
+        out.append(_echelon_of_sparse(field, [sparse[vec] for vec in basis]))
     return out
 
 

@@ -27,7 +27,6 @@ from mckaykit.corner_functors import (
     cornered_mod_p,
     cornered_quotient,
     cornered_submodule_is_closed,
-    cornered_vertex_simple,
     free_column_tgm,
     generation_degree,
     is_z_torsion_free,
@@ -95,7 +94,7 @@ def test_j_star_rejects_relation_violation(a1, a1_tripled):
 
 
 def test_j_shriek_of_full_corner_simple(a1):
-    cm = cornered_vertex_simple(a1, {0, 1}, 0)
+    cm = j_star(vertex_simple(mckay_quiver(a1), 0), {0, 1})
     ext = j_shriek(cm)
     assert ext.dims.as_dict() == {0: 1, 1: 0}
     # all maps vanish: it is the vertex simple

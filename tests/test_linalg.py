@@ -495,3 +495,12 @@ def test_prime_field_primality():
     for p in (PRIMALITY_BOUND, 2**89 - 1):
         with pytest.raises(BadPrime, match="too large to certify"):
             PrimeField(p)
+
+
+def test_prime_field_refuses_non_int():
+    """A non-int characteristic is refused before the primality test, so
+    no float enters the field's values."""
+    for p in (7.0, 11.0, 2.5, "7"):
+        with pytest.raises(BadPrime, match="must be an int"):
+            PrimeField(p)
+    assert PrimeField(7).from_fraction(3) == 3

@@ -10,10 +10,8 @@ from mckaykit.quiver_core import (
     delta,
     frame_quiver,
     mckay_quiver,
-    one_bar,
     theta_I,
     triple_quiver,
-    unframe_quiver,
 )
 
 
@@ -91,9 +89,23 @@ def test_frame_zero_and_multiplicities():
     assert len(fq2.arrows) == len(q2.arrows) + 2 * 3  # three new bar pairs
 
 
-def test_frame_round_trip():
+def test_quiver_and_dim_vector_equality():
     q = mckay_quiver(build_group("A2"))
-    assert unframe_quiver(frame_quiver(q, {0: 1, 1: 2})) == q
+    assert q == mckay_quiver(build_group("A2"))
+    framed = frame_quiver(q, {0: 1, 1: 2})
+    assert framed == frame_quiver(mckay_quiver(build_group("A2")), {0: 1, 1: 2})
+    assert framed != frame_quiver(q, {0: 2, 1: 1})
+    assert framed != q
+    assert q != "A2"
+    assert q != q.vertices
+    v = DimVector(components={0: 1, 1: 2}, at_infinity=1)
+    assert v == DimVector(components={0: 1, 1: 2}, at_infinity=1)
+    assert v != DimVector(components={0: 1, 1: 2}, at_infinity=2)
+    assert v != v.as_dict()
+    assert DimVector(components={0: 1}) != DimVector(components={0: 1}, at_infinity=0)
+    for unhashable in (q, v):
+        with pytest.raises(TypeError):
+            hash(unhashable)
 
 
 def test_triple_quiver():
@@ -145,6 +157,4 @@ def test_delta_one_bar():
     g4 = build_group("D4")
     assert delta(g4).as_dict() == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
     for label in ["A1", "D4", "E6"]:
-        ob = one_bar(build_group(label))
-        assert sum(ob.components.values()) == 1
-        assert ob.get(0) == 1
+        assert delta(build_group(label)).get(0) == 1  # the trivial vertex

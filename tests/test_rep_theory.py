@@ -38,7 +38,6 @@ from mckaykit.rep_theory import (
     direct_sum,
     generated_submodule,
     is_flat,
-    is_semistable,
     is_stable,
     make_rep,
     max_relation_residual,
@@ -125,18 +124,16 @@ def test_shape_mismatch(a1_framed, dims11):
 
 
 def test_generated_submodule_trivial_cases(a1_framed, dims11):
-    from mckaykit.rep_theory import witness_is_closed
-
     rep = zero_rep(a1_framed, dims11)
     empty = generated_submodule(rep, {})
     assert empty.total() == 0
     seeds = {INFINITY: [(Fraction(1),)]}
     w = generated_submodule(rep, seeds)
     assert w.dims_dict() == {0: 0, 1: 0, INFINITY: 1}
-    assert witness_is_closed(rep, w)
+    assert spans_closed(rep.field, w.spaces, rep.generators())
     for _, rnd in flat_reps(a1_framed, dims11, 3):
         witness = generated_submodule(rnd, seeds)
-        assert witness_is_closed(rnd, witness)
+        assert spans_closed(rnd.field, witness.spaces, rnd.generators())
     full = generated_submodule(
         rep,
         {
@@ -165,7 +162,7 @@ def test_infinity_only_module_stable(a1_framed):
     dims = DimVector(components={0: 0, 1: 0}, at_infinity=1)
     rep = zero_rep(a1_framed, dims)
     theta = theta_I({0}, dims)
-    assert is_semistable(rep, theta)
+    assert stability_verdict(rep, theta)[0]
     assert is_stable(rep, theta)
 
 
@@ -188,7 +185,7 @@ def test_unsupported_theta(a1_framed, dims11):
     bad = StabilityParam(values={0: Fraction(2), 1: Fraction(0),
                                  INFINITY: Fraction(-2)})
     with pytest.raises(UnsupportedTheta):
-        is_semistable(rep, bad)
+        stability_verdict(rep, bad)[0]
 
 
 def test_brute_force_guards(a1_framed):
@@ -251,7 +248,7 @@ def test_vertex_simple_summand_blocks_stability(a1_framed, dims11):
             continue
         big = direct_sum(rep, vertex_simple(a1_framed, 1))
         th = theta_I({0}, big.dims)
-        assert is_semistable(big, th)
+        assert stability_verdict(big, th)[0]
         assert not is_stable(big, th)
         return
     pytest.fail("no stable seed found")
@@ -407,7 +404,7 @@ def test_polystable_requires_semistable(a1_framed, dims11):
 
 def test_s_equivalence_reflexive_symmetric(a1_framed, dims11):
     for _, rep in flat_reps(a1_framed, dims11, 5):
-        if not is_semistable(rep, theta_I({0}, dims11)):
+        if not stability_verdict(rep, theta_I({0}, dims11))[0]:
             continue
         parts = polystable_decomposition(rep, {0})
         assert s_equivalent(parts, parts)
