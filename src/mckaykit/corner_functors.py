@@ -73,7 +73,12 @@ def pi_context(group):
 
 @functools.lru_cache(maxsize=None)
 def _pi_context(label):
-    return AlgebraContext(build_group(label), "pi")
+    # h = Coxeter number: the generation scan reads degrees <= h, the
+    # truncated column <= h + 2, and the extension adds nothing above the
+    # factor top + 1 <= h - 1, then waits <= max(TRUNCATION_WINDOW, h)
+    # quiet degrees; so only a failure of that spanning meets the cap
+    g = build_group(label)
+    return AlgebraContext(g, "pi", degree_cap=2 * sum(g.irrep_dims) + TRUNCATION_WINDOW)
 
 
 @functools.lru_cache(maxsize=None)

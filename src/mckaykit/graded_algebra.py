@@ -42,8 +42,6 @@ from .linalg import QQ, Echelon
 from .quiver_core import frame_quiver, mckay_quiver, relation_generators, triple_quiver
 
 DEFAULT_DEGREE_CAP = 16
-# saturated degrees that certify a corner generation bound
-GENERATION_WINDOW = 4
 
 FLAVORS = ("pi", "piw", "pibullet")
 
@@ -340,13 +338,16 @@ def molien_sequence(g, i, j, with_z, kmax):
 # finiteness of the factor by the corner ideal
 # ---------------------------------------------------------------------------
 
-def factor_through_bound(g, corner, safety=4, degree_cap=DEFAULT_DEGREE_CAP):
-    """Least n with the factor algebra vanishing in degrees n+1..n+1+safety.
+def factor_through_bound(g, corner):
+    """Top degree of the factor of the plain flavor by the corner ideal.
 
-    The factor of the (ungraded flavor) preprojective algebra by the
-    two-sided ideal of classes passing through the corner is computed
-    degree by degree; its pieces are path spaces modulo the relation span
-    plus the span of paths visiting the corner.
+    The factor by the two-sided ideal of classes passing through the
+    corner is computed degree by degree, as path spaces modulo the
+    relation span plus the span of paths visiting the corner.  It is
+    generated in degree one, so its first zero degree certifies every
+    higher one.  It is a product of Dynkin preprojective algebras of top
+    degree at most h - 2, h the Coxeter number (Brenner-Butler-King), so
+    BoundNotFound guards degree h - 1.
     """
     corner = frozenset(corner)
     if not corner:
@@ -361,21 +362,11 @@ def factor_through_bound(g, corner, safety=4, degree_cap=DEFAULT_DEGREE_CAP):
         for j in quiver.vertices
         if j not in corner
     ]
-
-    def dim_at(k):
-        return sum(t.ensure(k).dim for t in tables)
-
-    for k in range(1, degree_cap + 1):
-        if dim_at(k) == 0:
-            for extra in range(1, safety + 1):
-                if k + extra > degree_cap:
-                    break
-                if dim_at(k + extra) != 0:
-                    raise BoundNotFound(
-                        "factor dimensions resurged inside the safety window"
-                    )
+    coxeter = sum(g.irrep_dims)
+    for k in range(1, coxeter):
+        if sum(t.ensure(k).dim for t in tables) == 0:
             return k - 1
-    raise BoundNotFound(f"no vanishing window below degree cap {degree_cap}")
+    raise BoundNotFound(f"factor algebra nonzero in degree {coxeter - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +376,21 @@ def factor_through_bound(g, corner, safety=4, degree_cap=DEFAULT_DEGREE_CAP):
 def corner_generation_bound(ctx, corner):
     """Largest degree whose corner classes are not products of lower ones.
 
-    Certified by checking that every degree in the following window of
-    ``GENERATION_WINDOW`` degrees is spanned by products of strictly
-    lower-degree corner classes.  Used to size the generator tables of
+    A degree-k path between corner vertices with no corner vertex inside
+    is a.q.b with arrows a, b and q a degree k - 2 path off the corner;
+    once q is zero in the factor by the corner ideal, a.q.b is a sum of
+    products of corner classes.  So every degree above
+    ``factor_through_bound + 2`` is spanned by products, and the answer is
+    the last degree up to that bound that is not.  The certificate holds
+    for the unframed flavors; a context whose degree cap is below the
+    bound raises DegreeCapExceeded.  Used to size the generator tables of
     cornered modules.
     """
     corner = sorted(frozenset(corner), key=str)
     if not corner:
         raise EmptyI("corner set must be nonempty")
+    if ctx.flavor == "piw":
+        raise InvalidArgument("the generation certificate needs an unframed flavor")
 
     def saturated(k):
         for i in corner:
@@ -414,16 +412,5 @@ def corner_generation_bound(ctx, corner):
                     return False
         return True
 
-    last_unsaturated = 0
-    streak = 0
-    for k in range(1, ctx.degree_cap + 1):
-        if saturated(k):
-            streak += 1
-            if streak >= GENERATION_WINDOW:
-                return last_unsaturated
-        else:
-            last_unsaturated = k
-            streak = 0
-    raise DegreeCapExceeded(
-        "no certified generation bound below the degree cap"
-    )
+    bound = factor_through_bound(ctx.group, corner) + 2
+    return max((k for k in range(1, bound + 1) if not saturated(k)), default=0)

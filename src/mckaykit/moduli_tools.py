@@ -216,14 +216,15 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
     def block(mat, rows, cols):
         return tuple(tuple(mat[r][c] for c in cols) for r in rows)
 
-    for edge_index in range(len(base.arrows) // 2):
-        plus = base.arrows[2 * edge_index]
-        minus = base.arrows[2 * edge_index + 1]
-        m = plus.tail  # cyclic orientation: plus arrow is m -> m+1
-        m_next = plus.head
-        # plus acts on components at its head: B1 lowers m+1 -> m
-        maps[plus.id] = block(b1, positions[m], positions[m_next])
-        maps[minus.id] = block(b2, positions[m_next], positions[m])
+    for m in range(len(base.arrows) // 2):
+        # edge m joins m and m+1 around the cycle; its arrow with tail m acts
+        # on the components at its head (B1 lowers m+1 -> m), signed by the
+        # orientation so that the vertex relation is [B1, B2] + i.j
+        plus = next(a for a in base.arrows[2 * m:2 * m + 2] if a.tail == m)
+        sign = base.sign(plus.id)
+        maps[plus.id] = tuple(tuple(sign * b1[r][c] for c in positions[plus.head])
+                              for r in positions[m])
+        maps[base.bar[plus.id]] = block(b2, positions[plus.head], positions[m])
 
     framing_pairs = [a for a in quiver.arrows if a.head == INFINITY]
     seen = {m: 0 for m in range(n)}
@@ -274,7 +275,9 @@ def _check_equivariance(mat, row_weights, col_weights, shift, n, name):
 # ---------------------------------------------------------------------------
 
 def quot_truncation_degree(g, corner):
-    """Certified truncation degree for the corner column of the plain flavor."""
+    """Truncation degree for the corner column of the plain flavor: the top
+    degree of the factor by the corner ideal plus a fixed margin of
+    ``QUOT_TRUNCATION_WINDOW`` degrees.  The margin is not certified."""
     return factor_through_bound(g, corner) + QUOT_TRUNCATION_WINDOW
 
 

@@ -121,12 +121,14 @@ def test_criterion_03_invariant_ring_identity():
 
 def test_criterion_04_finiteness_certificate():
     values = {}
-    for label in ["A1", "A2", "A3", "D4"]:
+    for label in ["A1", "A2", "A3", "A4", "D4", "D5", "D6", "D7", "E6", "E7", "E8"]:
         g = build_group(label)
         bound = factor_through_bound(g, {0})
-        assert bound == factor_through_bound(g, {0}, safety=6), label
+        # the factor by the {0} corner ideal is the Dynkin preprojective
+        # algebra, of top degree h - 2 with h the Coxeter number
+        assert bound == sum(g.irrep_dims) - 2, label
         values[label] = bound
-    report(4, f"factor bounds with stable vanishing windows: {values}")
+    report(4, f"factor bounds equal the Coxeter number minus two: {values}")
 
 
 STABILITY_GROUPS = {

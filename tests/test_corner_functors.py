@@ -8,7 +8,7 @@ import pytest
 from helpers import flat_reps
 from mckaykit.errors import BadPrime, RepresentativeDependence
 from mckaykit.gamma_data import build_group
-from mckaykit.graded_algebra import AlgebraContext
+from mckaykit.graded_algebra import AlgebraContext, molien_sequence
 from mckaykit.io_formats import fraction_to_str
 from mckaykit.linalg import QQ, PrimeField, _sparse_row, rank, vec_to_sparse
 from mckaykit.moduli_tools import truncated_corner_column
@@ -150,6 +150,26 @@ def test_round_trip_window_covers_generation_degree(label, comps, seed):
     cm = j_star(rep, {0})
     back = j_star(j_shriek(cm), {0})
     assert cornered_isomorphic(back, cm)
+
+
+def test_round_trip_of_vertex_simple_on_e6():
+    """E6 at {0} has generation degree 12: the extension of S_0 waits 12
+    quiet degrees, past the fixed cap the corner context once had."""
+    quiver = triple_quiver(mckay_quiver(build_group("E6")))
+    cm = j_star(vertex_simple(quiver, 0), {0})
+    assert cm.gen_degree == 12
+    data = j_shriek_with_data(cm)
+    assert data.k_max == 23
+    assert cornered_isomorphic(j_star(data.rep, {0}), cm)
+
+
+def test_truncated_column_reaches_e7_factor_top():
+    """The E7 factor at {0} has top degree 16, so the column is truncated
+    at degree 20."""
+    g = build_group("E7")
+    column = truncated_corner_column(g, {0})
+    assert column.gen_degree == 18
+    assert column.dim(0) == sum(molien_sequence(g, 0, 0, False, 20))
 
 
 def test_j_shriek_refuses_prime_field(a1, a1_tripled):

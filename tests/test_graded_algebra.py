@@ -9,6 +9,7 @@ from helpers import cyclic_invariant_count, graded_slice, invariant_dim_by_proje
 from mckaykit.errors import (
     DegreeCapExceeded,
     EndpointMismatch,
+    InvalidArgument,
     VertexNotInCorner,
 )
 from mckaykit.gamma_data import build_group
@@ -22,6 +23,7 @@ from mckaykit.graded_algebra import (
     molien_sequence,
     multiply_classes,
 )
+from mckaykit.linalg import QQ, Echelon
 
 
 @pytest.fixture(scope="module")
@@ -154,21 +156,6 @@ def test_factor_through_bound_values():
     assert factor_through_bound(build_group("A3"), {0}) == 2
 
 
-def test_factor_bound_stable_under_larger_window():
-    for label, corner in [("A1", {0}), ("A3", {0}), ("D4", {0})]:
-        g = build_group(label)
-        assert factor_through_bound(g, corner) == factor_through_bound(
-            g, corner, safety=6
-        )
-
-
-def test_factor_bound_not_found_below_cap():
-    from mckaykit.errors import BoundNotFound
-
-    with pytest.raises(BoundNotFound):
-        factor_through_bound(build_group("A3"), {0}, degree_cap=1)
-
-
 def test_class_multiplication(a1_bullet):
     e0 = SliceClass(a1_bullet, 0, 0, 0, (1,))
     assert multiply_classes(e0, e0).coeffs == e0.coeffs
@@ -210,6 +197,60 @@ def test_generation_bound_examples():
     assert corner_generation_bound(AlgebraContext(a1, "pi"), {0}) == 2
     a3 = build_group("A3")
     assert corner_generation_bound(AlgebraContext(a3, "pi"), {0}) == 4
+
+
+#: Degrees of Klein's generating invariants of C[x, y]^G, which are the
+#: degrees of the new corner classes at {0}
+KLEIN_DEGREES = {
+    "A1": (2, 2, 2), "A2": (2, 3, 3), "A3": (2, 4, 4), "A4": (2, 5, 5),
+    "D4": (4, 4, 6), "D5": (4, 6, 8), "D6": (4, 8, 10), "D7": (4, 10, 12),
+    "E6": (6, 8, 12), "E7": (8, 12, 18), "E8": (12, 20, 30),
+}
+
+
+def _new_corner_classes(ctx, k):
+    """dim of the degree-k slice at {0} minus the rank of the products of
+    lower-degree classes in it."""
+    dim = ctx.slice_dim(0, 0, k)
+    ech = Echelon(QQ)
+    for a in range(1, k):
+        coords = ctx.slice_coords(0, 0, k - a)[1]
+        for path in ctx.slice_basis_paths(0, 0, a):
+            for c in coords:
+                ech.insert(_expand_path_on(ctx, path, {c: QQ.one}, 0, k - a))
+    return dim - ech.rank
+
+
+@pytest.mark.parametrize("label", sorted(KLEIN_DEGREES))
+def test_generation_bound_is_coxeter_number_at_vertex_zero(label):
+    """At {0} the corner algebra is C[x, y]^G: its generators sit in
+    Klein's degrees, the largest being the Coxeter number h."""
+    g = build_group(label)
+    h = sum(g.irrep_dims)
+    ctx = AlgebraContext(g, "pi", degree_cap=h)
+    assert corner_generation_bound(ctx, {0}) == h
+    new = {k: _new_corner_classes(ctx, k) for k in range(1, h + 1)}
+    klein = KLEIN_DEGREES[label]
+    assert {k: n for k, n in new.items() if n} == {
+        k: klein.count(k) for k in klein}
+
+
+@pytest.mark.parametrize("label,corner,degree", [
+    ("D6", {0, 1}, 8), ("D7", {0}, 12), ("D7", {0, 1}, 10),
+    ("E7", {0, 1}, 10), ("E8", {0, 2}, 8),
+])
+def test_generation_bound_pinned(label, corner, degree):
+    """Corners on which a window of saturated degrees stopped too early."""
+    ctx = AlgebraContext(build_group(label), "pi", degree_cap=32)
+    assert corner_generation_bound(ctx, corner) == degree
+
+
+def test_generation_bound_refusals():
+    e6 = build_group("E6")
+    with pytest.raises(DegreeCapExceeded):
+        corner_generation_bound(AlgebraContext(e6, "pi", degree_cap=8), {0})
+    with pytest.raises(InvalidArgument):
+        corner_generation_bound(AlgebraContext(e6, "piw", w={0: 1}), {0})
 
 
 def test_framed_flavor_slices():
