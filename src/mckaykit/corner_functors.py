@@ -49,6 +49,7 @@ from .graded_algebra import (
 from .gamma_data import build_group
 from .linalg import (
     QQ,
+    ClosureTest,
     Echelon,
     PrimeField,
     hom_space,
@@ -158,6 +159,10 @@ class CorneredModule:
         for key in sorted(self.actions):
             gens.extend((key[1], key[2], mat) for mat in self.actions[key])
         return tuple(gens)
+
+    @functools.cached_property
+    def _closure_test(self):  # kept, so a scan of many subspaces builds it once
+        return ClosureTest(self.field, self._generators)
 
     def rebuild(self, dims, mats, field=None):
         """The module over the same cornered algebra with dimensions
@@ -424,7 +429,7 @@ def cornered_isomorphic(a, b):
 
 def cornered_submodule_is_closed(module, spaces):
     """Whether per-vertex subspaces are closed under all stored actions."""
-    return spans_closed(module.field, spaces, module.generators())
+    return module._closure_test(spaces)
 
 
 def cornered_quotient(module, spaces, with_projection=False):

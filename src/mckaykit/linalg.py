@@ -22,11 +22,12 @@ stay there.
 The kernels shared by the module-theory layers live here too.  They act
 on a module's generator view: its per-vertex dimensions and a list of
 ``(i, j, mat)`` generators, each a dims[i] x dims[j] matrix.  On that view
-there is one closure test for families of subspaces, one quotient (with
-its projections and induced maps), one mod-p reduction, one intertwiner
-(hom-space) system, and one seeded search for a hom-space element that is
-onto at every vertex, which is also the isomorphism search.  Every linear
-system in unknown matrices is built by ``matrix_equation_rows``.
+there is one closure test for families of subspaces (``ClosureTest``,
+prepared once per generator list), one quotient (with its projections and
+induced maps), one mod-p reduction, one intertwiner (hom-space) system,
+and one seeded search for a hom-space element that is onto at every
+vertex, which is also the isomorphism search.  Every linear system in
+unknown matrices is built by ``matrix_equation_rows``.
 """
 
 import functools
@@ -40,8 +41,8 @@ from .errors import BadPrime
 
 # seeded random candidates tried by ``isomorphic`` after the basis vectors
 ISOMORPHISM_TRIES = 40
-# matrices whose sparse columns ``sparse_image`` and ``spans_closed`` keep,
-# and dense rows whose sparse form ``spans_closed`` keeps
+# matrices whose sparse columns ``sparse_image`` and ``ClosureTest`` share,
+# and rows each ``ClosureTest`` memoises (all dropped once it is full)
 COLUMN_CACHE_SIZE = 256
 
 
@@ -438,15 +439,6 @@ def vec_to_sparse(field, vec):
     return dict(itertools.compress(enumerate(vec), vec))
 
 
-@functools.lru_cache(maxsize=COLUMN_CACHE_SIZE)
-def _sparse_row(p, row):
-    """``vec_to_sparse`` of the dense tuple ``row`` over the field of
-    characteristic ``p`` (in the key for the reason given at ``_columns``).
-    Every caller gets the same dict, which ``_echelon_of_sparse`` may store
-    as it is: an ``Echelon`` never changes a row it has stored."""
-    return dict(itertools.compress(enumerate(row), row))
-
-
 def _echelon(field, rows):
     """The ``Echelon`` of the dense ``rows``, inserted in order."""
     return _echelon_of_sparse(field, (vec_to_sparse(field, row) for row in rows))
@@ -596,35 +588,59 @@ def sparse_image(field, mat, vec):
     return _image(field.p, _columns(field.p, mat), vec)
 
 
-def spans_closed(field, spaces, maps):
-    """Whether every ``(i, j, mat)`` of ``maps`` sends span(spaces[j])
-    into span(spaces[i]); ``spaces`` maps keys to lists of row vectors.
+class ClosureTest:
+    """The closure test of the generator list ``maps``: called on
+    ``spaces`` (keys to lists of rows), whether every ``(i, j, mat)`` of
+    ``maps`` sends span(spaces[j]) into span(spaces[i]).
 
-    Zero maps and zero images are skipped; the echelon of a target space
-    is built only when a nonzero image needs a membership test, from the
-    sparse rows memoised per ``(p, tuple(row))`` in ``_sparse_row`` (at
-    most ``COLUMN_CACHE_SIZE`` of them, least recently used dropped
-    first), so a row shared by many spaces is converted once.
+    The nonzero maps' sparse columns are kept by source.  A row at vertex
+    v is memoised under v and tuple(row) with its sparse form and its
+    nonzero images under the maps out of v only (a map out of another
+    vertex may have another width); once ``COLUMN_CACHE_SIZE`` rows are
+    held, the memo is emptied.  A target echelon is built only when a
+    nonzero image needs it, from the memoised sparse rows, stored as they
+    are (an ``Echelon`` never changes a stored row).
     """
-    p = field.p
-    ech = {}
-    for i, j, mat in maps:
-        src = spaces.get(j)
-        if not src:
-            continue
-        cols = _columns(p, mat)
-        if not cols:
-            continue
-        for vec in src:
-            img = _image(p, cols, vec)
-            if not img:
-                continue
-            if i not in ech:
-                ech[i] = _echelon_of_sparse(
-                    field, [_sparse_row(p, tuple(row)) for row in spaces.get(i, ())])
-            if not ech[i].contains(img):
-                return False
-    return True
+
+    def __init__(self, field, maps):
+        self.field = field
+        self.maps_from = {}  # source -> [(target, sparse columns)]
+        for i, j, mat in maps:
+            if cols := _columns(field.p, mat):
+                self.maps_from.setdefault(j, []).append((i, cols))
+        self.memo = {v: {} for i, j, _ in maps for v in (i, j)}  # v -> {row: entry}
+
+    def _entry(self, v, row):
+        """Compute and memoise the entry of ``row`` at vertex ``v``: (its
+        sparse form, ((target, image), ...))."""
+        if sum(map(len, self.memo.values())) >= COLUMN_CACHE_SIZE:
+            for rows in self.memo.values():
+                rows.clear()
+        images = tuple((i, img) for i, cols in self.maps_from.get(v, ())
+                       if (img := _image(self.field.p, cols, row)))
+        self.memo[v][row] = entry = (vec_to_sparse(self.field, row), images)
+        return entry
+
+    def __call__(self, spaces):
+        memo, entry = self.memo, self._entry
+        ech = {}
+        for j in self.maps_from:
+            at_j = memo[j]
+            for row in map(tuple, spaces.get(j, ())):
+                for i, img in (at_j.get(row) or entry(j, row))[1]:
+                    if i not in ech:
+                        at_i = memo[i]
+                        ech[i] = _echelon_of_sparse(self.field, [
+                            (at_i.get(r) or entry(i, r))[0]
+                            for r in map(tuple, spaces.get(i, ()))])
+                    if not ech[i].contains(img):
+                        return False
+        return True
+
+
+def spans_closed(field, spaces, maps):
+    """``ClosureTest(field, maps)`` applied once to ``spaces``."""
+    return ClosureTest(field, maps)(spaces)
 
 
 def quotient_projection(field, sub_rows, n):

@@ -41,6 +41,7 @@ from .quiver_core import (
 )
 from .rep_theory import (
     QuiverRep,
+    _framing_submodule,
     is_flat,
     polystable_decomposition,
     stability_verdict,
@@ -127,11 +128,12 @@ def vgit_pushforward(rep, source_corner, target_corner):
         raise EmptyI("target corner must be nonempty")
     if not target <= source:
         raise NotStableForSource("target corner must be contained in the source")
-    theta_src = theta_I(source, rep.dims)
-    _, stable, _ = stability_verdict(rep, theta_src)
+    # independent of theta, so both verdicts and the decomposition share it
+    framing = _framing_submodule(rep)
+    _, stable, _ = stability_verdict(rep, theta_I(source, rep.dims), framing)
     if not stable:
         raise NotStableForSource("input is not stable for the source corner")
-    summands = polystable_decomposition(rep, target)
+    summands = polystable_decomposition(rep, target, framing)
     conserved = {}
     for m in summands:
         for v, d in m.dims.as_dict().items():

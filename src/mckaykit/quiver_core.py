@@ -61,6 +61,7 @@ class Quiver:
     group: Optional[str] = None
 
     def __post_init__(self):
+        self._relation_generators = None  # filled by relation_generators
         self._by_id = {a.id: a for a in self.arrows}
         self._by_tail = {v: [] for v in self.vertices}
         for a in self.arrows:
@@ -178,7 +179,10 @@ def relation_generators(quiver):
     """Vertex commutator sums sum_{tail(a)=v} sign(a) a.abar, in vertex
     order, then, when tripled, the loop commutation z_tail a - a z_head of
     each non-loop arrow.  A tripled quiver whose arrow ends at a vertex
-    without a loop raises InvalidArgument."""
+    without a loop raises InvalidArgument on every call; the tuple is kept
+    on the quiver."""
+    if quiver._relation_generators is not None:
+        return quiver._relation_generators
     gens = []
     bar, sign = quiver.bar, quiver.sign
     for v in quiver.vertices:
@@ -194,7 +198,8 @@ def relation_generators(quiver):
                                       "at a vertex without a loop")
             gens.append(RelGen(a.tail, a.head, (
                 (1, (loops[a.tail], a.id)), (-1, (a.id, loops[a.head])))))
-    return tuple(gens)
+    quiver._relation_generators = gens = tuple(gens)
+    return gens
 
 
 def mckay_quiver(g):

@@ -39,11 +39,9 @@ from .linalg import (
     Echelon,
     PrimeField,
     _echelon_of_sparse,
+    _mod,
     combine,
     isomorphic,
-    mat_add,
-    mat_mul,
-    mat_sub,
     mat_vec,
     matrix_equation_rows,
     nullspace,
@@ -54,7 +52,7 @@ from .linalg import (
     vec_to_sparse,
     zeros,
 )
-from .quiver_core import INFINITY, DimVector, relation_generators, vertex_sort_key
+from .quiver_core import INFINITY, DimVector, relation_generators, theta_I, vertex_sort_key
 
 
 @dataclass
@@ -174,21 +172,24 @@ def direct_sum(a, b):
 def check_relations(rep):
     """The residual sum of coeff . x . y over the terms of each relation
     generator (``quiver_core.relation_generators``), keyed by generator; all
-    zero iff flat."""
-    field = rep.field
+    zero iff flat.  Each is accumulated row by row, with no product matrix."""
+    p = rep.field.p
     out = {}
     for gen in relation_generators(rep.quiver):
         ncols = rep.dims.get(gen.src)
-        total = None
-        for coeff, (x, y) in gen.terms:
-            prod = mat_mul(field, rep.matrix(x), rep.matrix(y), b_ncols=ncols)
-            if total is None and coeff > 0:
-                total = prod
-            else:
-                if total is None:
-                    total = zeros(field, rep.dims.get(gen.tgt), ncols)
-                total = (mat_add if coeff > 0 else mat_sub)(field, total, prod)
-        out[gen] = total
+        terms = [(coeff, rep.matrix(x), rep.matrix(y)) for coeff, (x, y) in gen.terms]
+        rows = []
+        for r in range(rep.dims.get(gen.tgt)):
+            acc = [0] * ncols
+            for coeff, xm, ym in terms:
+                for a, yrow in zip(xm[r], ym):
+                    if a:
+                        a *= coeff
+                        for c, b in enumerate(yrow):
+                            if b:
+                                acc[c] += a * b
+            rows.append(_mod(p, acc))
+        out[gen] = tuple(rows)
     return out
 
 
@@ -339,10 +340,11 @@ def corner_of_theta(theta, dims):
     return frozenset(corner)
 
 
-def stability_verdict(rep, theta):
-    """(semistable, stable, witness dims or None) for a corner parameter."""
+def stability_verdict(rep, theta, framing=None):
+    """(semistable, stable, witness dims or None) for a corner parameter;
+    ``framing`` is ``rep``'s ``_framing_submodule`` if the caller has it."""
     corner = corner_of_theta(theta, rep.dims)
-    gen = _framing_submodule(rep)
+    gen = _framing_submodule(rep) if framing is None else framing
     semistable = all(gen.dim(i) == rep.dims.get(i) for i in corner)
     if not semistable:
         return False, False, gen.dims_dict()
@@ -591,17 +593,17 @@ def quotient_rep(rep, witness):
 # polystable decomposition and isomorphism
 # ---------------------------------------------------------------------------
 
-def polystable_decomposition(rep, corner):
-    """Stable core plus vertex simples, conserving the dimension vector."""
-    from .quiver_core import theta_I
-
+def polystable_decomposition(rep, corner, framing=None):
+    """Stable core plus vertex simples, conserving the dimension vector.
+    ``framing`` is as for ``stability_verdict``."""
     corner = frozenset(corner)
     theta = theta_I(corner, rep.dims)
-    semistable, _, _ = stability_verdict(rep, theta)
+    framing = _framing_submodule(rep) if framing is None else framing
+    semistable, _, _ = stability_verdict(rep, theta, framing)
     if not semistable:
         raise NotSemistable("polystable decomposition needs a semistable input")
     field = rep.field
-    sub = restrict_rep(rep, _framing_submodule(rep))
+    sub = restrict_rep(rep, framing)
     torsion = max_submodule_avoiding(sub, set(corner) | {INFINITY})
     core = quotient_rep(sub, torsion)
     summands = [core]

@@ -181,6 +181,42 @@ def conjugated_copy(rep, seed=17):
     return QuiverRep(quiver=rep.quiver, dims=rep.dims, maps=maps, field=field)
 
 
+def reference_relations(rep):
+    """``check_relations`` computed the long way: for each relation
+    generator, the whole product matrix of each term by ``mat_mul``, added
+    or subtracted by ``mat_add`` or ``mat_sub`` from a zero matrix."""
+    from mckaykit.linalg import mat_add, mat_mul, mat_sub, zeros
+    from mckaykit.quiver_core import relation_generators
+
+    field = rep.field
+    out = {}
+    for gen in relation_generators(rep.quiver):
+        ncols = rep.dims.get(gen.src)
+        total = zeros(field, rep.dims.get(gen.tgt), ncols)
+        for coeff, (x, y) in gen.terms:
+            assert coeff in (1, -1)
+            prod = mat_mul(field, rep.matrix(x), rep.matrix(y), b_ncols=ncols)
+            total = (mat_add if coeff > 0 else mat_sub)(field, total, prod)
+        out[gen] = total
+    return out
+
+
+def count_memo_misses(test):
+    """The list of the (vertex, row) pairs whose memo entry the
+    ``ClosureTest`` ``test`` computes from now on, one per miss."""
+    misses = []
+    entry = test._entry
+    test._entry = lambda v, row: misses.append((v, row)) or entry(v, row)
+    return misses
+
+
+def closure_memo(test):
+    """The memo of the ``ClosureTest`` ``test`` as one dict keyed by
+    (vertex, row)."""
+    return {(v, row): entry for v, rows in test.memo.items()
+            for row, entry in rows.items()}
+
+
 # ---------------------------------------------------------------------------
 # the explicit path-space route: a slice as all its paths modulo the honest
 # two-sided relation span, independent of the quotient layers

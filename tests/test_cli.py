@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, file-format round trips."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -433,3 +434,67 @@ def test_determinism_same_seed(capsys, tmp_path):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# the graded dimensions of E8 pibullet in degrees 0..30, as printed by
+# `hilbert E8 --algebra pibullet --kmax 30 --cap 30 --oracle`
+E8_PIBULLET_DIMS = (9, 25, 48, 78, 115, 159, 212, 272, 339, 413, 496, 586, 685,
+                    791, 904, 1022, 1149, 1283, 1426, 1576, 1735, 1899, 2072,
+                    2252, 2441, 2635, 2838, 3046, 3263, 3487, 3722)
+# the README's commands with the stdout each printed when recorded; the
+# module files are seeded A2 modules, framed at 0, of dimension delta
+# (see test_readme_commands_golden_stdout)
+GOLDEN_COMMANDS = [
+    ("quiver A1 --frame 1,0",
+     "group: A1\nvertices: 3\narrows: 6\nadjacency:\n  0 2\n  2 0\n"),
+    ("quiver E6 --out e6.json",
+     "group: E6\nvertices: 7\narrows: 12\nadjacency:\n"
+     "  0 1 0 0 0 0 0\n  1 0 1 0 0 0 0\n  0 1 0 1 0 1 0\n  0 0 1 0 1 0 0\n"
+     "  0 0 0 1 0 0 0\n  0 0 1 0 0 0 1\n  0 0 0 0 0 1 0\nwrote e6.json\n"),
+    ("hilbert A1 --algebra pibullet --corner 0 --kmax 4 --oracle",
+     "0,1,1\n1,1,1\n2,4,4\n3,4,4\n4,9,9\n"),
+    ("hilbert E8 --algebra pibullet --kmax 30 --cap 30 --oracle",
+     "".join(f"{k},{d},{d}\n" for k, d in enumerate(E8_PIBULLET_DIMS))),
+    ("stability module.json --corner 0,1 --brute-force --prime 3",
+     "semistable: true\nstable: true\nbrute force over GF(3): agreement\n"),
+    ("stability module.json --corner 0 --brute-force --prime 3",
+     "semistable: true\nstable: false\ndestabilizing dims: 0:0, 1:1, 2:1, inf:0\n"
+     "brute force over GF(3): agreement\n"),
+    ("stability unstable.json --corner 0,1 --brute-force --prime 3",
+     "semistable: false\nstable: false\ndestabilizing dims: 0:1, 1:0, 2:1, inf:1\n"
+     "brute force over GF(3): agreement\n"),
+    ("vgit module.json --from-corner 0,1,2 --to-corner 0 --compare 0,1 "
+     "--out-prefix summand",
+     "summand 0: dims 0:1, 1:0, 2:0, inf:1 (class 0)\n"
+     "summand 1: dims 0:0, 1:1, 2:0, inf:0 (class 1)\n"
+     "summand 2: dims 0:0, 1:0, 2:1, inf:0 (class 2)\n"
+     "dimension conservation: ok\nchain agreement: ok\n"
+     "wrote summand_0.json\nwrote summand_1.json\nwrote summand_2.json\n"),
+]
+# sha256 of every file in the working directory afterwards: the two
+# seeded inputs and what the commands wrote
+GOLDEN_FILES = {
+    "e6.json": "98948e2cf56244844cf265c373946b2bb1b67beccaa857bbdfa651bb254f2b30",
+    "module.json": "a3d5751469ce4d2195b7d3fd482e7e89a5d00bafe7d50e7ecafde9dc06c8d03b",
+    "summand_0.json": "0edb139ed552cf4e9c800ad81df6e55e1cbf3546f72ef45b7ec31e6ad937de7e",
+    "summand_1.json": "348003b7e1b5980f97287e016272a1d13678ec0859ee8c81a2c458cd81ec2f3e",
+    "summand_2.json": "1df750cab704e71d89f33c655066bf469d1ec6e10373b9fab94d19212fae8401",
+    "unstable.json": "3d4605ec261bdca58e9d5ea75908186449f26df72fa0f609039c29a24f165283",
+}
+
+
+def test_readme_commands_golden_stdout(capsys, tmp_path, monkeypatch):
+    """The README's quiver, hilbert --oracle, stability --brute-force and
+    vgit commands print, byte for byte, what they printed when recorded,
+    and write the same files.  module.json is seed 7 of
+    ``random_flat_rep`` (theta_{0,1,2}-stable, so the pushforward to {0}
+    splits off two vertex simples), unstable.json is seed 4."""
+    monkeypatch.chdir(tmp_path)
+    q = frame_quiver(mckay_quiver(build_group("A2")), {0: 1})
+    dims = DimVector(components={0: 1, 1: 1, 2: 1}, at_infinity=1)
+    for name, seed in (("module.json", 7), ("unstable.json", 4)):
+        dump_json(rep_to_dict(random_flat_rep(q, dims, seed)), name)
+    for argv, want in GOLDEN_COMMANDS:
+        assert run(capsys, *argv.split()) == (0, want, ""), argv
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == GOLDEN_FILES

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import flat_reps
+from helpers import count_memo_misses, flat_reps
 from mckaykit.errors import BadPrime, RepresentativeDependence
 from mckaykit.gamma_data import build_group
 from mckaykit.graded_algebra import AlgebraContext, molien_sequence
 from mckaykit.io_formats import fraction_to_str
-from mckaykit.linalg import QQ, PrimeField, _sparse_row, rank, vec_to_sparse
+from mckaykit.linalg import QQ, PrimeField, rank, vec_to_sparse
 from mckaykit.moduli_tools import truncated_corner_column
 from mckaykit.quiver_core import DimVector, mckay_quiver, triple_quiver
 from mckaykit.rep_theory import (
@@ -406,23 +406,24 @@ def test_corner_layer_identity():
 
 def test_quotient_scan_row_memo():
     """The GF(2)^9 codimension <= 2 scan of the truncated A1 column finds
-    its 9 closed subspaces; it converts each of its 129 distinct rows once,
-    and afterwards every memoised sparse row still equals its dense row."""
+    its 9 closed subspaces; every call reuses the column's one closure
+    test, which converts each of its 129 distinct rows once, and
+    afterwards every memoised sparse row still equals its dense row."""
     column = cornered_mod_p(truncated_corner_column(build_group("A1"), {0}), 2)
     n = column.dim(0)
-    _sparse_row.cache_clear()
+    test = column._closure_test
+    misses = count_memo_misses(test)
     rows, closed = set(), 0
     for s in (n, n - 1, n - 2):
         for basis in subspaces_of_dimension(2, n, s):
             closed += cornered_submodule_is_closed(column, {0: basis})
             rows.update(basis)
     assert (n, closed, len(rows)) == (9, 9, 129)
-    info = _sparse_row.cache_info()
-    assert info.misses == info.currsize == len(rows)
+    assert column._closure_test is test
+    assert len(misses) == len(test.memo[0]) == len(rows)
+    assert set(test.memo[0]) == rows
     for row in rows:
-        assert _sparse_row(2, row) == vec_to_sparse(PrimeField(2), row)
-    after = _sparse_row.cache_info()
-    assert (after.hits, after.misses) == (info.hits + len(rows), info.misses)
+        assert test.memo[0][row][0] == vec_to_sparse(PrimeField(2), row)
 
 
 def test_bilinearity_products_stay_as_computed():

@@ -17,14 +17,16 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import closure_memo, count_memo_misses
+from mckaykit import linalg
 from mckaykit.errors import BadPrime
 from mckaykit.linalg import (
     PRIMALITY_BOUND,
     QQ,
+    ClosureTest,
     Echelon,
     PrimeField,
     _echelon,
-    _sparse_row,
     mat_mul,
     mat_vec,
     matrix_equation_rows,
@@ -217,15 +219,28 @@ def fresh_closed(field, spaces, maps):
     return True
 
 
-@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ], ids=str)
+def assert_memo_as_computed(field, test, maps):
+    """Every entry of ``test``'s memo still holds its row's sparse form and
+    its nonzero images under the nonzero maps out of its vertex."""
+    for (v, row), (sparse, images) in closure_memo(test).items():
+        assert sparse == vec_to_sparse(field, row)
+        want = [(i, sparse_image(field, mat, row)) for i, j, mat in maps
+                if j == v and any(map(any, mat))]
+        assert list(images) == [(i, img) for i, img in want if img]
+
+
+CLOSURE_FIELDS = [PrimeField(2), PrimeField(3), QQ]
+
+
+@pytest.mark.parametrize("field", CLOSURE_FIELDS, ids=str)
 def test_spans_closed_row_memo(field):
     """The memoised sparse rows give the verdicts of a fresh echelon per
     call, on tuple and list rows (``Fraction`` and ``int`` rows over QQ)
     and on rows shared by several spaces, some stored as they are and
-    some reduced by ``insert`` against a shared stored row; afterwards
-    every memoised row still equals its dense row."""
-    _sparse_row.cache_clear()
-    seen, verdicts = [], []
+    some reduced by ``insert`` against a shared stored row; a second call
+    computes no entry, and afterwards every memoised row still equals its
+    dense row."""
+    verdicts, hits = [], 0
     for seed in range(80):
         rng = random.Random(seed)
         n = rng.randint(1, 4)
@@ -245,14 +260,110 @@ def test_spans_closed_row_memo(field):
         spaces = {k: [list(row) if rng.random() < 0.3 else row for row in rows]
                   for k, rows in spaces.items()}
         want = fresh_closed(field, spaces, maps)
-        assert spans_closed(field, spaces, maps) == want, seed
+        test = ClosureTest(field, maps)
+        misses = count_memo_misses(test)
+        assert test(spaces) == want, seed
+        computed = len(misses)
+        assert test(spaces) == want, seed
+        assert len(misses) == computed == len(closure_memo(test)), seed
+        hits += computed > 0
         assert spans_closed(field, spaces, maps) == want, seed
         verdicts.append(want)
-        seen += [row for rows in spaces.values() for row in rows]
+        assert_memo_as_computed(field, test, maps)
     assert True in verdicts and False in verdicts
-    assert _sparse_row.cache_info().hits
-    for row in seen:
-        assert _sparse_row(field.p, tuple(row)) == vec_to_sparse(field, row)
+    assert hits
+
+
+def random_closure_case(field, rng, nverts=3):
+    """(maps, spaces families) on vertices of dimensions 0..4 drawn per
+    vertex: random maps (some zero) between them, and several families of
+    spaces from one pool of rows per vertex, with list rows, zero rows,
+    repeated rows and bases not in echelon form; half the families are
+    made closed under one map by adding its images."""
+    dims = {v: rng.randint(0, 4) for v in range(nverts)}
+    maps = []
+    for _ in range(rng.randint(1, 5)):
+        i, j = rng.randrange(nverts), rng.randrange(nverts)
+        if rng.random() < 0.15:
+            mat = tuple((field.zero,) * dims[j] for _ in range(dims[i]))
+        else:
+            mat = tuple(random_matrix(field, rng, dims[i], dims[j], rng.random() < 0.5))
+        maps.append((i, j, mat))
+    pools = {v: random_matrix(field, rng, 4, n, rng.random() < 0.5) + [(field.zero,) * n]
+             for v, n in dims.items()}
+    families = []
+    for _ in range(6):
+        spaces = {}
+        for v, pool in pools.items():
+            if rng.random() < 0.9:
+                rows = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+                spaces[v] = [list(r) if rng.random() < 0.3 else r for r in rows]
+        if rng.random() < 0.5:
+            i, j, mat = rng.choice(maps)
+            spaces[i] = spaces.get(i, []) + [
+                reference_image(field, mat, v) for v in spaces.get(j, ())]
+        families.append(spaces)
+    return maps, families
+
+
+@pytest.mark.parametrize("field", CLOSURE_FIELDS, ids=str)
+def test_closure_test_matches_fresh_echelons(field):
+    """One prepared test per map list, called on many families of spaces
+    at vertices of different dimensions, gives the verdicts of a fresh
+    echelon per call, and its memo stays as computed."""
+    verdicts = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        maps, families = random_closure_case(field, rng)
+        test = ClosureTest(field, maps)
+        for spaces in families + families:
+            want = fresh_closed(field, spaces, maps)
+            assert test(spaces) == want, seed
+            verdicts.append(want)
+        assert_memo_as_computed(field, test, maps)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("field", CLOSURE_FIELDS, ids=str)
+def test_closure_test_row_at_two_vertices(field):
+    """One row at two vertices of the same dimension is two memo entries:
+    each is mapped only by the maps out of its own vertex."""
+    one, zero = field.one, field.zero
+    shift = ((zero, zero), (one, zero))  # e_0 -> e_1
+    ident = ((one, zero), (zero, one))
+    line0 = (one, zero)
+    test = ClosureTest(field, [(2, 0, shift), (2, 1, ident)])
+    assert test({0: [line0], 1: [line0], 2: [line0]}) is False
+    assert test({0: [line0], 1: [line0], 2: [line0, (zero, one)]}) is True
+    assert test({0: [line0], 1: [line0], 2: [(zero, one)]}) is False
+    memo = closure_memo(test)
+    assert set(memo) == {(0, line0), (1, line0), (2, line0), (2, (zero, one))}
+    assert memo[(0, line0)][1] == ((2, {1: one}),)
+    assert memo[(1, line0)][1] == ((2, {0: one}),)
+    assert memo[(2, line0)][1] == ()
+
+
+@pytest.mark.parametrize("field", CLOSURE_FIELDS, ids=str)
+def test_closure_test_memo_bound(field, monkeypatch):
+    """With the bound at 3 the memo never holds more than 3 rows: a miss
+    on a full memo empties it first, so after m misses it holds the last
+    (m - 1) % 3 + 1 rows computed, and the verdicts stay those of a fresh
+    echelon per call."""
+    monkeypatch.setattr(linalg, "COLUMN_CACHE_SIZE", 3)
+    evicted = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        maps, families = random_closure_case(field, rng)
+        test = ClosureTest(field, maps)
+        misses = count_memo_misses(test)
+        for spaces in families:
+            assert test(spaces) == fresh_closed(field, spaces, maps), seed
+            assert len(closure_memo(test)) <= 3
+        kept = (len(misses) - 1) % 3 + 1 if misses else 0
+        assert set(closure_memo(test)) == set(misses[len(misses) - kept:]), seed
+        assert_memo_as_computed(field, test, maps)
+        evicted += len(misses) > 3
+    assert evicted
 
 
 @pytest.mark.parametrize("field,integral", field_cases())

@@ -255,6 +255,31 @@ def test_vgit_dimension_conservation_and_core():
         assert is_stable(out[0], theta_I({0}, out[0].dims))
 
 
+def test_vgit_builds_the_framing_submodule_once(monkeypatch):
+    """One pushforward computes the framing submodule once and shares it
+    between the source verdict and the decomposition; the summands are
+    those of a pushforward with a fresh framing submodule at each use."""
+    from mckaykit import moduli_tools, rep_theory
+
+    g = build_group("A2")
+    q = frame_quiver(mckay_quiver(g), {0: 1})
+    dims = DimVector(components={0: 1, 1: 1, 2: 1}, at_infinity=1)
+    reps = [rep for _, rep in stable_reps(q, dims, {0, 1, 2}, 4)]
+    want = [[(m.dims, m.maps) for m in rep_theory.polystable_decomposition(rep, {0})]
+            for rep in reps]
+    calls = []
+    framing = rep_theory._framing_submodule
+    monkeypatch.setattr(moduli_tools, "_framing_submodule",
+                        lambda rep: calls.append(rep) or framing(rep))
+    monkeypatch.setattr(rep_theory, "_framing_submodule",
+                        lambda rep: calls.append(rep) or framing(rep))
+    for rep, summands in zip(reps, want):
+        calls.clear()
+        out = vgit_pushforward(rep, {0, 1, 2}, {0})
+        assert len(calls) == 1 and calls[0] is rep
+        assert [(m.dims, m.maps) for m in out] == summands
+
+
 def test_vgit_chain_functoriality():
     g = build_group("A2")
     q = frame_quiver(mckay_quiver(g), {0: 1})

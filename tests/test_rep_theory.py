@@ -1,5 +1,6 @@
 """Framed representations: relations, submodules, stability, decomposition."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from helpers import (
     conjugated_copy,
     flat_reps,
+    reference_relations,
     reference_subspaces_of_dimension,
     stable_reps,
 )
 from mckaykit.errors import (
     BadPrime,
     DimensionTooLarge,
+    InvalidArgument,
     NotSemistable,
     ShapeMismatch,
     UnsupportedTheta,
@@ -99,6 +102,65 @@ def test_loop_commutation_is_a_relation():
         assert list(residuals) == list(relation_generators(quiver))
         assert max_relation_residual(rep) == residual
         assert is_flat(rep) == (residual == 0)
+
+
+def _flavor_quiver(label, flavor):
+    base = mckay_quiver(build_group(label))
+    if flavor == "piw":
+        return frame_quiver(base, {0: 1, 1: 2})
+    return triple_quiver(base) if flavor == "pibullet" else base
+
+
+@pytest.mark.parametrize("flavor", ["pi", "piw", "pibullet"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=str)
+def test_check_relations_matches_reference(field, flavor):
+    """The one-pass residuals equal, value for value and type for type,
+    the sums of whole product matrices of ``reference_relations``, on
+    random (mostly not flat) modules with ``Fraction`` and ``int`` entries
+    over QQ, with a zero-dimensional vertex in every module, and on flat
+    ones."""
+    nonzero = 0
+    for label in ("A1", "A2", "D4"):
+        quiver = _flavor_quiver(label, flavor)
+        for seed in range(8):
+            rng = random.Random(seed)
+            comps = {v: rng.randint(0, 3) for v in quiver.plain_vertices}
+            comps[rng.choice(quiver.plain_vertices)] = 0
+            dims = DimVector(components=comps, at_infinity=(
+                rng.randint(0, 2) if quiver.is_framed else None))
+
+            def entry():
+                if rng.random() < 0.3:
+                    return field.zero
+                if field is QQ and rng.random() < 0.5:
+                    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                return field.from_int(rng.randint(-3, 3))
+
+            maps = {a.id: [[entry() for _ in range(dims.get(a.head))]
+                           for _ in range(dims.get(a.tail))] for a in quiver.arrows}
+            reps = [make_rep(quiver, dims, maps, field)]
+            flat = random_flat_rep(quiver, dims, seed, field)
+            reps += [flat] if flat is not None else []
+            for rep in reps:
+                got, want = check_relations(rep), reference_relations(rep)
+                assert got == want, (label, seed)
+                assert ([[list(map(type, row)) for row in m] for m in got.values()]
+                        == [[list(map(type, row)) for row in m] for m in want.values()])
+                nonzero += any(x for m in got.values() for row in m for x in row)
+    assert nonzero
+
+
+def test_relation_generators_kept_per_quiver():
+    """A quiver's relation generators are built once and kept on it; a
+    framed tripled quiver, whose framing vertex has no loop, raises on
+    every call."""
+    quiver = triple_quiver(mckay_quiver(build_group("A2")))
+    gens = relation_generators(quiver)
+    assert relation_generators(quiver) is gens
+    bad = frame_quiver(triple_quiver(mckay_quiver(build_group("A1"))), {0: 1})
+    for _ in range(2):
+        with pytest.raises(InvalidArgument):
+            relation_generators(bad)
 
 
 def test_list_matrices_give_the_tuple_verdict(a1_framed, dims11):
