@@ -5,13 +5,14 @@ Series A is cyclic (order rank+1), series D binary dihedral (order
 groups (orders 24, 48, 120).  Each group lives in GF(p), p the least
 prime >= 2^31 with p = 1 (mod e), e the group's exponent: GF(p) then
 holds every character value, and p is far above every integer lifted
-from it.  Elements are 2x2 matrices over GF(p): A and D from closed-form
-lists, E as the closure of unit-quaternion generators.  One path then
-computes the conjugacy classes and the character table by the
-Dixon-Schneider method over GF(p): A and D check their closed-form rows
-against that table, E takes its rows from it.  Row index equals the
-canonical affine Dynkin vertex of :mod:`mckaykit.dynkin`, with the
-trivial representation at vertex 0.
+from it.  Every series is built by one path: its elements are the
+closure of its generators in SL(2, GF(p)) (``sl2_generators``), which
+must have the group order sum(delta_i^2); its conjugacy classes and
+character table come from the Dixon-Schneider method over GF(p).  Row
+index equals the canonical affine Dynkin vertex of
+:mod:`mckaykit.dynkin`, with the trivial representation at vertex 0;
+each vertex's row is fixed up to a diagram automorphism fixing vertex 0,
+which preserves chi_V and so every multiplicity and Molien count.
 """
 
 import functools
@@ -26,7 +27,7 @@ from .errors import (
     InvariantViolation,
     NonIntegralMultiplicity,
 )
-from .linalg import PrimeField, mat_vec, nullspace, solve
+from .linalg import PrimeField, mat_vec, solve
 
 PRIME_FLOOR = 2**31
 
@@ -151,8 +152,12 @@ def _mat2_inv(p, a):
     return ((a[1][1], -a[0][1] % p), (-a[1][0] % p, a[0][0]))
 
 
-def closure(field, generators):
-    """All products of the generators, in deterministic BFS order."""
+def closure(field, generators, order):
+    """All products of the generators, in deterministic BFS order.
+
+    ``order`` is the order of the group they should generate; a closure
+    that passes it (a wrong generator set) raises InvariantViolation.
+    """
     elements = {_IDENTITY: None}  # insertion-ordered set
     frontier = [_IDENTITY]
     while frontier:
@@ -164,8 +169,9 @@ def closure(field, generators):
                     elements[y] = None
                     new.append(y)
         frontier = new
-        if len(elements) > 1000:
-            raise InvariantViolation("generator closure did not terminate")
+        if len(elements) > order:
+            raise InvariantViolation(
+                f"the generators close to more than the group order {order}")
     return tuple(elements)
 
 
@@ -248,8 +254,9 @@ def _eigenvectors(field, t, rng):
     """One eigenvector of the k x k matrix t per eigenvalue, in increasing
     eigenvalue order; None unless t has k distinct eigenvalues in GF(p).
 
-    The characteristic polynomial comes from the Krylov relation
-    t^k x = -sum_i c_i t^i x of a random vector x.
+    The characteristic polynomial f comes from the Krylov relation
+    t^k x = -sum_i c_i t^i x of a random vector x, and the eigenvector of
+    lam is read from the Krylov vectors as (f / (t - lam))(t) x.
     """
     p = field.p
     k = len(t)
@@ -265,11 +272,11 @@ def _eigenvectors(field, t, rng):
         return None  # f does not split into distinct linear factors
     vectors = []
     for lam in sorted(_split_roots(p, f, rng)):
-        basis = nullspace(field, [[(x - lam) % p if b == c else x for c, x in enumerate(row)]
-                                  for b, row in enumerate(t)])
-        if len(basis) != 1:
-            return None
-        vectors.append(basis[0])
+        q = _poly_divmod(p, f, [-lam % p, 1])[0]
+        v = tuple(sum(c * u[r] for c, u in zip(q, krylov)) % p for r in range(k))
+        if not any(v):
+            return None  # lam is no eigenvalue of t: x was not cyclic
+        vectors.append(v)
     return vectors
 
 
@@ -284,8 +291,8 @@ def dixon_character_table(field, elements):
     z_c the representative of class c, the central character w(a) =
     |C_a| chi(a) / chi(1) of each irrep is a common eigenvector,
     sum_c n_ab^c w(c) = w(a) w(b), of the class matrices.  A random
-    combination T of them has distinct eigenvalues; each eigenvector is
-    the nullspace of T - lambda, scaled to w(1) = 1, and chi(1)^2 =
+    combination T of them has distinct eigenvalues; each eigenvector,
+    read from the Krylov vectors of T, is scaled to w(1) = 1, and chi(1)^2 =
     |G| / sum_a w(a) w(a^-1) / |C_a| is lifted and checked to be a square
     (Dixon, Numer. Math. 1967; Schneider, J. Symbolic Comput. 1990).
     Exact when p does not divide |G| and p = 1 mod the exponent.
@@ -340,13 +347,24 @@ def dixon_character_table(field, elements):
 # series constructions
 # ---------------------------------------------------------------------------
 
-def e_generators(rank, field, z):
-    """Generators of the binary tetrahedral (6), octahedral (7) and
-    icosahedral (8) groups as unit quaternions over GF(p), for z a
-    primitive ``E_EXPONENTS[rank]``-th root of unity: i = z^(e/4),
-    sqrt(2) = zeta_8 + 1/zeta_8 and the golden ratio 1 + zeta_5 + 1/zeta_5."""
+def sl2_generators(descriptor, field, z):
+    """Generators in SL(2, GF(p)) of the group of ``descriptor``, for z a
+    primitive ``exponent(descriptor)``-th root of unity.
+
+    A: diag(z, 1/z).  D: diag(zeta, 1/zeta) with zeta = z^(e/2n) of order
+    2n, n = rank - 2, and ((0, 1), (-1, 0)).  E: the binary tetrahedral
+    (6), octahedral (7) and icosahedral (8) groups as unit quaternions,
+    with i = z^(e/4), sqrt(2) = zeta_8 + 1/zeta_8 and the golden ratio
+    1 + zeta_5 + 1/zeta_5.
+    """
     p = field.p
-    e = E_EXPONENTS[rank]
+    e = exponent(descriptor)
+    rank = descriptor.rank
+    if descriptor.series == "A":
+        return (((z, 0), (0, pow(z, -1, p))),)
+    if descriptor.series == "D":
+        zeta = pow(z, e // (2 * (rank - 2)), p)
+        return (((zeta, 0), (0, pow(zeta, -1, p))), ((0, 1), (p - 1, 0)))
     i = pow(z, e // 4, p)
     half = pow(2, -1, p)
 
@@ -367,34 +385,6 @@ def e_generators(rank, field, z):
     return gens
 
 
-def _cyclic_elements(p, zeta, n):
-    """g^r = diag(zeta^r, zeta^-r), r < n, for zeta a primitive n-th root."""
-    return tuple(((pow(zeta, r, p), 0), (0, pow(zeta, -r, p))) for r in range(n))
-
-
-def _cyclic_character_rows(p, zeta, n, reps):
-    """Irrep j of the cyclic group sends its generator to zeta^j."""
-    return [tuple(pow(zeta, j * r, p) for r in reps) for j in range(n)]
-
-
-def _binary_dihedral_character_rows(p, zeta, i, n, reps):
-    """Closed-form irreducible characters of the binary dihedral group.
-
-    Elements are a^k (k < 2n) and b a^k; irreps are four 1-dimensional
-    characters (values on a and b) plus the 2-dimensional ones rho_h,
-    h = 1..n-1.  ``i`` is a primitive 4th root of unity.
-    """
-    minus = p - 1
-    one_dims = [(1, 1), (1, minus), (minus, 1), (minus, minus)] if n % 2 == 0 else [
-        (1, 1), (1, minus), (minus, i), (minus, p - i)]
-    rows = [tuple(pow(a, r, p) * (b if r >= 2 * n else 1) % p for r in reps)
-            for a, b in one_dims]
-    rows += [tuple(0 if r >= 2 * n else (pow(zeta, h * r, p) + pow(zeta, -h * r, p)) % p
-                   for r in reps)
-             for h in range(1, n)]
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -412,35 +402,27 @@ def build_group(descriptor):
 
 @functools.lru_cache(maxsize=None)
 def _build_group(descriptor):
-    """Elements, Dixon's classes and table, then rows, chi_V and the
-    canonical row order.  A and D take their closed-form character rows,
-    which must equal Dixon's rows as a multiset; E uses Dixon's rows."""
+    """The closure of the SL(2) generators, Dixon's classes and table, then
+    chi_V and the canonical row order.
+
+    Every series takes this one path.  The closure must have the group
+    order sum(delta_i^2) of the affine marks.  The rows are placed by
+    ``dynkin.match_layout`` from Dixon's row order, so each vertex's row
+    is fixed up to a diagram automorphism fixing vertex 0; such an
+    automorphism preserves chi_V, so no multiplicity or Molien count
+    depends on the choice.
+    """
     dynkin.validate_descriptor(descriptor.series, descriptor.rank)
-    rank = descriptor.rank
+    order = sum(d * d for d in dynkin.marks(descriptor.series, descriptor.rank))
     e = exponent(descriptor)
     field = group_field(e)
     p = field.p
-    z = root_of_unity(field, e)
-    closed_form_rows = None
-    if descriptor.series == "A":
-        elements = _cyclic_elements(p, z, rank + 1)
-        closed_form_rows = functools.partial(_cyclic_character_rows, p, z, rank + 1)
-    elif descriptor.series == "D":
-        n = rank - 2
-        zeta = pow(z, e // (2 * n), p)
-        elements = _cyclic_elements(p, zeta, 2 * n)  # a^k, then b a^k, b = ((0, 1), (-1, 0))
-        elements += tuple(_mat2_mul(p, ((0, 1), (p - 1, 0)), x) for x in elements)
-        closed_form_rows = functools.partial(
-            _binary_dihedral_character_rows, p, zeta, pow(z, e // 4, p), n)
-    else:
-        elements = closure(field, e_generators(rank, field, z))
-
+    elements = closure(field, sl2_generators(descriptor, field, root_of_unity(field, e)), order)
+    if len(elements) != order:
+        raise InvariantViolation(
+            f"the generators of {descriptor.label} close to {len(elements)} elements, "
+            f"not {order}")
     rows, sizes, class_of, reps, inverse = dixon_character_table(field, elements)
-    if closed_form_rows is not None:
-        closed = closed_form_rows(reps)
-        if sorted(closed) != sorted(rows):
-            raise InvariantViolation("closed-form character rows differ from Dixon's table")
-        rows = closed
     ones = (1,) * len(reps)
     if ones not in rows:
         raise InvariantViolation("no trivial character row found")

@@ -11,7 +11,6 @@ tests) to agree with the direct pushforward up to summand isomorphism.
 """
 
 import functools
-from fractions import Fraction
 
 from .corner_functors import (
     cornered_hom_space,
@@ -174,7 +173,10 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
     Weights grade the total space by characters of the cyclic group; b1
     lowers the weight by one, b2 raises it, and the framing maps preserve
     it.  The commutator of b1 and b2 plus i_vec . j_vec must vanish; the
-    resulting framed module satisfies the vertex relations exactly.
+    resulting framed module satisfies the vertex relations exactly.  Each
+    framing coordinate p becomes its own framing arrow pair, so the
+    relation at the framing vertex asks j[p] . i[:, p] = 0 for every p.
+    Entries are stored as QQ elements: an int when integral.
     """
     if g.descriptor.series != "A":
         raise NotEquivariant("equivariant splitting is implemented for series A")
@@ -184,10 +186,10 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
     weights = [w % n for w in weights]
     framing_weights = [w % n for w in framing_weights]
 
-    b1 = _fraction_matrix(b1, dim_v, dim_v, "B1")
-    b2 = _fraction_matrix(b2, dim_v, dim_v, "B2")
-    i_vec = _fraction_matrix(i_vec, dim_v, dim_w, "i")
-    j_vec = _fraction_matrix(j_vec, dim_w, dim_v, "j")
+    b1 = _qq_matrix(b1, dim_v, dim_v, "B1")
+    b2 = _qq_matrix(b2, dim_v, dim_v, "B2")
+    i_vec = _qq_matrix(i_vec, dim_v, dim_w, "i")
+    j_vec = _qq_matrix(j_vec, dim_w, dim_v, "j")
 
     _check_equivariance(b1, weights, weights, -1, n, "B1")
     _check_equivariance(b2, weights, weights, +1, n, "B2")
@@ -200,6 +202,10 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
     moment = mat_add(QQ, comm, mat_mul(QQ, i_vec, j_vec, b_ncols=dim_v))
     if any(x != 0 for row in moment for x in row):
         raise MomentMapNonzero("[B1, B2] + i.j is nonzero")
+    for p in range(dim_w):
+        if sum(j_vec[p][r] * i_vec[r][p] for r in range(dim_v)):
+            raise MomentMapNonzero(
+                f"j[{p}] . i[:, {p}] is nonzero: framing coordinate {p} breaks its relation")
 
     positions = {m: [p for p, w in enumerate(weights) if w == m] for m in range(n)}
     fpositions = {m: [p for p, w in enumerate(framing_weights) if w == m]
@@ -211,13 +217,10 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
     comps = {m: len(positions[m]) for m in range(n)}
     dims = DimVector(components=comps, at_infinity=dim_w)
 
-    maps = {}
-    if n == 1:
-        raise NotEquivariant("rank 0 cyclic group is outside the classification")
-
     def block(mat, rows, cols):
         return tuple(tuple(mat[r][c] for c in cols) for r in rows)
 
+    maps = {}
     for m in range(len(base.arrows) // 2):
         # edge m joins m and m+1 around the cycle; its arrow with tail m acts
         # on the components at its head (B1 lowers m+1 -> m), signed by the
@@ -234,12 +237,11 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
         m = a.tail
         p = fpositions[m][seen[m]]
         seen[m] += 1
-        maps[a.id] = tuple(
-            (i_vec[r][p],) if dim_w == 1 else
-            tuple(i_vec[r][pp] if pp == p else Fraction(0) for pp in range(dim_w))
-            for r in positions[m]
-        )
-        maps[quiver.bar[a.id]] = _j_row_block(j_vec, p, positions[m], dim_w)
+        maps[a.id] = tuple(tuple(i_vec[r][pp] if pp == p else QQ.zero for pp in range(dim_w))
+                           for r in positions[m])
+        maps[quiver.bar[a.id]] = tuple(
+            tuple(j_vec[pp][c] if pp == p else QQ.zero for c in positions[m])
+            for pp in range(dim_w))
 
     rep = QuiverRep(quiver=quiver, dims=dims, maps=maps, field=QQ)
     if not is_flat(rep):
@@ -247,20 +249,11 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
     return rep
 
 
-def _j_row_block(j_vec, p, cols, dim_w):
-    row = tuple(j_vec[p][c] for c in cols)
-    if dim_w == 1:
-        return (row,)
-    return tuple(
-        row if pp == p else tuple(Fraction(0) for _ in cols) for pp in range(dim_w)
-    )
-
-
-def _fraction_matrix(mat, nrows, ncols, name):
+def _qq_matrix(mat, nrows, ncols, name):
     mat = [list(row) for row in mat]
     if len(mat) != nrows or any(len(row) != ncols for row in mat):
         raise NotEquivariant(f"{name} must be {nrows}x{ncols}")
-    return tuple(tuple(Fraction(x) for x in row) for row in mat)
+    return tuple(tuple(QQ.from_fraction(x) for x in row) for row in mat)
 
 
 def _check_equivariance(mat, row_weights, col_weights, shift, n, name):

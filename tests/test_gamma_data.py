@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import mckaykit
-from mckaykit import dynkin
+from mckaykit import dynkin, gamma_data
 from mckaykit.errors import (
     DimensionTooLarge,
     InvalidDescriptor,
@@ -21,10 +21,11 @@ from mckaykit.gamma_data import (
     build_group,
     closure,
     dixon_character_table,
-    e_generators,
     exponent,
+    group_field,
     parse_descriptor,
     root_of_unity,
+    sl2_generators,
     tensor_multiplicity,
     tensor_multiplicity_matrix,
     validate_group_data,
@@ -66,7 +67,7 @@ def test_d4_against_brute_force_oracle():
     def quat(a, b, c, d):
         return (((a + b * i) % p, (c + d * i) % p), ((-c + d * i) % p, (a - b * i) % p))
 
-    elements = closure(field, [quat(0, 1, 0, 0), quat(0, 0, 1, 0)])
+    elements = closure(field, [quat(0, 1, 0, 0), quat(0, 0, 1, 0)], 8)
     assert len(elements) == 8
     rows, sizes, _, _, _ = dixon_character_table(field, elements)
     dims = sorted(r[0] for r in rows)
@@ -92,13 +93,79 @@ def test_e_series_against_literature(rank):
     g = build_group(f"E{rank}")
     field = PrimeField(g.prime)
     z = root_of_unity(field, exponent(g.descriptor))
-    assert len(closure(field, e_generators(rank, field, z))) == order
+    assert len(closure(field, sl2_generators(g.descriptor, field, z), order)) == order
     assert g.order == len(g.elements) == order
     assert sorted(g.class_sizes) == class_sizes
     for c, r in enumerate(g.class_reps):
         (a, _), (_, d) = g.elements[r]
         assert g.class_of[r] == c
         assert g.chi_v[c] == (a + d) % g.prime
+
+
+def closed_form_rows(g):
+    """The closed-form character rows of a cyclic (A) or binary dihedral
+    (D) group, evaluated on the matrix of each class representative.
+
+    A: irrep j sends diag(l, 1/l) to l^j.  D, n = rank - 2: the elements
+    are a^k = diag(l, 1/l) and b a^k = ((0, m), (-1/m, 0)) with l^2n =
+    m^2n = 1 and (-1)^k = l^n = m^n, b = ((0, 1), (-1, 0)).  Four
+    1-dimensional characters send (a, b) to (+-1, +-1) for even n and to
+    (1, +-1), (-1, +-i) for odd n; the 2-dimensional rho_h, h = 1..n-1,
+    send a^k to l^h + l^-h and b a^k to 0.
+    """
+    p = g.prime
+    mats = [g.elements[r] for r in g.class_reps]
+    if g.descriptor.series == "A":
+        return [tuple(pow(m[0][0], j, p) for m in mats) for j in range(g.order)]
+    n = g.descriptor.rank - 2
+    i = root_of_unity(PrimeField(p), 4)
+    minus = p - 1
+    ones = ([(1, 1), (1, minus), (minus, 1), (minus, minus)] if n % 2 == 0
+            else [(1, 1), (1, minus), (minus, i), (minus, p - i)])
+
+    def one_dim(alpha, beta, m):
+        if m[0][1] == 0:  # a^k
+            return pow(m[0][0], n, p) if alpha == minus else 1
+        return beta * (pow(m[0][1], n, p) if alpha == minus else 1) % p
+
+    rows = [tuple(one_dim(alpha, beta, m) for m in mats) for alpha, beta in ones]
+    rows += [tuple(0 if m[0][1] else (pow(m[0][0], h, p) + pow(m[0][0], -h, p)) % p
+                   for m in mats)
+             for h in range(1, n)]
+    return rows
+
+
+@pytest.mark.parametrize("label", [f"A{r}" for r in range(1, 31)]
+                         + [f"D{r}" for r in range(4, 16)])
+def test_closed_form_rows_match(label):
+    """Dixon's rows equal the closed-form A and D characters as a multiset."""
+    g = build_group(label)
+    assert sorted(closed_form_rows(g)) == sorted(g.characters)
+
+
+def test_closure_checks_the_group_order():
+    """The order, not a fixed size, bounds the closure: A1000 closes to its
+    1001 elements and D5 to its 12.  For odd n, diag(z, 1/z) with z of
+    order 4n in place of zeta of order 2n generates a group twice the
+    order of D(n+2), which the closure refuses once it passes the order."""
+    for label, order in [("A1000", 1001), ("D5", 12)]:
+        desc = parse_descriptor(label)
+        field = group_field(exponent(desc))
+        z = root_of_unity(field, exponent(desc))
+        assert len(closure(field, sl2_generators(desc, field, z), order)) == order
+    # D5, n = 3: z has order 12 and zeta = z^2
+    doubled = (((z, 0), (0, pow(z, -1, field.p))), ((0, 1), (field.p - 1, 0)))
+    with pytest.raises(InvariantViolation, match="more than the group order 12"):
+        closure(field, doubled, 12)
+
+
+def test_build_refuses_a_short_closure(monkeypatch):
+    """D6's diagonal generator alone closes to 8 of its 16 elements."""
+    gens = gamma_data.sl2_generators
+    monkeypatch.setattr(gamma_data, "sl2_generators",
+                        lambda descriptor, field, z: gens(descriptor, field, z)[:1])
+    with pytest.raises(InvariantViolation, match="close to 8 elements, not 16"):
+        gamma_data._build_group.__wrapped__(parse_descriptor("D6"))
 
 
 BUILD_ONCE_SCRIPT = """

@@ -1,6 +1,7 @@
 """Sufficiency, pushforwards, ADHM splitting, quotient correspondence."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -191,6 +192,31 @@ def test_adhm_moment_map_violation():
     # [b1, b2] has a nonzero top-left block and i.j = 0
     with pytest.raises(MomentMapNonzero):
         adhm_build_cyclic(g, b1, b2, [[0], [0], [0]], [[0, 0, 0]], [0, 1, 2], [0])
+
+
+def test_adhm_framing_relation_refused():
+    """[B1, B2] + i.j = 0 holds, but framing coordinate 0 carries
+    j[0] . i[:, 0] = 1, which its own framing arrow pair cannot absorb."""
+    g = build_group("A2")
+    with pytest.raises(MomentMapNonzero, match="framing coordinate 0"):
+        adhm_build_cyclic(g, [[0]], [[0]], [[1, 1]], [[1], [-1]], [0], [0, 0])
+
+
+def test_adhm_two_framing_coordinates():
+    """A flat input with dim W = 2, framed at vertices 0 and 1, builds; its
+    integral inputs give int entries, a fractional one a Fraction."""
+    g = build_group("A2")
+    b1 = [[0, 1], [0, 0]]
+    b2 = [[0, 0], [0, 0]]
+    rep = adhm_build_cyclic(g, b1, b2, [[1, 0], [0, 0]], [[0, 0], [0, 1]], [0, 1], [0, 1])
+    assert rep.dims.as_dict() == {0: 1, 1: 1, 2: 0, "inf": 2}
+    for mat in check_relations(rep).values():
+        assert all(x == 0 for row in mat for x in row)
+    entries = [x for mat in rep.maps.values() for row in mat for x in row]
+    assert entries and all(type(x) is int for x in entries)
+    rep = adhm_build_cyclic(g, b1, b2, [["1/2", 0], [0, 0]], [[0, 0], [0, 1]],
+                            [0, 1], [0, 1])
+    assert Fraction(1, 2) in [x for mat in rep.maps.values() for row in mat for x in row]
 
 
 def test_adhm_seeded_search_yields_stable_flat():
