@@ -52,6 +52,7 @@ from .linalg import (
     ClosureTest,
     Echelon,
     PrimeField,
+    common_field,
     hom_space,
     isomorphic,
     mat_mul,
@@ -113,7 +114,7 @@ def generation_degree(group, corner):
     return _generation_degree(group.descriptor.label, frozenset(corner))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorneredModule:
     """Finite-dimensional module over a cornered algebra.
 
@@ -121,7 +122,10 @@ class CorneredModule:
     of the idx-th quotient-basis class of the degree-k corner slice, for
     1 <= k <= gen_degree; ``z_mats[i]`` is the action of the degree-one
     loop at i.  A module over the ungraded cornered algebra is the same
-    data with every loop acting as zero.
+    data with every loop acting as zero.  The module is frozen, and its
+    matrices are not changed after construction (``rebuild`` makes a new
+    module), which keeps its memos ``_generators`` and ``_closure_test``
+    valid.
     """
 
     group: object
@@ -147,9 +151,7 @@ class CorneredModule:
         matrix as ``(i, j, matrix)`` acting from component j to i.
 
         The tuple is built on the first call and kept outside the fields,
-        so ``==`` and ``repr`` do not see it.  Nothing in the package
-        changes ``z_mats`` or ``actions`` after construction (``rebuild``
-        makes a new module), which keeps it valid.
+        so ``==`` and ``repr`` do not see it.
         """
         return self._generators
 
@@ -413,8 +415,8 @@ def cornered_hom_space(a, b):
         raise InvariantViolation("hom space needs matching group and corner")
     if a.gen_degree != b.gen_degree:
         raise InvariantViolation("hom space needs matching generator tables")
-    return hom_space(a.field, a.generators(), b.generators(), a.vertex_dims(),
-                     b.vertex_dims())
+    return hom_space(common_field(a, b), a.generators(), b.generators(),
+                     a.vertex_dims(), b.vertex_dims())
 
 
 def cornered_isomorphic(a, b):
@@ -423,8 +425,8 @@ def cornered_isomorphic(a, b):
         return False
     if a.gen_degree != b.gen_degree:
         raise InvariantViolation("isomorphism test needs matching generator tables")
-    return isomorphic(a.field, a.generators(), b.generators(), a.vertex_dims(),
-                      b.vertex_dims())
+    return isomorphic(common_field(a, b), a.generators(), b.generators(),
+                      a.vertex_dims(), b.vertex_dims())
 
 
 def cornered_submodule_is_closed(module, spaces):

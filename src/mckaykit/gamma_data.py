@@ -309,22 +309,23 @@ def dixon_character_table(field, elements):
     index = {e: i for i, e in enumerate(elements)}
     inverse = tuple(class_of[index[_mat2_inv(p, elements[r])]] for r in reps)
 
-    struct = [[[0] * k for _ in range(k)] for _ in range(k)]  # [a][b][c]
-    for c, r in enumerate(reps):
-        for xi, x in enumerate(elements):
-            y = index[_mat2_mul(p, _mat2_inv(p, x), elements[r])]
-            struct[class_of[xi]][class_of[y]][c] += 1
-    for a in range(k):
-        for b in range(k):
-            if sum(struct[a][b][c] * sizes[c] for c in range(k)) != sizes[a] * sizes[b]:
-                raise InvariantViolation("class algebra structure constants broken")
-
+    inverses = [_mat2_inv(p, x) for x in elements]
     rng = random.Random(0)
     for _ in range(25):
         coeffs = [rng.randrange(p) for _ in range(k)]
-        total = [[sum(coeffs[a] * struct[a][b][c] for a in range(k)) % p for c in range(k)]
-                 for b in range(k)]
-        vectors = _eigenvectors(field, total, rng)
+        # x in C_a with x^-1 z_c in C_b adds |C_c| to the row sum
+        # sum_c n_ab^c |C_c| = |C_a||C_b| and coeffs[a] to T[b][c]
+        sums = [[0] * k for _ in range(k)]
+        total = [[0] * k for _ in range(k)]
+        for c, r in enumerate(reps):
+            z, size = elements[r], sizes[c]
+            for a, x_inv in zip(class_of, inverses):
+                b = class_of[index[_mat2_mul(p, x_inv, z)]]
+                sums[a][b] += size
+                total[b][c] += coeffs[a]
+        if sums != [[sa * sb for sb in sizes] for sa in sizes]:
+            raise InvariantViolation("class algebra structure constants broken")
+        vectors = _eigenvectors(field, [[t % p for t in row] for row in total], rng)
         if vectors is not None:
             break
     else:

@@ -27,22 +27,23 @@ prepared once per generator list), one quotient (with its projections and
 induced maps), one mod-p reduction, one intertwiner (hom-space) system,
 and one seeded search for a hom-space element that is onto at every
 vertex, which is also the isomorphism search.  Every linear system in
-unknown matrices is built by ``matrix_equation_rows``.
+unknown matrices is built by ``matrix_equation_rows``.  No cache here is
+keyed by matrix contents: a caller takes a matrix's sparse columns
+(``_columns``) once per call, or keeps them on the object it prepares
+(``ClosureTest``).
 """
 
-import functools
 import itertools
 import math
 import random
 from collections import defaultdict
 from fractions import Fraction
 
-from .errors import BadPrime
+from .errors import BadPrime, InvariantViolation
 
 # seeded random candidates tried by ``isomorphic`` after the basis vectors
 ISOMORPHISM_TRIES = 40
-# matrices whose sparse columns ``sparse_image`` and ``ClosureTest`` share,
-# and rows each ``ClosureTest`` memoises (all dropped once it is full)
+# rows each ``ClosureTest`` memoises (all dropped once it is full)
 COLUMN_CACHE_SIZE = 256
 
 
@@ -552,13 +553,9 @@ def combine(field, coeffs, vectors, n):
     return _mod(field.p, out)
 
 
-@functools.lru_cache(maxsize=COLUMN_CACHE_SIZE)
-def _columns(p, mat):
-    """The nonzero columns of ``mat``, a matrix over the field of
-    characteristic ``p``, as ((column, ((row, value), ...)), ...); empty
-    for a zero map.  ``p`` is in the key so that a GF(p) matrix never
-    receives the ``Fraction`` values of an equal QQ matrix (within QQ, an
-    integral ``Fraction`` and the equal ``int`` are one value)."""
+def _columns(mat):
+    """The nonzero columns of ``mat`` as ((column, ((row, value), ...)),
+    ...); empty for a zero map."""
     cols = {}
     for r, row in enumerate(mat):
         for c, x in enumerate(row):
@@ -582,12 +579,6 @@ def _image(p, cols, vec):
     return {r: v for r, v in out.items() if v}
 
 
-def sparse_image(field, mat, vec):
-    """``vec_to_sparse(field, mat_vec(field, mat, vec))``, computed from the
-    nonzero columns of ``mat``."""
-    return _image(field.p, _columns(field.p, mat), vec)
-
-
 class ClosureTest:
     """The closure test of the generator list ``maps``: called on
     ``spaces`` (keys to lists of rows), whether every ``(i, j, mat)`` of
@@ -606,7 +597,7 @@ class ClosureTest:
         self.field = field
         self.maps_from = {}  # source -> [(target, sparse columns)]
         for i, j, mat in maps:
-            if cols := _columns(field.p, mat):
+            if cols := _columns(mat):
                 self.maps_from.setdefault(j, []).append((i, cols))
         self.memo = {v: {} for i, j, _ in maps for v in (i, j)}  # v -> {row: entry}
 
@@ -732,6 +723,14 @@ def matrix_equation_rows(field, shapes, equations):
             if any(row):
                 rows.append(row)
     return rows, offsets, nvars
+
+
+def common_field(a, b):
+    """The field of the modules ``a`` and ``b``, which must be one field:
+    a kernel given both never mixes QQ and GF(p) values."""
+    if a.field != b.field:
+        raise InvariantViolation(f"modules over different fields: {a.field} and {b.field}")
+    return a.field
 
 
 def hom_space(field, gens_a, gens_b, dims_a, dims_b):

@@ -40,7 +40,6 @@ from .quiver_core import (
 )
 from .rep_theory import (
     QuiverRep,
-    _framing_submodule,
     is_flat,
     polystable_decomposition,
     stability_verdict,
@@ -127,12 +126,10 @@ def vgit_pushforward(rep, source_corner, target_corner):
         raise EmptyI("target corner must be nonempty")
     if not target <= source:
         raise NotStableForSource("target corner must be contained in the source")
-    # independent of theta, so both verdicts and the decomposition share it
-    framing = _framing_submodule(rep)
-    _, stable, _ = stability_verdict(rep, theta_I(source, rep.dims), framing)
+    _, stable, _ = stability_verdict(rep, theta_I(source, rep.dims))
     if not stable:
         raise NotStableForSource("input is not stable for the source corner")
-    summands = polystable_decomposition(rep, target, framing)
+    summands = polystable_decomposition(rep, target)
     conserved = {}
     for m in summands:
         for v, d in m.dims.as_dict().items():
@@ -183,6 +180,9 @@ def adhm_build_cyclic(g, b1, b2, i_vec, j_vec, weights, framing_weights):
     n = g.order
     dim_v = len(weights)
     dim_w = len(framing_weights)
+    for w in (*weights, *framing_weights):
+        if not isinstance(w, int):
+            raise NotEquivariant(f"weight {w!r} is not an integer")
     weights = [w % n for w in weights]
     framing_weights = [w % n for w in framing_weights]
 
@@ -253,7 +253,15 @@ def _qq_matrix(mat, nrows, ncols, name):
     mat = [list(row) for row in mat]
     if len(mat) != nrows or any(len(row) != ncols for row in mat):
         raise NotEquivariant(f"{name} must be {nrows}x{ncols}")
-    return tuple(tuple(QQ.from_fraction(x) for x in row) for row in mat)
+    return tuple(tuple(_qq_entry(x, f"{name}[{r}][{c}]") for c, x in enumerate(row))
+                 for r, row in enumerate(mat))
+
+
+def _qq_entry(x, where):
+    try:
+        return QQ.from_fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise NotEquivariant(f"{where} = {x!r} is not a rational number") from None
 
 
 def _check_equivariance(mat, row_weights, col_weights, shift, n, name):

@@ -11,6 +11,10 @@ representation's generator view: the arrow matrices in arrow order as
 ``(tail, head, matrix)``, which ``QuiverRep.rebuild`` turns back into a
 representation.  Cornered modules share the same kernels.
 
+A ``QuiverRep`` is frozen and memoises its largest relation residual
+(for ``is_flat``) and its framing submodule (for the stability verdict
+and the decomposition), so a module checked twice computes each once.
+
 Stability is the usual submodule-slope inequality for a parameter that
 vanishes on the total dimension.  For parameters of corner shape (one on
 a vertex subset, zero elsewhere, balancing value at the framing vertex)
@@ -22,6 +26,7 @@ ships together with an exhaustive finite-field checker and the test
 suite enforces their agreement.
 """
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -38,9 +43,12 @@ from .linalg import (
     QQ,
     Echelon,
     PrimeField,
+    _columns,
     _echelon_of_sparse,
+    _image,
     _mod,
     combine,
+    common_field,
     isomorphic,
     mat_vec,
     matrix_equation_rows,
@@ -48,14 +56,13 @@ from .linalg import (
     quotient_maps,
     reduce_entries,
     solve_columns,
-    sparse_image,
     vec_to_sparse,
     zeros,
 )
 from .quiver_core import INFINITY, DimVector, relation_generators, theta_I, vertex_sort_key
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuiverRep:
     """A representation: dimension vector plus one matrix per arrow.
 
@@ -63,15 +70,15 @@ class QuiverRep:
     what the shared closure, quotient, mod-p, hom-space and isomorphism
     kernels of ``linalg`` act on: the arrows in arrow order, each as
     ``(tail, head, matrix)``.
+
+    Its matrices are not changed after construction, which keeps the
+    memos ``_max_residual`` and ``_framing`` valid.
     """
 
     quiver: object
     dims: DimVector
     maps: dict
     field: object = QQ
-
-    def dim(self, v):
-        return self.dims.get(v)
 
     def total_dim(self):
         return sum(self.dims.get(v) for v in self.quiver.vertices)
@@ -104,14 +111,25 @@ class QuiverRep:
             field=self.field if field is None else field,
         )
 
+    @functools.cached_property
+    def _max_residual(self):
+        """Largest absolute residual entry of the relations."""
+        return max((abs(x) for mat in check_relations(self).values()
+                    for row in mat for x in row), default=0)
+
+    @functools.cached_property
+    def _framing(self):
+        """The submodule generated by the framing component."""
+        return generated_submodule(
+            self, {INFINITY: _unit_rows(self.field, self.dims.get(INFINITY))})
+
 
 def make_rep(quiver, dims, maps, field=QQ):
     """The checked representation with the matrices ``maps``, each stored
-    as a tuple of row tuples (the kernels key caches by matrix)."""
-    rep = validate_shapes(QuiverRep(quiver=quiver, dims=dims, maps=dict(maps),
-                                    field=field))
-    rep.maps = {aid: tuple(map(tuple, m)) for aid, m in rep.maps.items()}
-    return rep
+    as a tuple of row tuples."""
+    return validate_shapes(QuiverRep(
+        quiver=quiver, dims=dims, field=field,
+        maps={aid: tuple(map(tuple, m)) for aid, m in maps.items()}))
 
 
 def validate_shapes(rep):
@@ -194,13 +212,13 @@ def check_relations(rep):
 
 
 def max_relation_residual(rep):
-    """Largest absolute residual entry of the relations; zero iff flat."""
-    return max((abs(x) for mat in check_relations(rep).values()
-                for row in mat for x in row), default=0)
+    """Largest absolute residual entry of the relations; zero iff flat.
+    Computed once per representation."""
+    return rep._max_residual
 
 
 def is_flat(rep):
-    return max_relation_residual(rep) == 0
+    return rep._max_residual == 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,38 +255,25 @@ def generated_submodule(rep, seeds):
                 queue.append((v, tuple(vec)))
     maps_by_head = {}
     for tail, head, mat in rep.generators():
-        maps_by_head.setdefault(head, []).append((tail, mat))
+        maps_by_head.setdefault(head, []).append((tail, _columns(mat)))
     while queue:
         v, vec = queue.pop()
-        for tail, mat in maps_by_head.get(v, ()):
-            img = sparse_image(field, mat, vec)
+        for tail, cols in maps_by_head.get(v, ()):
+            img = _image(field.p, cols, vec)
             if ech[tail].insert(img):
                 queue.append((tail, tuple(img.get(r, field.zero)
                                           for r in range(rep.dims.get(tail)))))
     spaces = {}
     for v in rep.quiver.vertices:
-        n = rep.dims.get(v)
         monic = ech[v].monic_rows()
-        rows = []
-        for piv in sorted(monic):
-            row = [field.zero] * n
-            for c, val in monic[piv].items():
-                row[c] = val
-            rows.append(tuple(row))
-        spaces[v] = tuple(rows)
+        spaces[v] = tuple(tuple(monic[piv].get(c, field.zero) for c in range(rep.dims.get(v)))
+                          for piv in sorted(monic))
     return SubmoduleWitness(spaces=spaces)
 
 
 def _unit_rows(field, n):
     return [tuple(field.one if i == j else field.zero for j in range(n))
             for i in range(n)]
-
-
-def _framing_submodule(rep):
-    """The submodule generated by the framing component."""
-    return generated_submodule(
-        rep, {INFINITY: _unit_rows(rep.field, rep.dims.get(INFINITY))}
-    )
 
 
 def max_submodule_avoiding(rep, avoid):
@@ -279,10 +284,11 @@ def max_submodule_avoiding(rep, avoid):
     stay inside the current family.
     """
     field = rep.field
-    avoid = set(avoid)
-    basis = {}
-    for v in rep.quiver.vertices:
-        basis[v] = [] if v in avoid else _unit_rows(field, rep.dims.get(v))
+    basis = {v: [] if v in avoid else _unit_rows(field, rep.dims.get(v))
+             for v in rep.quiver.vertices}
+    # an arrow out of an avoided vertex never acts, its source being empty
+    columns = {a.id: _columns(rep.matrix(a.id)) for a in rep.quiver.arrows
+               if a.head not in avoid}
     changed = True
     while changed:
         changed = False
@@ -291,23 +297,15 @@ def max_submodule_avoiding(rep, avoid):
             if not src:
                 continue
             tgt = basis[a.tail]
-            m = rep.matrix(a.id)
-            images = [sparse_image(field, m, vec) for vec in src]
-            d_t = rep.dims.get(a.tail)
-            rows = []
-            for r in range(d_t):
-                rows.append(
-                    tuple(img.get(r, field.zero) for img in images)
+            # the combinations of src whose image lies in span(tgt)
+            images = [_image(field.p, columns[a.id], vec) for vec in src]
+            rows = [tuple(img.get(r, field.zero) for img in images)
                     + tuple(field.neg(t[r]) for t in tgt)
-                )
-            kept_combos = [
-                combo[: len(src)] for combo in nullspace(field, rows,
-                                                         ncols=len(src) + len(tgt))
-            ]
+                    for r in range(rep.dims.get(a.tail))]
             new_src = []
             ech = Echelon(field)
-            for combo in kept_combos:
-                vec = combine(field, combo, src, rep.dims.get(a.head))
+            for combo in nullspace(field, rows, ncols=len(src) + len(tgt)):
+                vec = combine(field, combo[:len(src)], src, rep.dims.get(a.head))
                 if ech.insert(vec_to_sparse(field, vec)):
                     new_src.append(vec)
             if len(new_src) < len(src):
@@ -340,11 +338,10 @@ def corner_of_theta(theta, dims):
     return frozenset(corner)
 
 
-def stability_verdict(rep, theta, framing=None):
-    """(semistable, stable, witness dims or None) for a corner parameter;
-    ``framing`` is ``rep``'s ``_framing_submodule`` if the caller has it."""
+def stability_verdict(rep, theta):
+    """(semistable, stable, witness dims or None) for a corner parameter."""
     corner = corner_of_theta(theta, rep.dims)
-    gen = _framing_submodule(rep) if framing is None else framing
+    gen = rep._framing
     semistable = all(gen.dim(i) == rep.dims.get(i) for i in corner)
     if not semistable:
         return False, False, gen.dims_dict()
@@ -427,9 +424,10 @@ def reduce_mod_p(rep, p):
 
 
 def _subspace_images(field, mat, subspaces):
-    """For each basis of ``subspaces``, the tuple of the nonzero images
-    ``sparse_image(field, mat, vec)`` of its vectors; a vector that lies
-    in several bases is mapped once."""
+    """For each basis of ``subspaces``, the tuple of the nonzero sparse
+    images under ``mat`` of its vectors; a vector that lies in several
+    bases is mapped once."""
+    cols = _columns(mat)
     seen = {}
     out = []
     for basis in subspaces:
@@ -437,7 +435,7 @@ def _subspace_images(field, mat, subspaces):
         for vec in basis:
             img = seen.get(vec)
             if img is None:
-                img = seen[vec] = sparse_image(field, mat, vec)
+                img = seen[vec] = _image(field.p, cols, vec)
             if img:
                 imgs.append(img)
         out.append(tuple(imgs))
@@ -552,21 +550,6 @@ def brute_force_stability(rep, theta):
 # sub/quotient representations
 # ---------------------------------------------------------------------------
 
-def express_in_basis(field, basis_rows, vectors):
-    """Coordinates of each vector in the given row basis (must lie in span),
-    from one elimination for all the vectors."""
-    if not basis_rows:
-        return [() for _ in vectors]
-    n = len(basis_rows[0])
-    rows = [
-        tuple(basis_rows[b][r] for b in range(len(basis_rows))) for r in range(n)
-    ]
-    out = solve_columns(field, rows, vectors)
-    if out is None:
-        raise ShapeMismatch("vector not in the subspace span")
-    return out
-
-
 def restrict_rep(rep, witness):
     """The representation induced on a closed family of subspaces."""
     field = rep.field
@@ -574,8 +557,11 @@ def restrict_rep(rep, witness):
     for tail, head, mat in rep.generators():
         src = witness.spaces.get(head, ())
         tgt = witness.spaces.get(tail, ())
-        coords = express_in_basis(field, list(tgt),
-                                  [mat_vec(field, mat, vec) for vec in src])
+        # the coordinates of the images of src in the basis tgt, by one solve
+        coords = solve_columns(field, list(zip(*tgt)),
+                               [mat_vec(field, mat, vec) for vec in src])
+        if coords is None:
+            raise ShapeMismatch("vector not in the subspace span")
         mats.append(tuple(
             tuple(coords[c][r] for c in range(len(src))) for r in range(len(tgt))
         ))
@@ -593,17 +579,15 @@ def quotient_rep(rep, witness):
 # polystable decomposition and isomorphism
 # ---------------------------------------------------------------------------
 
-def polystable_decomposition(rep, corner, framing=None):
-    """Stable core plus vertex simples, conserving the dimension vector.
-    ``framing`` is as for ``stability_verdict``."""
+def polystable_decomposition(rep, corner):
+    """Stable core plus vertex simples, conserving the dimension vector."""
     corner = frozenset(corner)
     theta = theta_I(corner, rep.dims)
-    framing = _framing_submodule(rep) if framing is None else framing
-    semistable, _, _ = stability_verdict(rep, theta, framing)
+    semistable, _, _ = stability_verdict(rep, theta)
     if not semistable:
         raise NotSemistable("polystable decomposition needs a semistable input")
     field = rep.field
-    sub = restrict_rep(rep, framing)
+    sub = restrict_rep(rep, rep._framing)
     torsion = max_submodule_avoiding(sub, set(corner) | {INFINITY})
     core = quotient_rep(sub, torsion)
     summands = [core]
@@ -617,9 +601,10 @@ def polystable_decomposition(rep, corner, framing=None):
 
 def are_isomorphic(a, b, seed=0):
     """Whether an invertible intertwiner exists (seeded randomised search)."""
+    field = common_field(a, b)
     if a.quiver != b.quiver:
         return False
-    return isomorphic(a.field, a.generators(), b.generators(), a.vertex_dims(),
+    return isomorphic(field, a.generators(), b.generators(), a.vertex_dims(),
                       b.vertex_dims(), seed)
 
 

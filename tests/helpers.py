@@ -210,6 +210,25 @@ def count_memo_misses(test):
     return misses
 
 
+def count_framing_builds(monkeypatch):
+    """The list of the representations whose framing submodule is built
+    from now on: one entry per ``generated_submodule`` call seeded at the
+    framing vertex."""
+    from mckaykit import rep_theory
+    from mckaykit.quiver_core import INFINITY
+
+    builds = []
+    generated = rep_theory.generated_submodule
+
+    def counted(rep, seeds):
+        if INFINITY in seeds:
+            builds.append(rep)
+        return generated(rep, seeds)
+
+    monkeypatch.setattr(rep_theory, "generated_submodule", counted)
+    return builds
+
+
 def closure_memo(test):
     """The memo of the ``ClosureTest`` ``test`` as one dict keyed by
     (vertex, row)."""

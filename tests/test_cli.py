@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import etingof_eu_slices
+from helpers import count_framing_builds, etingof_eu_slices, stable_reps
 from mckaykit import cli
 from mckaykit.cli import build_parser, main
 from mckaykit.gamma_data import build_group
@@ -240,6 +240,23 @@ def test_vgit_identity_and_compare(capsys, tmp_path):
     # written summand files parse back
     summand0 = rep_from_dict(json.loads((tmp_path / "summand_0.json").read_text()))
     assert summand0.dims.get("inf") == 1
+
+
+def test_vgit_compare_builds_the_input_framing_once(capsys, tmp_path, monkeypatch):
+    """``vgit --compare`` pushes the input module directly and to the
+    intermediate corner, and builds its framing submodule once: no module
+    object has its framing submodule built twice."""
+    g = build_group("A2")
+    q = frame_quiver(mckay_quiver(g), {0: 1})
+    dims = DimVector(components={0: 1, 1: 1, 2: 1}, at_infinity=1)
+    _, rep = stable_reps(q, dims, {0, 1, 2}, 1)[0]
+    path = _write_module(tmp_path, rep)
+    builds = count_framing_builds(monkeypatch)
+    code, out, _ = run(capsys, "vgit", path, "--from-corner", "0,1,2",
+                       "--to-corner", "0", "--compare", "0,1")
+    assert code == 0 and "chain agreement: ok" in out
+    assert builds[0].dims == dims
+    assert len({id(m) for m in builds}) == len(builds)
 
 
 def test_vgit_not_stable_exit(capsys, tmp_path):

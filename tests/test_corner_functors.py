@@ -1,12 +1,13 @@
 """Corner restriction/extension and truncated graded module operations."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
 
 from helpers import count_memo_misses, flat_reps
-from mckaykit.errors import BadPrime, RepresentativeDependence
+from mckaykit.errors import BadPrime, InvariantViolation, RepresentativeDependence
 from mckaykit.gamma_data import build_group
 from mckaykit.graded_algebra import AlgebraContext, molien_sequence
 from mckaykit.io_formats import fraction_to_str
@@ -23,6 +24,7 @@ from mckaykit.corner_functors import (
     CorneredModule,
     _bilinearity_products,
     c_star,
+    cornered_hom_space,
     cornered_isomorphic,
     cornered_mod_p,
     cornered_quotient,
@@ -135,6 +137,47 @@ def test_round_trip_reduces_past_free_columns(label, comps, seed):
     cm = j_star(rep, {0})
     back = j_star(j_shriek(cm), {0})
     assert cornered_isomorphic(back, cm)
+
+
+def test_round_trip_checks_each_module_once(monkeypatch):
+    """A sample -> j_star -> j_shriek -> j_star round trip checks the
+    relations of each distinct module once: the sample when it is drawn and
+    the extension when it is built.  Both j_star calls read the memo."""
+    from mckaykit import rep_theory
+
+    checked = []
+    check = rep_theory.check_relations
+    monkeypatch.setattr(rep_theory, "check_relations",
+                        lambda rep: checked.append(rep) or check(rep))
+    quiver = triple_quiver(mckay_quiver(build_group("A1")))
+    rep = random_flat_rep(quiver, DimVector(components={0: 2, 1: 2}), 20)
+    cm = j_star(rep, {0})
+    ext = j_shriek(cm)
+    assert cornered_isomorphic(j_star(ext, {0}), cm)
+    assert len(checked) == 2 and checked[0] is rep and checked[1] is ext
+
+
+def test_modules_are_frozen(a1_tripled):
+    (_, rep), = flat_reps(a1_tripled, DimVector(components={0: 2, 1: 1}), 1)
+    cm = j_star(rep, {0})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.maps = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cm.actions = {}
+
+
+def test_cornered_kernels_refuse_mixed_fields(a1_tripled):
+    """A cornered module over QQ and its reduction mod 3 are over different
+    fields; one intertwiner system would mix their values, so both the
+    isomorphism test and the hom space refuse them."""
+    (_, rep), = flat_reps(a1_tripled, DimVector(components={0: 2, 1: 1}), 1)
+    cm = j_star(rep, {0})
+    reduced = cornered_mod_p(cm, 3)
+    with pytest.raises(InvariantViolation, match=r"QQ and GF\(3\)"):
+        cornered_isomorphic(cm, reduced)
+    with pytest.raises(InvariantViolation, match=r"GF\(3\) and QQ"):
+        cornered_hom_space(reduced, cm)
+    assert cornered_isomorphic(reduced, cornered_mod_p(cm, 3))
 
 
 @pytest.mark.parametrize("label,comps,seed", [

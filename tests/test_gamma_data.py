@@ -77,6 +77,25 @@ def test_d4_against_brute_force_oracle():
     assert sorted(g.class_sizes) == sorted(sizes)
 
 
+def test_dixon_checks_the_class_algebra(monkeypatch):
+    """Class sizes that do not fit the elements break the row sums
+    sum_c n_ab^c |C_c| = |C_a| |C_b| of the class structure constants."""
+    desc = parse_descriptor("D4")
+    field = group_field(exponent(desc))
+    z = root_of_unity(field, exponent(desc))
+    elements = closure(field, sl2_generators(desc, field, z), 8)
+    classes = gamma_data.conjugacy_classes
+
+    def wrong_sizes(field, elements):
+        class_of, reps, sizes = classes(field, elements)
+        return class_of, reps, (sizes[0] + 1,) + sizes[1:]
+
+    assert len(dixon_character_table(field, elements)[0]) == 5
+    monkeypatch.setattr(gamma_data, "conjugacy_classes", wrong_sizes)
+    with pytest.raises(InvariantViolation, match="structure constants broken"):
+        dixon_character_table(field, elements)
+
+
 # binary tetrahedral, octahedral and icosahedral groups: order and the
 # multiset of conjugacy class sizes, as in the literature
 E_LITERATURE = {

@@ -26,7 +26,9 @@ from mckaykit.linalg import (
     ClosureTest,
     Echelon,
     PrimeField,
+    _columns,
     _echelon,
+    _image,
     mat_mul,
     mat_vec,
     matrix_equation_rows,
@@ -35,7 +37,6 @@ from mckaykit.linalg import (
     rref,
     solve,
     solve_columns,
-    sparse_image,
     spans_closed,
     vec_to_sparse,
 )
@@ -213,7 +214,7 @@ def fresh_closed(field, spaces, maps):
     for i, j, mat in maps:
         ech = _echelon(field, spaces.get(i, ()))
         for vec in spaces.get(j, ()):
-            img = sparse_image(field, mat, vec)
+            img = _image(field.p, _columns(mat), vec)
             if img and not ech.contains(img):
                 return False
     return True
@@ -224,7 +225,7 @@ def assert_memo_as_computed(field, test, maps):
     its nonzero images under the nonzero maps out of its vertex."""
     for (v, row), (sparse, images) in closure_memo(test).items():
         assert sparse == vec_to_sparse(field, row)
-        want = [(i, sparse_image(field, mat, row)) for i, j, mat in maps
+        want = [(i, _image(field.p, _columns(mat), row)) for i, j, mat in maps
                 if j == v and any(map(any, mat))]
         assert list(images) == [(i, img) for i, img in want if img]
 
@@ -398,7 +399,7 @@ def test_sparse_image_equals_mat_vec(field, integral):
         vec = random_matrix(field, rng, 1, ncols, integral)[0]
         dense = mat_vec(field, mat, vec)
         assert dense == reference_image(field, mat, vec)
-        assert sparse_image(field, mat, vec) == vec_to_sparse(field, dense)
+        assert _image(field.p, _columns(mat), vec) == vec_to_sparse(field, dense)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

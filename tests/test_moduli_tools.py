@@ -1,11 +1,12 @@
 """Sufficiency, pushforwards, ADHM splitting, quotient correspondence."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
 
-from helpers import stable_reps
+from helpers import count_framing_builds, stable_reps
 from mckaykit.cli import main as cli_main
 from mckaykit.errors import (
     MomentMapNonzero,
@@ -182,6 +183,20 @@ def test_adhm_not_equivariant():
         adhm_build_cyclic(g, b1, [[0]], [[1]], [[0]], [0], [0])
 
 
+def test_adhm_refuses_a_malformed_entry():
+    g = build_group("A2")
+    with pytest.raises(NotEquivariant, match=r"B2\[0\]\[0\] = 'x' is not a rational"):
+        adhm_build_cyclic(g, [[0]], [["x"]], [[0]], [[0]], [0], [0])
+
+
+def test_adhm_refuses_a_malformed_weight():
+    g = build_group("A2")
+    with pytest.raises(NotEquivariant, match="weight 'a' is not an integer"):
+        adhm_build_cyclic(g, [[0]], [[0]], [[0]], [[0]], ["a"], [0])
+    with pytest.raises(NotEquivariant, match="weight '%d' is not an integer"):
+        adhm_build_cyclic(g, [[0]], [[0]], [[0]], [[0]], [0], ["%d"])
+
+
 def test_adhm_moment_map_violation():
     g = build_group("A2")
     b1 = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]  # lowers: weight 1 -> 0? see below
@@ -282,28 +297,27 @@ def test_vgit_dimension_conservation_and_core():
 
 
 def test_vgit_builds_the_framing_submodule_once(monkeypatch):
-    """One pushforward computes the framing submodule once and shares it
-    between the source verdict and the decomposition; the summands are
-    those of a pushforward with a fresh framing submodule at each use."""
-    from mckaykit import moduli_tools, rep_theory
+    """One pushforward builds its input's framing submodule once and shares
+    it between the source verdict and the decomposition, and a second
+    pushforward of the same object builds none; the summands are those of
+    a decomposition of a fresh copy of the input."""
+    from mckaykit import rep_theory
 
     g = build_group("A2")
     q = frame_quiver(mckay_quiver(g), {0: 1})
     dims = DimVector(components={0: 1, 1: 1, 2: 1}, at_infinity=1)
-    reps = [rep for _, rep in stable_reps(q, dims, {0, 1, 2}, 4)]
-    want = [[(m.dims, m.maps) for m in rep_theory.polystable_decomposition(rep, {0})]
-            for rep in reps]
-    calls = []
-    framing = rep_theory._framing_submodule
-    monkeypatch.setattr(moduli_tools, "_framing_submodule",
-                        lambda rep: calls.append(rep) or framing(rep))
-    monkeypatch.setattr(rep_theory, "_framing_submodule",
-                        lambda rep: calls.append(rep) or framing(rep))
+    # the stability filter built each sample's memo, so push fresh copies
+    reps = [dataclasses.replace(rep) for _, rep in stable_reps(q, dims, {0, 1, 2}, 4)]
+    want = [[(m.dims, m.maps) for m in rep_theory.polystable_decomposition(
+        dataclasses.replace(rep), {0})] for rep in reps]
+    builds = count_framing_builds(monkeypatch)
     for rep, summands in zip(reps, want):
-        calls.clear()
+        builds.clear()
         out = vgit_pushforward(rep, {0, 1, 2}, {0})
-        assert len(calls) == 1 and calls[0] is rep
+        assert len(builds) == 1 and builds[0] is rep
         assert [(m.dims, m.maps) for m in out] == summands
+        vgit_pushforward(rep, {0, 1, 2}, {0, 1})
+        assert len(builds) == 1
 
 
 def test_vgit_chain_functoriality():

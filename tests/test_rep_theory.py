@@ -16,6 +16,7 @@ from mckaykit.errors import (
     BadPrime,
     DimensionTooLarge,
     InvalidArgument,
+    InvariantViolation,
     NotSemistable,
     ShapeMismatch,
     UnsupportedTheta,
@@ -456,6 +457,17 @@ def test_polystable_decomposition(a1_framed, dims11):
     assert totals == big.dims.as_dict()
     assert is_stable(parts[0], theta_I({0}, parts[0].dims))
     assert any(are_isomorphic(m, simple) for m in parts[1:])
+
+
+def test_are_isomorphic_refuses_mixed_fields(a1_framed, dims11):
+    """A module over QQ and its reduction mod 3 are over different fields;
+    one intertwiner system would mix their values, so it is refused."""
+    (_, rep), = flat_reps(a1_framed, dims11, 1)
+    with pytest.raises(InvariantViolation, match=r"QQ and GF\(3\)"):
+        are_isomorphic(rep, reduce_mod_p(rep, 3))
+    with pytest.raises(InvariantViolation, match=r"GF\(3\) and GF\(5\)"):
+        are_isomorphic(reduce_mod_p(rep, 3), reduce_mod_p(rep, 5))
+    assert are_isomorphic(reduce_mod_p(rep, 3), reduce_mod_p(rep, 3))
 
 
 def test_polystable_requires_semistable(a1_framed, dims11):
