@@ -76,6 +76,8 @@ class GroupData:
     the identity first; element e lies in class ``class_of[e]``, class c
     is represented by element ``class_reps[c]``, and the inverses of its
     elements form class ``class_inverse[c]``.  Class 0 is the identity.
+    ``mckay_matrix[i][j]`` is ``tensor_multiplicity(g, i, j)``, computed
+    from the characters once, when the group is built.
     """
 
     descriptor: GammaDescriptor
@@ -89,6 +91,7 @@ class GroupData:
     chi_v: tuple
     class_of: tuple
     class_reps: tuple
+    mckay_matrix: tuple
 
     @property
     def num_classes(self):
@@ -440,16 +443,19 @@ def _build_group(descriptor):
         chi_v=tuple((elements[r][0][0] + elements[r][1][1]) % p for r in reps),
         class_of=class_of,
         class_reps=reps,
+        mckay_matrix=None,
     )
-    perm = dynkin.match_layout(tensor_multiplicity_matrix(unordered), dims,
-                               rows.index(ones), descriptor.series, descriptor.rank)
+    mult = tensor_multiplicity_matrix(unordered)
+    perm = dynkin.match_layout(mult, dims, rows.index(ones),
+                               descriptor.series, descriptor.rank)
     order = sorted(range(len(rows)), key=perm.__getitem__)
     g = replace(
         unordered,
         characters=tuple(rows[i] for i in order),
         irrep_dims=tuple(dims[i] for i in order),
+        mckay_matrix=tuple(tuple(mult[a][b] for b in order) for a in order),
     )
-    validate_group_data(g)
+    _certify(g, g.mckay_matrix)
     return g
 
 
@@ -483,7 +489,20 @@ def tensor_multiplicity_matrix(g):
 
 
 def validate_group_data(g):
-    """Run the structural self-checks; raise InvariantViolation on failure."""
+    """Run the structural self-checks; raise InvariantViolation on failure.
+
+    The McKay matrix is recomputed from the characters and must equal
+    ``g.mckay_matrix``.
+    """
+    mult = tensor_multiplicity_matrix(g)
+    if mult != g.mckay_matrix:
+        raise InvariantViolation("the stored McKay matrix disagrees with the characters")
+    _certify(g, mult)
+
+
+def _certify(g, mult):
+    """The self-checks of ``validate_group_data``, with ``mult`` the
+    tensor multiplicity matrix computed from g's characters."""
     if sum(d * d for d in g.irrep_dims) != g.order:
         raise InvariantViolation("sum of squared irrep dimensions != group order")
     if g.irrep_dims[0] != 1 or any(x != 1 for x in g.characters[0]):
@@ -498,7 +517,6 @@ def validate_group_data(g):
                 raise InvariantViolation(
                     f"row orthogonality fails at ({i},{j}): {s} mod {g.prime}")
 
-    mult = tensor_multiplicity_matrix(g)
     delta = g.irrep_dims
     for i in range(g.num_irreps):
         if mult[i][i] != 0:

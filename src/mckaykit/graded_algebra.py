@@ -11,6 +11,12 @@ Three flavors share one engine, with the relations of
                   vertex together with the loop/arrow commutation
                   relations, graded by path length.
 
+The commutation relations make z = sum_v (loop at v) central, so
+Pi-bullet = Pi[z] and e_i Pi-bullet_k e_j = (+)_{m<=k} e_i Pi_m e_j z^(k-m)
+(Etingof-Eu).  ``hilbert_sequence`` reads the ``pibullet`` dimensions
+off the ``pi`` layers as running sums; the layer engine still builds
+``pibullet`` bases for slices and products.
+
 Degreewise dimensions are computed by an exact quotient construction:
 the degree-(k+1) component is (arrows tensor degree-k) modulo relation
 generators placed at the left end, which reproduces the two-sided ideal
@@ -174,6 +180,7 @@ class AlgebraContext:
                 raise VertexNotInCorner(f"vertices {bad} not in the quiver")
         self.relgens = relation_generators(self.quiver)
         self._tables = {}
+        self._pi = None  # the pi context behind a pibullet Hilbert sequence
 
     def endpoints(self):
         if self.corner is not None:
@@ -219,8 +226,19 @@ class AlgebraContext:
 
 
 def hilbert_sequence(ctx, kmax):
-    """Degreewise total dimension over the allowed endpoint pairs."""
+    """Degreewise total dimension over the allowed endpoint pairs.
+
+    A ``pibullet`` context returns the running sums of the ``pi`` sequence
+    with the same group, corner and cap (Pi-bullet = Pi[z], z central of
+    degree one, commuting with every idempotent); that ``pi`` context is
+    kept on it, so its layers are built once.
+    """
     ctx._check_degree(kmax)
+    if ctx.flavor == "pibullet":
+        if ctx._pi is None:
+            ctx._pi = AlgebraContext(ctx.group, "pi", corner=ctx.corner,
+                                     degree_cap=ctx.degree_cap)
+        return tuple(accumulate(hilbert_sequence(ctx._pi, kmax)))
     ends = ctx.endpoints()
     out = []
     for k in range(kmax + 1):

@@ -26,7 +26,6 @@ from .errors import (
     InvalidArgument,
     InvariantViolation,
 )
-from .gamma_data import tensor_multiplicity_matrix
 from .linalg import QQ
 
 INFINITY = "inf"
@@ -204,7 +203,7 @@ def relation_generators(quiver):
 
 def mckay_quiver(g):
     """Doubled McKay quiver of the group, vertices 0..r in canonical order."""
-    mult = tensor_multiplicity_matrix(g)
+    mult = g.mckay_matrix
     n = g.num_irreps
     for i in range(n):
         if mult[i][i] != 0:

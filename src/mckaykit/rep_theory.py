@@ -31,6 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     BadPrime,
@@ -71,14 +72,19 @@ class QuiverRep:
     kernels of ``linalg`` act on: the arrows in arrow order, each as
     ``(tail, head, matrix)``.
 
-    Its matrices are not changed after construction, which keeps the
-    memos ``_max_residual`` and ``_framing`` valid.
+    ``maps`` is kept as a read-only view of the mapping it is built with
+    (every builder here passes a dict of its own), and its matrices are
+    not changed after construction, which keeps the memos
+    ``_max_residual`` and ``_framing`` valid.
     """
 
     quiver: object
     dims: DimVector
-    maps: dict
+    maps: MappingProxyType
     field: object = QQ
+
+    def __post_init__(self):
+        object.__setattr__(self, "maps", MappingProxyType(self.maps))
 
     def total_dim(self):
         return sum(self.dims.get(v) for v in self.quiver.vertices)

@@ -32,6 +32,7 @@ from mckaykit.gamma_data import (
 )
 from mckaykit.graded_algebra import molien_sequence
 from mckaykit.linalg import PrimeField
+from mckaykit.quiver_core import mckay_quiver
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
 
@@ -261,6 +262,29 @@ def test_corrupted_table_detected():
         for i in range(3):
             for j in range(3):
                 tensor_multiplicity(bad, i, j)
+
+
+@pytest.mark.parametrize("label", ["A4", "D5", "E6"])
+def test_mckay_matrix_computed_once_per_build(label, monkeypatch):
+    """A build computes each tensor multiplicity once, the quiver reads the
+    stored matrix, and ``validate_group_data`` recomputes it from the
+    characters and refuses a stored matrix that disagrees."""
+    want = build_group(label)
+    calls = []
+    tm = gamma_data.tensor_multiplicity
+    monkeypatch.setattr(gamma_data, "tensor_multiplicity",
+                        lambda g, i, j: calls.append((i, j)) or tm(g, i, j))
+    g = gamma_data._build_group.__wrapped__(parse_descriptor(label))
+    assert len(calls) == g.num_irreps ** 2
+    assert g == want
+    mckay_quiver(g)
+    assert len(calls) == g.num_irreps ** 2
+    validate_group_data(g)
+    rows = [list(r) for r in g.mckay_matrix]
+    rows[0][1] += 1
+    with pytest.raises(InvariantViolation, match="stored McKay matrix"):
+        validate_group_data(dataclasses.replace(
+            g, mckay_matrix=tuple(map(tuple, rows))))
 
 
 def test_trivial_row_and_chi_v_real():

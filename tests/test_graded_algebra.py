@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -70,6 +71,32 @@ def test_hilbert_examples(a1):
     hs_c = hilbert_sequence(cornered, 6)
     hs_f = hilbert_sequence(full, 6)
     assert all(c <= f for c, f in zip(hs_c, hs_f))
+
+
+@pytest.mark.parametrize("corner", [None, {0}, {0, 1}], ids=["none", "0", "01"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "D4", "D5",
+                                   "D6", "D7", "E6", "E7", "E8"])
+def test_pibullet_engine_is_pi_with_z(label, corner):
+    """Pi-bullet = Pi[z]: every slice e_i Pi-bullet_k e_j of the tripled
+    layer engine has the dimension sum_{m<=k} dim e_i Pi_m e_j, which is
+    what ``hilbert_sequence`` returns for a pibullet context; it reads the
+    pi layers and builds no pibullet layer table."""
+    g = build_group(label)
+    kmax = 8 if label[0] == "E" else 10
+    bullet = AlgebraContext(g, "pibullet", corner=corner)
+    plain = AlgebraContext(g, "pi", corner=corner)
+    ends = bullet.endpoints()
+    assert ends == plain.endpoints()
+    hilbert = hilbert_sequence(bullet, kmax)
+    assert bullet._tables == {}
+    total = [0] * (kmax + 1)
+    for i in ends:
+        for j in ends:
+            running = accumulate(plain.slice_dim(i, j, k) for k in range(kmax + 1))
+            for k, want in enumerate(running):
+                assert bullet.slice_dim(i, j, k) == want, (i, j, k)
+                total[k] += want
+    assert hilbert == tuple(total)
 
 
 #: sha256 of every layer of ``pi`` and ``pibullet`` on A1, A3, D4, D5, E6 and

@@ -1,5 +1,6 @@
 """Framed representations: relations, submodules, stability, decomposition."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -87,6 +88,23 @@ def test_generic_scalars_violate_relations(a1_framed, dims11):
             maps[a.id] = ((Fraction(1),),)
     rep = make_rep(a1_framed, dims11, maps)
     assert not is_flat(rep)
+
+
+def test_maps_are_read_only(a1_framed, dims11):
+    """A representation's maps cannot be reassigned after ``is_flat`` has
+    memoised the residual; copies and equality still work."""
+    maps = {a.id: ((1,),) for a in a1_framed.arrows}
+    rep = make_rep(a1_framed, dims11, maps)
+    assert not is_flat(rep)
+    with pytest.raises(TypeError):
+        rep.maps[0] = ((0,),)
+    assert rep.maps[0] == ((1,),)
+    copy = dataclasses.replace(rep)
+    assert copy == rep and copy is not rep
+    assert not is_flat(copy)
+    with pytest.raises(TypeError):
+        copy.maps[0] = ((0,),)
+    assert rep != make_rep(a1_framed, dims11, {**maps, 0: ((0,),)})
 
 
 def test_loop_commutation_is_a_relation():
