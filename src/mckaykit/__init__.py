@@ -61,15 +61,10 @@ from .rep_theory import (
 )
 from .corner_functors import (
     CorneredModule,
-    TruncatedGradedModule,
-    c_star,
     cornered_isomorphic,
-    free_column_tgm,
     generation_degree,
-    is_z_torsion_free,
     j_shriek,
     j_star,
-    z_torsion,
 )
 from .moduli_tools import (
     adhm_build_cyclic,
@@ -98,12 +93,10 @@ __all__ = [
     "SliceClass",
     "StabilityParam",
     "SubmoduleWitness",
-    "TruncatedGradedModule",
     "adhm_build_cyclic",
     "are_isomorphic",
     "brute_force_stability",
     "build_group",
-    "c_star",
     "check_quot_correspondence",
     "check_relations",
     "corner_generation_bound",
@@ -113,14 +106,12 @@ __all__ = [
     "direct_sum",
     "factor_through_bound",
     "frame_quiver",
-    "free_column_tgm",
     "generated_submodule",
     "generation_degree",
     "hilbert_sequence",
     "is_flat",
     "is_stable",
     "is_sufficient",
-    "is_z_torsion_free",
     "j_shriek",
     "j_star",
     "make_rep",
@@ -143,6 +134,5 @@ __all__ = [
     "vertex_simple",
     "vgit_push_list",
     "vgit_pushforward",
-    "z_torsion",
     "zero_rep",
 ]

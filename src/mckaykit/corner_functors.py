@@ -1,5 +1,4 @@
-"""Corner restriction and extension on finite-dimensional modules,
-plus truncated graded modules with their divisor-at-infinity operations.
+"""Corner restriction and extension on finite-dimensional modules.
 
 ``j_star`` restricts a module over the (graded) preprojective algebra to
 its corner components, recording the action of a finite generating set
@@ -19,8 +18,7 @@ A cornered module has the same generator view as a framed
 representation: its matrices listed as ``(i, j, matrix)``, the loops
 first, then the class actions in sorted key order.  Closure, quotients,
 reduction mod p, hom spaces and isomorphism are the shared ``linalg``
-kernels on that view; ``c_star`` is the same quotient kernel on the
-degree window of a truncated graded module.
+kernels on that view.
 
 Caution: nothing here relies on higher extension groups vanishing
 against modules killed by the corner idempotent.  Only degree-zero and
@@ -56,10 +54,8 @@ from .linalg import (
     hom_space,
     isomorphic,
     mat_mul,
-    nullspace,
     quotient_maps,
     reduce_entries,
-    spans_closed,
     zeros,
 )
 from .quiver_core import DimVector, mckay_quiver, triple_quiver
@@ -451,169 +447,3 @@ def cornered_mod_p(module, p):
     field = PrimeField(p)
     return module.rebuild(module.vertex_dims(),
                           reduce_entries(field, module.generators()), field)
-
-
-# ---------------------------------------------------------------------------
-# truncated graded modules, restriction to the divisor, z-torsion
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TruncatedGradedModule:
-    """A graded module seen through a degree window [k0, k1].
-
-    ``dims[(k, v)]`` are component dimensions; every generator raises
-    degree by one: ``actions[gid][k]`` maps the (k, src) component to the
-    (k+1, dst) component.  ``gens[gid] = (src, dst, is_z)``.
-    """
-
-    kind_label: str
-    window: tuple
-    vertices: tuple
-    dims: dict
-    gens: dict
-    actions: dict
-    field: object = QQ
-
-    def dim(self, k, v):
-        return self.dims.get((k, v), 0)
-
-
-def c_star(m):
-    """Degreewise quotient by the image of the degree-one loops.
-
-    The output window drops the bottom degree (its incoming image lies
-    outside the window); loops act as zero afterwards.  Raises when a
-    non-loop action fails to descend, which signals broken commutation.
-    """
-    k0, k1 = m.window
-    if k1 - k0 < 1:
-        raise InvariantViolation("window of length >= 2 required")
-    field = m.field
-    # one vertex (k, v) per component; the z-image at (k, v) is spanned by
-    # the columns of the loops arriving from degree k - 1
-    dims = {(k, v): m.dim(k, v) for k in range(k0 + 1, k1 + 1) for v in m.vertices}
-    z_image = {key: [] for key in dims}
-    moves = []  # (gid, k) of the non-loop actions that descend
-    for gid, (src, dst, is_z) in m.gens.items():
-        acts = m.actions.get(gid, {})
-        if is_z:
-            for k in range(k0 + 1, k1 + 1):
-                z_image[(k, dst)].extend(zip(*(acts.get(k - 1) or ())))
-        else:
-            moves += [(gid, k) for k in range(k0 + 1, k1) if acts.get(k) is not None]
-    gens = [((k + 1, m.gens[gid][1]), (k, m.gens[gid][0]), m.actions[gid][k])
-            for gid, k in moves]
-    if not spans_closed(field, z_image, gens):
-        raise InvariantViolation(
-            "action does not descend to the z-quotient (commutation broken)"
-        )
-    new_dims, mats, _ = quotient_maps(field, gens, dims, z_image)
-    new_actions = {gid: {} for gid in m.gens}
-    for (gid, k), mat in zip(moves, mats):
-        new_actions[gid][k] = mat
-    for gid, (src, dst, is_z) in m.gens.items():
-        if is_z:
-            for k in range(k0 + 1, k1):
-                new_actions[gid][k] = zeros(
-                    field, new_dims[(k + 1, dst)], new_dims[(k, src)]
-                )
-    return TruncatedGradedModule(
-        kind_label=m.kind_label,
-        window=(k0 + 1, k1),
-        vertices=m.vertices,
-        dims=new_dims,
-        gens=dict(m.gens),
-        actions=new_actions,
-        field=field,
-    )
-
-
-def z_torsion(m):
-    """Kernels of the loop action per degree; empty kernels mean torsion-free."""
-    k0, k1 = m.window
-    if k1 - k0 < 1:
-        raise InvariantViolation("window of length >= 2 required")
-    field = m.field
-    out = {}
-    for k in range(k0, k1):
-        for v in m.vertices:
-            n = m.dim(k, v)
-            rows = []
-            for gid, (src, dst, is_z) in m.gens.items():
-                if not is_z or src != v:
-                    continue
-                mat = m.actions.get(gid, {}).get(k)
-                if mat:
-                    rows.extend(mat)
-            if not rows:
-                rows = [tuple(field.zero for _ in range(n))] if n else []
-            kern = nullspace(field, rows, ncols=n) if n else []
-            out[(k, v)] = tuple(kern)
-    return out
-
-
-def is_z_torsion_free(m):
-    return all(len(v) == 0 for v in z_torsion(m).values())
-
-
-# ---------------------------------------------------------------------------
-# builders for truncated graded modules from algebra slices
-# ---------------------------------------------------------------------------
-
-def free_column_tgm(ctx, source_vertex, window):
-    """The free column (slices ending at one vertex) as a graded module.
-
-    For a cornered context only the loops act (kind "cornered"); for the
-    tripled flavor all arrows and loops act by left multiplication.
-    """
-    k0, k1 = window
-    field = QQ
-    if ctx.flavor != "pibullet":
-        raise InvariantViolation("free column needs the graded flavor")
-    corner = ctx.corner
-    if corner is not None:
-        vertices = tuple(sorted(corner))
-        kind = "cornered"
-    else:
-        vertices = ctx.quiver.plain_vertices
-        kind = "pibullet"
-    dims = {}
-    for k in range(k0, k1 + 1):
-        for v in vertices:
-            dims[(k, v)] = ctx.slice_dim(v, source_vertex, k)
-
-    gens = {}
-    gen_arrows = {}
-    loops = ctx.quiver.loops
-    for v in vertices:
-        gid = f"z{v}"
-        gens[gid] = (v, v, True)
-        gen_arrows[gid] = loops[v]
-    if kind == "pibullet":
-        for a in ctx.quiver.non_loop_arrows():
-            gid = f"a{a.id}"
-            gens[gid] = (a.head, a.tail, False)
-            gen_arrows[gid] = a.id
-
-    # a generator's degree-k action is its arrow's left multiplication
-    # into layer k + 1, restricted to the slice coordinates
-    actions = {}
-    for gid, (src, dst, _) in gens.items():
-        per_degree = {}
-        for k in range(k0, k1):
-            lmul = ctx.layer(source_vertex, k + 1).lmul_in.get(gen_arrows[gid], {})
-            cols = ctx.slice_coords(src, source_vertex, k)[1]
-            rows = ctx.slice_coords(dst, source_vertex, k + 1)[1]
-            images = [dict(lmul.get(c, ())) for c in cols]
-            per_degree[k] = tuple(
-                tuple(img.get(r, QQ.zero) for img in images) for r in rows)
-        actions[gid] = per_degree
-    return TruncatedGradedModule(
-        kind_label=kind,
-        window=window,
-        vertices=vertices,
-        dims=dims,
-        gens=gens,
-        actions=actions,
-        field=field,
-    )

@@ -1,21 +1,20 @@
 """Graded pieces of the preprojective-type path algebras, exactly over Q.
 
-Three flavors share one engine, with the relations of
+Three flavors, with the relations of
 :func:`mckaykit.quiver_core.relation_generators`:
 
 * ``pi``       -- doubled McKay quiver modulo the signed vertex relations
                   sum_{tail(x)=v} sign(x) x.xbar;
 * ``piw``      -- the framed variant, with framing arrows entering the
                   vertex sums at both endpoints;
-* ``pibullet`` -- the tripled quiver, adding one degree-one loop per
-                  vertex together with the loop/arrow commutation
-                  relations, graded by path length.
+* ``pibullet`` -- Pi-bullet = Pi[z], z central of degree one (the line
+                  at infinity), so
+                  e_i Pi-bullet_k e_j = (+)_{m<=k} e_i Pi_m e_j z^(k-m)
+                  (Etingof-Eu).
 
-The commutation relations make z = sum_v (loop at v) central, so
-Pi-bullet = Pi[z] and e_i Pi-bullet_k e_j = (+)_{m<=k} e_i Pi_m e_j z^(k-m)
-(Etingof-Eu).  ``hilbert_sequence`` reads the ``pibullet`` dimensions
-off the ``pi`` layers as running sums; the layer engine still builds
-``pibullet`` bases for slices and products.
+``pi`` and ``piw`` build quotient layers; a ``pibullet`` context has no
+layers of its own and reads every dimension as a running sum over its
+``pi`` context.
 
 Degreewise dimensions are computed by an exact quotient construction:
 the degree-(k+1) component is (arrows tensor degree-k) modulo relation
@@ -45,7 +44,7 @@ from .errors import (
 )
 from .gamma_data import character_inner
 from .linalg import QQ, Echelon
-from .quiver_core import frame_quiver, mckay_quiver, relation_generators, triple_quiver
+from .quiver_core import frame_quiver, mckay_quiver, relation_generators
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -153,7 +152,12 @@ class _LayerTable:
 
 
 class AlgebraContext:
-    """A graded algebra flavor bound to a group, with memoised layers."""
+    """A graded algebra flavor bound to a group, with memoised layers.
+
+    A ``pibullet`` context is a dimensions-only view of the ``pi`` context
+    with the same group, corner and cap: its slices are running sums of
+    that context's, and it has no layers, classes or products.
+    """
 
     def __init__(self, group, flavor, w=None, corner=None,
                  degree_cap=DEFAULT_DEGREE_CAP):
@@ -167,8 +171,9 @@ class AlgebraContext:
             if w is None:
                 raise InvalidArgument("the piw flavor needs framing multiplicities w")
             self.quiver = frame_quiver(base, w)
-        elif flavor == "pibullet":
-            self.quiver = triple_quiver(base)
+        elif w is not None:
+            raise InvalidArgument(f"framing multiplicities w apply to the piw flavor, "
+                                  f"not {flavor}")
         else:
             self.quiver = base
         self.corner = frozenset(corner) if corner is not None else None
@@ -178,9 +183,12 @@ class AlgebraContext:
             bad = [v for v in self.corner if v not in self.quiver.vertices]
             if bad:
                 raise VertexNotInCorner(f"vertices {bad} not in the quiver")
-        self.relgens = relation_generators(self.quiver)
+        if flavor == "pibullet":
+            self._pi = AlgebraContext(group, "pi", corner=self.corner,
+                                     degree_cap=degree_cap)
+        else:
+            self.relgens = relation_generators(self.quiver)
         self._tables = {}
-        self._pi = None  # the pi context behind a pibullet Hilbert sequence
 
     def endpoints(self):
         if self.corner is not None:
@@ -200,6 +208,9 @@ class AlgebraContext:
             raise VertexNotInCorner(f"vertex {v} outside the corner set")
 
     def table(self, right_end):
+        if self.flavor == "pibullet":
+            raise InvalidArgument("a pibullet context has dimensions only; "
+                                  "read layers and classes on a pi context")
         tbl = self._tables.get(right_end)
         if tbl is None:
             tbl = _LayerTable(self.quiver, self.relgens, right_end)
@@ -217,6 +228,9 @@ class AlgebraContext:
     def slice_dim(self, i, j, k):
         self._check_endpoint(i)
         self._check_endpoint(j)
+        if self.flavor == "pibullet":
+            self._check_degree(k)
+            return sum(self._pi.slice_dim(i, j, m) for m in range(k + 1))
         _, coords = self.slice_coords(i, j, k)
         return len(coords)
 
@@ -228,16 +242,12 @@ class AlgebraContext:
 def hilbert_sequence(ctx, kmax):
     """Degreewise total dimension over the allowed endpoint pairs.
 
-    A ``pibullet`` context returns the running sums of the ``pi`` sequence
-    with the same group, corner and cap (Pi-bullet = Pi[z], z central of
-    degree one, commuting with every idempotent); that ``pi`` context is
-    kept on it, so its layers are built once.
+    A ``pibullet`` context returns the running sums of the sequence of its
+    ``pi`` context (Pi-bullet = Pi[z], z central of degree one, commuting
+    with every idempotent).
     """
     ctx._check_degree(kmax)
     if ctx.flavor == "pibullet":
-        if ctx._pi is None:
-            ctx._pi = AlgebraContext(ctx.group, "pi", corner=ctx.corner,
-                                     degree_cap=ctx.degree_cap)
         return tuple(accumulate(hilbert_sequence(ctx._pi, kmax)))
     ends = ctx.endpoints()
     out = []
@@ -399,16 +409,16 @@ def corner_generation_bound(ctx, corner):
     once q is zero in the factor by the corner ideal, a.q.b is a sum of
     products of corner classes.  So every degree above
     ``factor_through_bound + 2`` is spanned by products, and the answer is
-    the last degree up to that bound that is not.  The certificate holds
-    for the unframed flavors; a context whose degree cap is below the
-    bound raises DegreeCapExceeded.  Used to size the generator tables of
-    cornered modules.
+    the last degree up to that bound that is not.  It reads the layers of
+    a ``pi`` context; a context whose degree cap is below the bound raises
+    DegreeCapExceeded.  Used to size the generator tables of cornered
+    modules.
     """
     corner = sorted(frozenset(corner), key=str)
     if not corner:
         raise EmptyI("corner set must be nonempty")
-    if ctx.flavor == "piw":
-        raise InvalidArgument("the generation certificate needs an unframed flavor")
+    if ctx.flavor != "pi":
+        raise InvalidArgument("the generation certificate needs the pi flavor")
 
     def saturated(k):
         for i in corner:

@@ -629,11 +629,6 @@ class ClosureTest:
         return True
 
 
-def spans_closed(field, spaces, maps):
-    """``ClosureTest(field, maps)`` applied once to ``spaces``."""
-    return ClosureTest(field, maps)(spaces)
-
-
 def quotient_projection(field, sub_rows, n):
     """(projection matrix q x n, lifted basis) for F^n / span(sub_rows).
 

@@ -240,7 +240,10 @@ def mckay_quiver(g):
 
 
 def frame_quiver(q, w):
-    """Attach the framing vertex with w_i bar pairs to each vertex i."""
+    """Attach the framing vertex with w_i bar pairs to each vertex i.
+
+    ``w`` maps vertices of ``q`` to nonnegative ints; any other key or
+    value raises InvalidArgument."""
     if q.is_framed:
         raise AlreadyFramed("quiver already has a framing vertex")
     if isinstance(w, DimVector):
@@ -249,6 +252,12 @@ def frame_quiver(q, w):
         wdict = dict(w.components)
     else:
         wdict = dict(w)
+    for v, m in wdict.items():
+        if v not in q.vertices:
+            raise InvalidArgument(f"framing names vertex {v!r}, not in the quiver")
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise InvalidArgument(
+                f"framing multiplicity at {v} must be a nonnegative integer, got {m!r}")
     arrows = list(q.arrows)
     bar = dict(q.bar)
     next_id = max((a.id for a in q.arrows), default=-1) + 1

@@ -5,13 +5,9 @@ substitution, so it shares no code path with either the path-algebra
 quotients or the character-theoretic counts it is used to check.
 """
 
-import weakref
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from mckaykit import dynkin
-from mckaykit.graded_algebra import AlgebraContext
 from mckaykit.linalg import QQ, Echelon
 from mckaykit.rep_theory import is_stable, random_flat_rep
 
@@ -241,97 +237,58 @@ def closure_memo(test):
 # two-sided relation span, independent of the quotient layers
 # ---------------------------------------------------------------------------
 
-# per context, the paths by right endpoint: {j: {(k, v): paths}}
-_paths_memo = weakref.WeakKeyDictionary()
+def all_paths(quiver, j, kmax):
+    """Every path from j of length <= kmax (product order): entry k maps
+    each left end to its length-k paths."""
+    out = [{v: ((),) if v == j else () for v in quiver.vertices}]
+    for _ in range(kmax):
+        prev = out[-1]
+        out.append({v: tuple((a.id,) + p for a in quiver.arrows_with_tail(v)
+                             for p in prev[a.head])
+                    for v in quiver.vertices})
+    return out
 
 
-def all_paths(ctx, i, j, k):
-    """Every length-k path from j to i (product order)."""
-    ctx._check_degree(k)
-    memo = _paths_memo.setdefault(ctx, {}).setdefault(
-        j, {(0, v): (((),) if v == j else ()) for v in ctx.quiver.vertices}
-    )
-    for kk in range(1, k + 1):
-        for v in ctx.quiver.vertices:
-            if (kk, v) in memo:
-                continue
-            acc = []
-            for a in ctx.quiver.arrows_with_tail(v):
-                for p in memo.get((kk - 1, a.head), ()):
-                    acc.append((a.id,) + p)
-            memo[(kk, v)] = tuple(acc)
-    return memo[(k, i)]
+def pathspace_relation_rows(quiver, relgens, j, kmax):
+    """Echelonised spanning rows of the relation subspace of every slice
+    from j up to degree kmax: entry k maps each left end to an ``Echelon``
+    whose rows are sparse dicts keyed by length-k paths.
 
-
-def pathspace_relation_rows(ctx, i, j, k):
-    """Echelonised spanning rows of the relation subspace of a slice.
-
-    Rows are sparse dicts keyed by path tuples.  This is the honest
-    two-sided span {p . rel . q}; cost grows with the path count, so
-    use :meth:`AlgebraContext.slice_dim` when only dimensions are needed.
+    This is the honest two-sided span {p . rel . q} of the generators
+    ``relgens``; its cost grows with the path count.
     """
-    ctx._check_degree(k)
-    spans = {}
-    for kk in range(k + 1):
-        for v in ctx.quiver.vertices:
+    paths = all_paths(quiver, j, kmax)
+    spans = []
+    for k in range(kmax + 1):
+        level = {}
+        for v in quiver.vertices:
             ech = Echelon(QQ)
-            if kk >= 2:
-                for a in ctx.quiver.arrows_with_tail(v):
-                    for row in spans[(kk - 1, a.head)].rows.values():
+            if k >= 2:
+                for a in quiver.arrows_with_tail(v):
+                    for row in spans[k - 1][a.head].rows.values():
                         ech.insert({(a.id,) + p: val for p, val in row.items()})
-                for gen in ctx.relgens:
+                for gen in relgens:
                     if gen.tgt != v:
                         continue
-                    for q in all_paths(ctx, gen.src, j, kk - 2):
+                    for q in paths[k - 2][gen.src]:
                         vec = {}
                         for coeff, (x, y) in gen.terms:
                             key = (x, y) + q
                             vec[key] = vec.get(key, QQ.zero) + coeff
                         ech.insert({p: c for p, c in vec.items() if c})
-            spans[(kk, v)] = ech
-    return spans[(k, i)]
+            level[v] = ech
+        spans.append(level)
+    return spans
 
 
-@dataclass
-class GradedSlice:
-    """Degree-k piece e_i A_k e_j: path basis plus relation-span data."""
-
-    ctx: AlgebraContext
-    i: object
-    j: object
-    k: int
-    dim: int
-
-    @cached_property
-    def path_basis(self):
-        return all_paths(self.ctx, self.i, self.j, self.k)
-
-    @cached_property
-    def relation_rank(self):
-        return len(self.path_basis) - self.dim
-
-    @cached_property
-    def relation_span(self):
-        """Matrix (#paths rows, rank columns) spanning the relation subspace."""
-        ech = pathspace_relation_rows(self.ctx, self.i, self.j, self.k)
-        index = {p: r for r, p in enumerate(self.path_basis)}
-        cols = []
-        for _, row in sorted(ech.rows.items()):
-            col = [QQ.zero] * len(self.path_basis)
-            for p, val in row.items():
-                col[index[p]] = val
-            cols.append(col)
-        return tuple(
-            tuple(col[r] for col in cols) for r in range(len(self.path_basis))
-        )
-
-
-def graded_slice(ctx, i, j, k):
-    """The degree-k slice from j to i of the context's algebra."""
-    ctx._check_endpoint(i)
-    ctx._check_endpoint(j)
-    dim = ctx.slice_dim(i, j, k)
-    return GradedSlice(ctx=ctx, i=i, j=j, k=k, dim=dim)
+def pathspace_slice_dims(quiver, relgens, j, kmax):
+    """dim e_i A_k e_j for k <= kmax, A the path algebra of ``quiver``
+    modulo ``relgens``: entry k maps each left end i to the number of
+    length-k paths from j to i minus the rank of their relation span."""
+    paths = all_paths(quiver, j, kmax)
+    spans = pathspace_relation_rows(quiver, relgens, j, kmax)
+    return [{i: len(paths[k][i]) - spans[k][i].rank for i in quiver.vertices}
+            for k in range(kmax + 1)]
 
 
 def reference_subspaces_of_dimension(p, n, s):

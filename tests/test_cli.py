@@ -103,6 +103,24 @@ def test_hilbert_bad_arguments_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,names", [
+    (("quiver", "A1", "--frame", "1,0,5"), "vertex 2"),
+    (("hilbert", "A1", "--algebra", "piw", "--w", "1,0,5"), "vertex 2"),
+    (("hilbert", "A1", "--algebra", "piw", "--w=-1,0"), "got -1"),
+    (("hilbert", "A1", "--algebra", "pibullet", "--w", "1,0"), "not pibullet"),
+    (("hilbert", "A1", "--algebra", "pi", "--w", "1,0"), "not pi"),
+])
+def test_framing_refusals_exit_2(capsys, argv, names):
+    """A framing entry at a vertex the quiver lacks, a negative
+    multiplicity, and framing for an unframed flavor are refused, not
+    dropped, with a message naming the entry."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+
+
 def test_hilbert_cap_exceeded(capsys):
     code, _, err = run(capsys, "hilbert", "A1", "--kmax", "9", "--cap", "8")
     assert code == 3
@@ -320,6 +338,8 @@ def test_unreadable_module_file_exit_2(capsys, tmp_path, command, content):
     {"maps": {"5": "1"}},
     {"maps": {"5": [[1.5]]}},
     {"maps": {"5": [[True]]}},
+    {"quiver": {"group": "A1", "frame": {"7": 1}}},
+    {"quiver": {"group": "A1", "frame": {"inf": 1}}},
 ])
 def test_stability_malformed_module_exit(capsys, tmp_path, change):
     q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})

@@ -37,7 +37,6 @@ from mckaykit.linalg import (
     rref,
     solve,
     solve_columns,
-    spans_closed,
     vec_to_sparse,
 )
 
@@ -203,7 +202,7 @@ def test_spans_closed_matches_dense_reference(field, integral):
                 images = [reference_image(field, mat, v) for v in spaces[j]]
                 spaces[i] = spaces.get(i, []) + images
         want = reference_closed(field, spaces, maps)
-        assert spans_closed(field, spaces, maps) == want, seed
+        assert ClosureTest(field, maps)(spaces) == want, seed
         verdicts.append(want)
     assert True in verdicts and False in verdicts
 
@@ -268,7 +267,7 @@ def test_spans_closed_row_memo(field):
         assert test(spaces) == want, seed
         assert len(misses) == computed == len(closure_memo(test)), seed
         hits += computed > 0
-        assert spans_closed(field, spaces, maps) == want, seed
+        assert ClosureTest(field, maps)(spaces) == want, seed
         verdicts.append(want)
         assert_memo_as_computed(field, test, maps)
     assert True in verdicts and False in verdicts
@@ -374,20 +373,20 @@ def test_spans_closed_edge_cases(field, integral):
     zero_map = ((zero, zero), (zero, zero))
     line0, line1 = [(one, zero)], [(zero, one)]
     # zero maps and zero images need no target at all
-    assert spans_closed(field, {0: line0}, [(1, 0, zero_map)])
-    assert spans_closed(field, {0: line1}, [(1, 0, shift)])
+    assert ClosureTest(field, [(1, 0, zero_map)])({0: line0})
+    assert ClosureTest(field, [(1, 0, shift)])({0: line1})
     # a nonzero image needs a target holding it
-    assert not spans_closed(field, {0: line0}, [(1, 0, shift)])
-    assert not spans_closed(field, {0: line0, 1: []}, [(1, 0, shift)])
-    assert not spans_closed(field, {0: line0, 1: line0}, [(1, 0, shift)])
-    assert spans_closed(field, {0: line0, 1: line1}, [(1, 0, shift)])
+    assert not ClosureTest(field, [(1, 0, shift)])({0: line0})
+    assert not ClosureTest(field, [(1, 0, shift)])({0: line0, 1: []})
+    assert not ClosureTest(field, [(1, 0, shift)])({0: line0, 1: line0})
+    assert ClosureTest(field, [(1, 0, shift)])({0: line0, 1: line1})
     # a missing or empty source is closed
-    assert spans_closed(field, {}, [(1, 0, shift)])
-    assert spans_closed(field, {0: [], 1: []}, [(1, 0, shift)])
-    assert spans_closed(field, {0: line0}, [])
+    assert ClosureTest(field, [(1, 0, shift)])({})
+    assert ClosureTest(field, [(1, 0, shift)])({0: [], 1: []})
+    assert ClosureTest(field, [])({0: line0})
     # zero-row (into F^0) and zero-column (from F^0) matrices
-    assert spans_closed(field, {0: line0, 1: []}, [(1, 0, ())])
-    assert spans_closed(field, {0: [()], 1: []}, [(1, 0, ((), ()))])
+    assert ClosureTest(field, [(1, 0, ())])({0: line0, 1: []})
+    assert ClosureTest(field, [(1, 0, ((), ()))])({0: [()], 1: []})
 
 
 @pytest.mark.parametrize("field,integral", field_cases())

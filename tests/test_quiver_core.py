@@ -2,7 +2,7 @@
 
 import pytest
 
-from mckaykit.errors import AlreadyFramed, AlreadyTripled, EmptyI
+from mckaykit.errors import AlreadyFramed, AlreadyTripled, EmptyI, InvalidArgument
 from mckaykit.gamma_data import build_group, tensor_multiplicity
 from mckaykit.quiver_core import (
     INFINITY,
@@ -87,6 +87,16 @@ def test_frame_zero_and_multiplicities():
     q2 = mckay_quiver(build_group("A2"))
     fq2 = frame_quiver(q2, {0: 2, 2: 1})
     assert len(fq2.arrows) == len(q2.arrows) + 2 * 3  # three new bar pairs
+
+
+def test_frame_quiver_refuses_bad_entries():
+    """A key that is not a vertex of the unframed quiver, or a multiplicity
+    that is not a nonnegative int, is refused instead of dropped."""
+    q = mckay_quiver(build_group("A2"))
+    for w in ({7: 1}, {INFINITY: 1}, {"0": 1}, {0: -1}, {0: 1.0}, {0: True},
+              DimVector(components={0: 1, 5: 1})):
+        with pytest.raises(InvalidArgument):
+            frame_quiver(q, w)
 
 
 def test_quiver_and_dim_vector_equality():

@@ -23,7 +23,7 @@ from mckaykit.errors import (
     UnsupportedTheta,
 )
 from mckaykit.gamma_data import build_group
-from mckaykit.linalg import QQ, PrimeField, spans_closed
+from mckaykit.linalg import QQ, ClosureTest, PrimeField
 from mckaykit.quiver_core import (
     INFINITY,
     DimVector,
@@ -211,10 +211,10 @@ def test_generated_submodule_trivial_cases(a1_framed, dims11):
     seeds = {INFINITY: [(Fraction(1),)]}
     w = generated_submodule(rep, seeds)
     assert w.dims_dict() == {0: 0, 1: 0, INFINITY: 1}
-    assert spans_closed(rep.field, w.spaces, rep.generators())
+    assert ClosureTest(rep.field, rep.generators())(w.spaces)
     for _, rnd in flat_reps(a1_framed, dims11, 3):
         witness = generated_submodule(rnd, seeds)
-        assert spans_closed(rnd.field, witness.spaces, rnd.generators())
+        assert ClosureTest(rnd.field, rnd.generators())(witness.spaces)
     full = generated_submodule(
         rep,
         {
@@ -352,8 +352,9 @@ def test_specialized_vs_brute_force_sample(a1_framed, dims11):
 
 
 def reference_brute_force(rep, theta):
-    """The exhaustive walk with ``spans_closed`` at every candidate and the
-    closed families scored after the walk in ``Fraction`` arithmetic."""
+    """The exhaustive walk with a fresh ``ClosureTest`` at every candidate
+    and the closed families scored after the walk in ``Fraction``
+    arithmetic."""
     field = rep.field
     verts = sorted(rep.quiver.vertices, key=vertex_sort_key)
     pos = {v: i for i, v in enumerate(verts)}
@@ -369,7 +370,7 @@ def reference_brute_force(rep, theta):
         v = verts[idx]
         for basis in all_subspaces(field.p, rep.dims.get(v)):
             assignment[v] = basis
-            if spans_closed(field, assignment, maps_into[idx]):
+            if ClosureTest(field, maps_into[idx])(assignment):
                 walk(idx + 1)
         del assignment[v]
 
