@@ -426,7 +426,16 @@ def cornered_isomorphic(a, b):
 
 
 def cornered_submodule_is_closed(module, spaces):
-    """Whether per-vertex subspaces are closed under all stored actions."""
+    """Whether per-vertex subspaces are closed under all stored actions.
+
+    ``spaces`` maps corner vertices to spanning rows; a key outside the
+    corner raises VertexNotInCorner, and a row the test reads whose length
+    is not its component's dimension raises ShapeMismatch.
+    """
+    if not module.corner.issuperset(spaces):
+        bad = sorted(set(spaces) - module.corner, key=repr)
+        raise VertexNotInCorner(f"subspaces at {bad}, outside the corner "
+                                f"{sorted(module.corner)}")
     return module._closure_test(spaces)
 
 

@@ -18,19 +18,20 @@ integral.  Each field exposes its characteristic ``p`` (``QQ.p == 0``).
 The echelon, the sparse images and the dense helpers compute with
 Python's native ``+``, ``-`` and ``*`` and reduce each computed entry once
 mod ``p`` when ``p`` is nonzero, so GF(p) values, given in ``range(p)``,
-stay there.
+stay there.  Only the closure test over GF(2) eliminates otherwise, by
+XOR on rows packed into ``int``s (see ``ClosureTest``).
 The kernels shared by the module-theory layers live here too.  They act
 on a module's generator view: its per-vertex dimensions and a list of
 ``(i, j, mat)`` generators, each a dims[i] x dims[j] matrix.  On that view
 there is one closure test for families of subspaces (``ClosureTest``,
-prepared once per generator list), one quotient (with its projections and
-induced maps), one mod-p reduction, one intertwiner (hom-space) system,
-and one seeded search for a hom-space element that is onto at every
-vertex, which is also the isomorphism search.  Every linear system in
-unknown matrices is built by ``matrix_equation_rows``.  No cache here is
-keyed by matrix contents: a caller takes a matrix's sparse columns
-(``_columns``) once per call, or keeps them on the object it prepares
-(``ClosureTest``).
+prepared once per generator list; over GF(2) its memo holds packed rows),
+one quotient (with its projections and induced maps), one mod-p
+reduction, one intertwiner (hom-space) system, and one seeded search for
+a hom-space element that is onto at every vertex, which is also the
+isomorphism search.  Every linear system in unknown matrices is built by
+``matrix_equation_rows``.  No cache here is keyed by matrix contents: a
+caller takes a matrix's sparse columns (``_columns``) once per call, or
+keeps them, packed over GF(2), on the object it prepares (``ClosureTest``).
 """
 
 import itertools
@@ -39,7 +40,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 
-from .errors import BadPrime, InvariantViolation
+from .errors import BadPrime, InvariantViolation, ShapeMismatch
 
 # seeded random candidates tried by ``isomorphic`` after the basis vectors
 ISOMORPHISM_TRIES = 40
@@ -579,54 +580,124 @@ def _image(p, cols, vec):
     return {r: v for r, v in out.items() if v}
 
 
+def _packed(row):
+    """The GF(2) vector ``row`` as one ``int``: bit c is the parity of
+    row[c]."""
+    return sum(1 << c for c, x in enumerate(row) if x & 1)
+
+
+def _packed_columns(mat):
+    """The nonzero GF(2) columns of ``mat``, each packed: ((column, packed
+    column), ...); empty for a zero map."""
+    return tuple((c, col) for c, col in enumerate(map(_packed, zip(*mat))) if col)
+
+
+def _packed_image(cols, row):
+    """The packed image mat . row over GF(2) from the packed columns of
+    ``mat`` (see ``_packed_columns``) and a dense ``row``."""
+    img = 0
+    for c, col in cols:
+        if row[c] & 1:
+            img ^= col
+    return img
+
+
 class ClosureTest:
     """The closure test of the generator list ``maps``: called on
     ``spaces`` (keys to lists of rows), whether every ``(i, j, mat)`` of
     ``maps`` sends span(spaces[j]) into span(spaces[i]).
 
-    The nonzero maps' sparse columns are kept by source.  A row at vertex
-    v is memoised under v and tuple(row) with its sparse form and its
-    nonzero images under the maps out of v only (a map out of another
-    vertex may have another width); once ``COLUMN_CACHE_SIZE`` rows are
-    held, the memo is emptied.  A target echelon is built only when a
-    nonzero image needs it, from the memoised sparse rows, stored as they
-    are (an ``Echelon`` never changes a stored row).
+    The nonzero maps' columns are kept by source.  A row at vertex v is
+    memoised under v and tuple(row) with its encoded form and its nonzero
+    images under the maps out of v only (a map out of another vertex may
+    have another width); once ``COLUMN_CACHE_SIZE`` rows are held, the
+    memo is emptied.  A row whose length is not the dimension at v that
+    ``maps`` gives (a map into v has that many rows, a map out of v with
+    rows that many columns) raises ``ShapeMismatch`` when it enters the
+    memo, so a memo hit is not checked again.  A target span is built
+    only when a nonzero image needs it, from the memoised rows.
+
+    The field picks the encoding.  Over GF(2) a row and an image are one
+    ``int`` each, bit c the parity of entry c, and a target span is a dict
+    from lowest set bit to packed row, built and tested by XOR.  Over any
+    other field they are sparse dicts, and a target span is an ``Echelon``
+    holding the memoised rows as they are (it never changes a stored row).
     """
 
     def __init__(self, field, maps):
         self.field = field
-        self.maps_from = {}  # source -> [(target, sparse columns)]
+        self.packed = field.p == 2
+        columns = _packed_columns if self.packed else _columns
+        self.dims = {}
+        self.maps_from = {}  # source -> [(target, columns)]
         for i, j, mat in maps:
-            if cols := _columns(mat):
+            self.dims[i] = len(mat)
+            if mat:
+                self.dims[j] = len(mat[0])
+            if cols := columns(mat):
                 self.maps_from.setdefault(j, []).append((i, cols))
         self.memo = {v: {} for i, j, _ in maps for v in (i, j)}  # v -> {row: entry}
 
     def _entry(self, v, row):
         """Compute and memoise the entry of ``row`` at vertex ``v``: (its
-        sparse form, ((target, image), ...))."""
+        encoded form, ((target, image), ...))."""
+        n = self.dims.get(v, len(row))
+        if len(row) != n:
+            raise ShapeMismatch(f"a row of length {len(row)} at vertex {v}, "
+                                f"whose space has dimension {n}")
         if sum(map(len, self.memo.values())) >= COLUMN_CACHE_SIZE:
             for rows in self.memo.values():
                 rows.clear()
-        images = tuple((i, img) for i, cols in self.maps_from.get(v, ())
-                       if (img := _image(self.field.p, cols, row)))
-        self.memo[v][row] = entry = (vec_to_sparse(self.field, row), images)
+        if self.packed:
+            images = tuple((i, img) for i, cols in self.maps_from.get(v, ())
+                           if (img := _packed_image(cols, row)))
+            entry = (_packed(row), images)
+        else:
+            images = tuple((i, img) for i, cols in self.maps_from.get(v, ())
+                           if (img := _image(self.field.p, cols, row)))
+            entry = (vec_to_sparse(self.field, row), images)
+        self.memo[v][row] = entry
         return entry
 
     def __call__(self, spaces):
-        memo, entry = self.memo, self._entry
-        ech = {}
+        memo, entry, packed = self.memo, self._entry, self.packed
+        spans = {}
         for j in self.maps_from:
             at_j = memo[j]
             for row in map(tuple, spaces.get(j, ())):
                 for i, img in (at_j.get(row) or entry(j, row))[1]:
-                    if i not in ech:
-                        at_i = memo[i]
-                        ech[i] = _echelon_of_sparse(self.field, [
-                            (at_i.get(r) or entry(i, r))[0]
-                            for r in map(tuple, spaces.get(i, ()))])
-                    if not ech[i].contains(img):
-                        return False
+                    span = spans.get(i)
+                    if span is None:
+                        span = spans[i] = self._span(i, spaces.get(i, ()))
+                    if not packed:
+                        if not span.contains(img):
+                            return False
+                        continue
+                    while img:  # XOR out the span row at the lowest set bit
+                        pivot_row = span.get(img & -img)
+                        if pivot_row is None:
+                            return False
+                        img ^= pivot_row
         return True
+
+    def _span(self, i, rows):
+        """The span of ``rows`` at vertex ``i`` from their memoised forms:
+        over GF(2) a dict from lowest set bit to a packed row with that
+        lowest bit, otherwise an ``Echelon`` of the sparse rows."""
+        at_i, entry = self.memo[i], self._entry
+        if not self.packed:
+            return _echelon_of_sparse(self.field, [
+                (at_i.get(r) or entry(i, r))[0] for r in map(tuple, rows)])
+        span = {}
+        for r in map(tuple, rows):
+            x = (at_i.get(r) or entry(i, r))[0]
+            while x:
+                low = x & -x
+                if low not in span:
+                    span[low] = x
+                    break
+                x ^= span[low]
+        return span
 
 
 def quotient_projection(field, sub_rows, n):

@@ -350,4 +350,7 @@ def check_quot_correspondence(qmod, corner, g):
     if find_surjection(qmod.field, basis, offsets, dims_col, dims_q, 0,
                        QUOT_SEARCH_TRIES):
         return dims
-    raise NotAQuotient("no surjection found at the certified truncation")
+    raise NotAQuotient(
+        f"no surjection found from the column truncated at degree "
+        f"{quot_truncation_degree(g, corner)}, the factor top plus a margin of "
+        f"{QUOT_TRUNCATION_WINDOW} that is not certified")

@@ -48,8 +48,10 @@ class Quiver:
 
     ``bar`` pairs the two orientations of each edge; loop arrows (from
     tripling) have no bar partner and are recorded in ``loops``.
-    ``framing`` maps each non-framing vertex to its multiplicity w_i when
-    the quiver is framed.  Instances are treated as immutable.
+    ``framing`` maps non-framing vertices to their multiplicities w_i when
+    the quiver is framed, a missing vertex counting as 0; it names no other
+    key, and each w_i is the number of bar pairs between i and the framing
+    vertex.  Instances are treated as immutable.
     """
 
     vertices: tuple
@@ -74,7 +76,12 @@ class Quiver:
         if self.framing is not None:
             if self.vertices.count(INFINITY) != 1:
                 raise InvariantViolation("framed quiver needs one framing vertex")
-            for v, w in self.framing.items():
+            plain = self.plain_vertices
+            for v in self.framing:
+                if v not in plain:
+                    raise InvariantViolation(f"framing names {v!r}, not a plain vertex")
+            for v in plain:
+                w = self.framing.get(v, 0)
                 found = sum(
                     1 for a in self._by_tail[INFINITY]
                     if a.head == v and a.id in self.bar

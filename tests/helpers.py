@@ -225,6 +225,15 @@ def count_framing_builds(monkeypatch):
     return builds
 
 
+def memo_row(field, row):
+    """The form in which a ``ClosureTest`` over ``field`` memoises the
+    dense vector ``row``: over GF(2) an ``int`` with bit c set where row[c]
+    is odd, over any other field the dict of its nonzero entries."""
+    if field.p == 2:
+        return sum(2 ** c for c, x in enumerate(row) if x % 2)
+    return {c: x for c, x in enumerate(row) if x}
+
+
 def closure_memo(test):
     """The memo of the ``ClosureTest`` ``test`` as one dict keyed by
     (vertex, row)."""

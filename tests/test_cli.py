@@ -357,6 +357,22 @@ def test_stability_malformed_module_exit(capsys, tmp_path, change):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("framing", [{}, {"0": 1, "7": 0}], ids=["empty", "vertex-7"])
+def test_explicit_quiver_framing_mismatch_exit_2(capsys, tmp_path, framing):
+    """An explicit quiver whose framing disagrees with its framing arrows,
+    or names a vertex the quiver lacks, is a usage error."""
+    q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
+    data = rep_to_dict(zero_rep(q, DimVector(components={0: 1, 1: 1}, at_infinity=1)))
+    assert data["quiver"]["framing"] == {"0": 1, "1": 0}
+    data["quiver"]["framing"] = framing
+    path = tmp_path / "module.json"
+    dump_json(data, str(path))
+    code, out, err = run(capsys, "stability", str(path), "--corner", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: framing ") and err.count("\n") == 1
+
+
 def test_stability_framed_tripled_module_exit(capsys, tmp_path):
     """The framing vertex of a tripled quiver has no loop, so the loop
     relations are undefined: a usage error naming the arrow."""
@@ -370,12 +386,15 @@ def test_stability_framed_tripled_module_exit(capsys, tmp_path):
 
 
 def test_quiver_json_round_trip():
-    g = build_group("A2")
-    for q in [
-        mckay_quiver(g),
-        frame_quiver(mckay_quiver(g), {0: 2, 2: 1}),
-        triple_quiver(mckay_quiver(g)),
-    ]:
+    """Every quiver ``quiver_to_dict`` writes, framed ones with zero
+    framing entries included, loads back equal and writes the same text."""
+    quivers = []
+    for label, w in [("A1", {0: 1}), ("A1", {}), ("A2", {0: 2, 2: 1}),
+                     ("D4", {1: 1}), ("E6", {0: 1, 3: 2})]:
+        q = mckay_quiver(build_group(label))
+        quivers += [q, triple_quiver(q), frame_quiver(q, w),
+                    frame_quiver(triple_quiver(q), w)]
+    for q in quivers:
         data = quiver_to_dict(q)
         text = json.dumps(data, sort_keys=True)
         back = quiver_from_dict(json.loads(text))

@@ -6,12 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_memo_misses, flat_reps
-from mckaykit.errors import BadPrime, InvariantViolation, RepresentativeDependence
+from helpers import count_memo_misses, flat_reps, memo_row
+from mckaykit.errors import (
+    BadPrime,
+    InvariantViolation,
+    RepresentativeDependence,
+    ShapeMismatch,
+    VertexNotInCorner,
+)
 from mckaykit.gamma_data import build_group
 from mckaykit.graded_algebra import AlgebraContext, molien_sequence
 from mckaykit.io_formats import fraction_to_str
-from mckaykit.linalg import QQ, PrimeField, rank, vec_to_sparse
+from mckaykit.linalg import QQ, PrimeField, rank
 from mckaykit.moduli_tools import truncated_corner_column
 from mckaykit.quiver_core import DimVector, mckay_quiver, triple_quiver
 from mckaykit.rep_theory import (
@@ -375,7 +381,7 @@ def test_quotient_scan_row_memo():
     """The GF(2)^9 codimension <= 2 scan of the truncated A1 column finds
     its 9 closed subspaces; every call reuses the column's one closure
     test, which converts each of its 129 distinct rows once, and
-    afterwards every memoised sparse row still equals its dense row."""
+    afterwards every memoised packed row still equals its dense row."""
     column = cornered_mod_p(truncated_corner_column(build_group("A1"), {0}), 2)
     n = column.dim(0)
     test = column._closure_test
@@ -390,7 +396,45 @@ def test_quotient_scan_row_memo():
     assert len(misses) == len(test.memo[0]) == len(rows)
     assert set(test.memo[0]) == rows
     for row in rows:
-        assert test.memo[0][row][0] == vec_to_sparse(PrimeField(2), row)
+        assert test.memo[0][row][0] == memo_row(PrimeField(2), row)
+
+
+def a1_columns():
+    """The truncated A1 column at {0} over QQ and over GF(2)."""
+    column = truncated_corner_column(build_group("A1"), {0})
+    return [column, cornered_mod_p(column, 2)]
+
+
+def test_closure_refuses_a_short_row():
+    """A row shorter than its component raises ShapeMismatch, not an
+    IndexError, and is not memoised."""
+    for column in a1_columns():
+        assert column.dim(0) == 9
+        with pytest.raises(ShapeMismatch):
+            cornered_submodule_is_closed(column, {0: [(1,) + (0,) * 7]})
+        assert (1,) + (0,) * 7 not in column._closure_test.memo[0]
+
+
+def test_closure_refuses_a_long_row():
+    """A row longer than its component raises ShapeMismatch, even one
+    whose extra entry no map reads."""
+    for column in a1_columns():
+        with pytest.raises(ShapeMismatch):
+            cornered_submodule_is_closed(column, {0: [(0,) * 9 + (1,)]})
+        top = (0,) * 8 + (1,)  # the top-degree line is closed
+        assert cornered_submodule_is_closed(column, {0: [top]})
+        with pytest.raises(ShapeMismatch):
+            cornered_submodule_is_closed(column, {0: [top, top + (0,)]})
+
+
+def test_closure_refuses_a_vertex_outside_the_corner():
+    """A space at a vertex outside the corner raises VertexNotInCorner,
+    alone or beside a space at a corner vertex."""
+    top = (0,) * 8 + (1,)
+    for column in a1_columns():
+        for spaces in ({1: [(1,)]}, {0: [top], 1: [(1,)]}, {0: [top], 1: []}):
+            with pytest.raises(VertexNotInCorner):
+                cornered_submodule_is_closed(column, spaces)
 
 
 def test_bilinearity_products_stay_as_computed():

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import closure_memo, count_memo_misses
+from helpers import closure_memo, count_memo_misses, memo_row
 from mckaykit import linalg
 from mckaykit.errors import BadPrime
 from mckaykit.linalg import (
@@ -211,21 +211,28 @@ def fresh_closed(field, spaces, maps):
     """The closure test with each target echelon built by ``_echelon`` from
     the dense rows on every call."""
     for i, j, mat in maps:
-        ech = _echelon(field, spaces.get(i, ()))
+        ech, cols = _echelon(field, spaces.get(i, ())), _columns(mat)
         for vec in spaces.get(j, ()):
-            img = _image(field.p, _columns(mat), vec)
+            img = _image(field.p, cols, vec)
             if img and not ech.contains(img):
                 return False
     return True
 
 
 def assert_memo_as_computed(field, test, maps):
-    """Every entry of ``test``'s memo still holds its row's sparse form and
-    its nonzero images under the nonzero maps out of its vertex."""
-    for (v, row), (sparse, images) in closure_memo(test).items():
-        assert sparse == vec_to_sparse(field, row)
-        want = [(i, _image(field.p, _columns(mat), row)) for i, j, mat in maps
-                if j == v and any(map(any, mat))]
+    """Every entry of ``test``'s memo still holds its row's encoded form
+    and its nonzero images under the nonzero maps out of its vertex: over
+    GF(2) packed (``memo_row`` of the row and of its ``mat_vec`` images),
+    over any other field sparse."""
+    for (v, row), (form, images) in closure_memo(test).items():
+        if field.p == 2:
+            assert form == memo_row(field, row)
+            want = [(i, memo_row(field, mat_vec(field, mat, row)))
+                    for i, j, mat in maps if j == v and any(map(any, mat))]
+        else:
+            assert form == vec_to_sparse(field, row)
+            want = [(i, _image(field.p, _columns(mat), row)) for i, j, mat in maps
+                    if j == v and any(map(any, mat))]
         assert list(images) == [(i, img) for i, img in want if img]
 
 
@@ -234,9 +241,9 @@ CLOSURE_FIELDS = [PrimeField(2), PrimeField(3), QQ]
 
 @pytest.mark.parametrize("field", CLOSURE_FIELDS, ids=str)
 def test_spans_closed_row_memo(field):
-    """The memoised sparse rows give the verdicts of a fresh echelon per
-    call, on tuple and list rows (``Fraction`` and ``int`` rows over QQ)
-    and on rows shared by several spaces, some stored as they are and
+    """The memoised rows give the verdicts of a fresh echelon per call, on
+    tuple and list rows (``Fraction`` and ``int`` rows over QQ) and on
+    rows shared by several spaces, some stored as they are and
     some reduced by ``insert`` against a shared stored row; a second call
     computes no entry, and afterwards every memoised row still equals its
     dense row."""
@@ -324,6 +331,67 @@ def test_closure_test_matches_fresh_echelons(field):
     assert True in verdicts and False in verdicts
 
 
+def wide_closure_case(rng):
+    """(maps, spaces families) over GF(2) on three vertices of dimensions
+    60 to 130: a map 0 -> 1, a map 1 -> 2, a zero map 0 -> 2 and a loop N
+    at 0 that raises the index by 30 or more, so every orbit under N is
+    short.  Each family is closed by construction (span at 0 closed under
+    N, each target holding the images of its source), then given list
+    rows, repeated rows, zero rows, sums of two rows and a shuffled order;
+    every other family drops one image row, which leaves it closed only
+    when that row was dependent."""
+    field = PrimeField(2)
+    dims = {v: rng.randint(60, 130) for v in range(3)}
+    n0 = dims[0]
+    lo = rng.randint(30, 40)
+    loop = tuple(tuple(int(r - c in (lo, lo + 7)) for c in range(n0)) for r in range(n0))
+    a = tuple(random_matrix(field, rng, dims[1], n0))
+    b = tuple(random_matrix(field, rng, dims[2], dims[1]))
+    maps = [(0, 0, loop), (1, 0, a), (2, 1, b),
+            (2, 0, tuple((0,) * n0 for _ in range(dims[2])))]
+    families = []
+    for k in range(6):
+        orbit = []
+        for vec in random_matrix(field, rng, rng.randint(1, 3), n0):
+            while any(vec):
+                orbit.append(vec)
+                vec = mat_vec(field, loop, vec)
+        spaces = {0: orbit}
+        spaces[1] = random_matrix(field, rng, rng.randint(0, 4), dims[1]) + [
+            mat_vec(field, a, vec) for vec in spaces[0]]
+        spaces[2] = random_matrix(field, rng, rng.randint(0, 4), dims[2]) + [
+            mat_vec(field, b, vec) for vec in spaces[1]]
+        for v, rows in spaces.items():
+            if k % 2 and v and len(rows) > 1:
+                rows.pop()
+            rows += [rng.choice(rows), (0,) * dims[v]]
+            rows += [tuple(x ^ y for x, y in zip(rng.choice(rows), rng.choice(rows)))]
+            rng.shuffle(rows)
+            spaces[v] = [list(r) if rng.random() < 0.3 else r for r in rows]
+        families.append(spaces)
+    return maps, families
+
+
+def test_packed_closure_wide_rows():
+    """Over GF(2), at vertex dimensions where a packed row spans several
+    machine words, one prepared test gives the verdicts of a fresh echelon
+    per call on list, repeated and zero rows and on bases not in echelon
+    form, and its memo holds each row and image packed."""
+    field = PrimeField(2)
+    verdicts = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        maps, families = wide_closure_case(rng)
+        test = ClosureTest(field, maps)
+        for spaces in families + families:
+            want = fresh_closed(field, spaces, maps)
+            assert test(spaces) == want, seed
+            verdicts.append(want)
+        assert_memo_as_computed(field, test, maps)
+        assert max(form for form, _ in closure_memo(test).values()) >= 2 ** 64
+    assert True in verdicts and False in verdicts
+
+
 @pytest.mark.parametrize("field", CLOSURE_FIELDS, ids=str)
 def test_closure_test_row_at_two_vertices(field):
     """One row at two vertices of the same dimension is two memo entries:
@@ -338,8 +406,8 @@ def test_closure_test_row_at_two_vertices(field):
     assert test({0: [line0], 1: [line0], 2: [(zero, one)]}) is False
     memo = closure_memo(test)
     assert set(memo) == {(0, line0), (1, line0), (2, line0), (2, (zero, one))}
-    assert memo[(0, line0)][1] == ((2, {1: one}),)
-    assert memo[(1, line0)][1] == ((2, {0: one}),)
+    assert memo[(0, line0)][1] == ((2, memo_row(field, (zero, one))),)
+    assert memo[(1, line0)][1] == ((2, memo_row(field, line0)),)
     assert memo[(2, line0)][1] == ()
 
 

@@ -378,6 +378,22 @@ def test_quot_dimension_obstruction():
         check_quot_correspondence(too_big, {0}, g)
 
 
+def test_quot_no_surjection_names_the_uncertified_degree():
+    """S + S on A1 {0} over GF(2) (dims {0: 2}, every action zero) has
+    homomorphisms from the truncated column, whose top is one copy of S,
+    but none onto it; the refusal names the truncation degree and says
+    that it is not certified."""
+    g = build_group("A1")
+    f2 = PrimeField(2)
+    T = cornered_mod_p(truncated_corner_column(g, {0}), 2)
+    s_plus_s = T.rebuild({0: 2}, [zeros(f2, 2, 2) for _ in T.generators()])
+    with pytest.raises(NotAQuotient) as exc:
+        check_quot_correspondence(s_plus_s, {0}, g)
+    text = str(exc.value)
+    assert "degree 4" in text and "not certified" in text
+    assert "certified truncation" not in text
+
+
 def test_quot_truncation_degree_value():
     g = build_group("A1")
     assert quot_truncation_degree(g, {0}) == 4

@@ -1,8 +1,16 @@
 """Quiver construction, framing, tripling, stability parameters."""
 
+import dataclasses
+
 import pytest
 
-from mckaykit.errors import AlreadyFramed, AlreadyTripled, EmptyI, InvalidArgument
+from mckaykit.errors import (
+    AlreadyFramed,
+    AlreadyTripled,
+    EmptyI,
+    InvalidArgument,
+    InvariantViolation,
+)
 from mckaykit.gamma_data import build_group, tensor_multiplicity
 from mckaykit.quiver_core import (
     INFINITY,
@@ -97,6 +105,20 @@ def test_frame_quiver_refuses_bad_entries():
               DimVector(components={0: 1, 5: 1})):
         with pytest.raises(InvalidArgument):
             frame_quiver(q, w)
+
+
+@pytest.mark.parametrize("framing", [
+    {}, {0: 0, 1: 0}, {0: 2, 1: 0}, {0: 1, 1: 1},
+    {0: 1, 7: 0}, {0: 1, 1: 0, INFINITY: 0}, {0: 1, "0": 0},
+], ids=["empty", "zeros", "too-many", "too-few", "vertex-7", "inf", "str-key"])
+def test_quiver_refuses_framing_that_disagrees_with_arrows(framing):
+    """A framed quiver's framing names plain vertices only, and lists at
+    each of them, a missing one counting as 0, its number of framing bar
+    pairs; A1 framed at 0 has one pair at 0 and none at 1."""
+    fq = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
+    with pytest.raises(InvariantViolation):
+        dataclasses.replace(fq, framing=framing)
+    assert dataclasses.replace(fq, framing={0: 1}).framing == {0: 1}
 
 
 def test_quiver_and_dim_vector_equality():
