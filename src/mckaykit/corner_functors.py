@@ -5,7 +5,11 @@ its corner components, recording the action of a finite generating set
 of corner classes (path composites of the arrow matrices).  ``j_shriek``
 extends a cornered module back, computed degreewise as the tensor
 product of the algebra column with the module modulo the bilinearity
-span, truncated once a safety window of degrees stops contributing.
+span, truncated once a quiet window of degrees (``TRUNCATION_WINDOW``,
+at least the generation degree) stops contributing.  The top-degree
+parts of a degree's bilinearity rows do not depend on the module, so
+their elimination is planned once per group label and corner
+(``_top_plan``) and replayed on each module's rows.
 Restriction after extension is the identity up to isomorphism, and the
 test suite enforces that round trip on seeded inputs.
 
@@ -29,6 +33,7 @@ right-exactness, both of which the test suite checks directly.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -50,6 +55,8 @@ from .linalg import (
     ClosureTest,
     Echelon,
     PrimeField,
+    _echelon_of_sparse,
+    _primitive,
     common_field,
     hom_space,
     isomorphic,
@@ -92,17 +99,56 @@ def _generation_degree(label, corner):
 
 
 @functools.lru_cache(maxsize=None)
-def _bilinearity_products(label, i, src, d, m):
-    """The products u . t that the corner extension's bilinearity rows
-    need: for each quotient-basis class t of the degree-d slice from src
-    to i (a unit vector) and each basis path u of the degree-m layer at
-    i, the sparse expansion of u . t in the degree d + m layer of the
-    column at src.  Indexed [t][u]; the dicts are shared, never changed."""
+def _top_plan(label, corner, gen_deg, k_top):
+    """The elimination of the top parts of the corner extension's
+    bilinearity rows of degree ``k_top``, which depend on the group, the
+    corner and its generation degree alone.
+
+    The row of the index (d, i, t, u) and a module basis index b at the
+    corner vertex src is (u.t (x) e_b) - (u (x) t.e_b): t the t-th
+    quotient-basis class of the degree-d slice from src to i, d <= gen_deg,
+    and u the u-th basis path of the degree k_top - d layer at i.  Its top
+    part u.t (x) e_b is the sparse expansion of u.t in the degree-k_top
+    layer of the column at src, the same for every b.  For each corner
+    vertex src in sorted order the plan holds ``(src, pivots, kernels)``,
+    integer combinations ``((index, coefficient), ...)`` of the indices
+    into src: ``pivots`` as ``(lead, top, combination)``, the combination's
+    top part ``top`` having its smallest coordinate ``lead`` positive and
+    distinct from every other pivot's, and ``kernels`` the combinations
+    whose top part is zero.  They are the stored rows of one ``Echelon``
+    of the products, each with its index appended as a unit coordinate
+    keyed after every top coordinate; so each combination adds one index
+    to earlier ones, and they are an invertible transform of the rows.
+    """
     ctx = _pi_context(label)
-    paths = ctx.layer(i, m).paths
-    return tuple(
-        tuple(_expand_path_on(ctx, path, {c: QQ.one}, src, d) for path in paths)
-        for c in ctx.slice_coords(i, src, d)[1])
+    corner_sorted = sorted(corner)
+
+    def rows(src):
+        """Each product into src with its index, as a sparse row in key
+        order."""
+        for d in range(1, min(gen_deg, k_top) + 1):
+            for i in corner_sorted:
+                paths = ctx.layer(i, k_top - d).paths
+                for t, c in enumerate(ctx.slice_coords(i, src, d)[1]):
+                    for u, path in enumerate(paths):
+                        prod = _expand_path_on(ctx, path, {c: QQ.one}, src, d)
+                        row = {(0, c2): prod[c2] for c2 in sorted(prod)}
+                        row[(1, (d, i, t, u))] = QQ.one
+                        yield row
+
+    plan = []
+    for src in corner_sorted:
+        ech = _echelon_of_sparse(QQ, rows(src))
+        pivots, kernels = [], []
+        for (is_index, lead), row in ech.rows.items():
+            combo = tuple((idx, v) for (part, idx), v in row.items() if part)
+            if is_index:
+                kernels.append(combo)
+            else:
+                top = {c: v for (part, c), v in row.items() if not part}
+                pivots.append((lead, top, combo))
+        plan.append((src, tuple(pivots), tuple(kernels)))
+    return tuple(plan)
 
 
 def generation_degree(group, corner):
@@ -275,34 +321,49 @@ def j_shriek_with_data(module, force_degree=0):
     # still insert into the lower degrees
     window = max(TRUNCATION_WINDOW, gen_deg)
 
+    # the action matrices as integer columns, all scaled by the lcm of
+    # their denominators: cols[(d, i, src)][t][b] holds the nonzero
+    # (bb, scale * act_t[bb][b]) of column b, so no row holds a Fraction
+    scale = math.lcm(1, *(x.denominator for mats in module.actions.values()
+                          for mat in mats for row in mat for x in row if x))
+    dims = {src: module.dim(src) for src in corner_sorted}
+    cols = {(d, i, src): [_int_columns(mat, dims[src], scale) for mat in mats]
+            for (d, i, src), mats in module.actions.items()}
     ech = Echelon(QQ)
+    stored = ech.rows
+
+    def lower_part(row, k_top, src, combo, b):
+        """Add to ``row`` the parts -(u (x) t.e_b) of the rows of ``combo``,
+        at degrees below ``k_top``."""
+        for (d, i, t, u), coef in combo:
+            for bb, x in cols[(d, i, src)][t][b]:
+                key = (d - k_top, i, u, bb)
+                v = row.get(key, 0) - coef * x
+                if v:
+                    row[key] = v
+                else:
+                    del row[key]
+        return row
 
     def insert_bilinearity(k_top):
-        """Rows (u.a (x) w) - (u (x) a.w) with deg u + deg a == k_top."""
-        for d in range(1, min(gen_deg, k_top) + 1):
-            m = k_top - d
-            for i in corner_sorted:
-                for src in corner_sorted:
-                    acts = module.actions[(d, i, src)]
-                    products = _bilinearity_products(label, i, src, d, m)
-                    for prods, act in zip(products, acts):
-                        for u, prod in enumerate(prods):
-                            for b in range(module.dim(src)):
-                                row = {(-k_top, src, c, b): val
-                                       for c, val in prod.items()}
-                                for bb in range(module.dim(i)):
-                                    coef = act[bb][b]
-                                    if coef != QQ.zero:
-                                        key = (-m, i, u, bb)
-                                        row[key] = row.get(key, QQ.zero) - coef
-                                row = {kk: v for kk, v in row.items() if v}
-                                if row:
-                                    ech.insert(row)
-
-    def degree_keys(k):
-        return [(-k, src, c, b) for src in corner_sorted
-                for c in range(ctx.layer(src, k).dim)
-                for b in range(module.dim(src))]
+        """Add the span of the rows (u.a (x) w) - (u (x) a.w) with
+        deg u + deg a == k_top; return how many pivots of degree k_top it
+        adds.  A pivot step's row is stored as it is: no stored row has a
+        key of degree k_top, and its smallest key is its top key."""
+        added = 0
+        for src, pivots, kernels in _top_plan(label, module.corner, gen_deg, k_top):
+            for b in range(dims[src]):
+                for lead, top, combo in pivots:
+                    key = (-k_top, src, lead, b)
+                    row = lower_part({(-k_top, src, c, b): scale * v for c, v in top.items()},
+                                     k_top, src, combo, b)
+                    stored[key] = row if row[key] == 1 else _primitive(row, row[key])
+                for combo in kernels:
+                    row = lower_part({}, k_top, src, combo, b)
+                    if row:
+                        ech.insert(row)
+            added += len(pivots) * dims[src]
+        return added
 
     new_content = []
     k = 0
@@ -312,9 +373,8 @@ def j_shriek_with_data(module, force_degree=0):
             raise TruncationNotReached(
                 f"corner extension did not stabilise below degree {ctx.degree_cap}"
             )
-        insert_bilinearity(k)
-        pivots_at_k = sum(1 for key in ech.rows if key[0] == -k)
-        new_content.append(len(degree_keys(k)) - pivots_at_k)
+        coords = sum(ctx.layer(src, k).dim * dims[src] for src in corner_sorted)
+        new_content.append(coords - insert_bilinearity(k))
         if (
             k >= force_degree
             and len(new_content) >= window
@@ -323,15 +383,21 @@ def j_shriek_with_data(module, force_degree=0):
             break
     k_max = k
 
-    # the basis keys in key order, placed blockwise by vertex
+    # the basis keys in key order, placed blockwise by vertex; a degree
+    # whose keys were all pivots when it was reached has none
     place = {}
     comps = {v: 0 for v in quiver_b.vertices}
     for kdeg in range(k_max, -1, -1):
-        for key in degree_keys(kdeg):
-            if key not in ech.rows:
-                v = ctx.layer(key[1], kdeg).vertex_of[key[2]]
-                place[key] = (v, comps[v])
-                comps[v] += 1
+        if kdeg and not new_content[kdeg - 1]:
+            continue
+        for src in corner_sorted:
+            layer = ctx.layer(src, kdeg)
+            for c, v in enumerate(layer.vertex_of):
+                for b in range(dims[src]):
+                    key = (-kdeg, src, c, b)
+                    if key not in stored:
+                        place[key] = (v, comps[v])
+                        comps[v] += 1
 
     @functools.lru_cache(maxsize=None)
     def normal_form(key):
@@ -341,14 +407,15 @@ def j_shriek_with_data(module, force_degree=0):
         a.id: [[QQ.zero] * comps[a.head] for _ in range(comps[a.tail])]
         for a in quiver_b.arrows
     }
+    arrows_into = {v: [] for v in quiver_b.vertices}
+    for a in quiver_b.non_loop_arrows():
+        arrows_into[a.head].append(a)
     for key, (v, col) in place.items():
         neg_k, src, c, b = key
         # non-loop arrows: left multiplication on the class factor
         if -neg_k < k_max:
             lay_next = ctx.layer(src, 1 - neg_k)
-            for a in quiver_b.non_loop_arrows():
-                if a.head != v:
-                    continue
+            for a in arrows_into[v]:
                 for c2, val in lay_next.lmul_in.get(a.id, {}).get(c, ()):
                     _scatter(maps[a.id], col, val,
                              normal_form((neg_k - 1, src, c2, b)), place, a.tail)
@@ -366,6 +433,17 @@ def j_shriek_with_data(module, force_degree=0):
         raise InvariantViolation("corner extension broke the relations")
     return ExtensionData(module=module, rep=out, k_max=k_max,
                          normal_form=normal_form, place=place)
+
+
+def _int_columns(mat, ncols, scale):
+    """The columns of ``mat`` times ``scale``, a multiple of every
+    denominator, each as the ``int`` pairs ((row, value), ...) of its
+    nonzero entries."""
+    if not mat:
+        return ((),) * ncols
+    return tuple(tuple((r, x.numerator * (scale // x.denominator))
+                       for r, x in enumerate(col) if x)
+                 for col in zip(*mat))
 
 
 def _scatter(rows, col, coef, red, place, vertex):

@@ -602,6 +602,12 @@ def _packed_image(cols, row):
     return img
 
 
+def _check_length(v, row, n):
+    if len(row) != n:
+        raise ShapeMismatch(f"a row of length {len(row)} at vertex {v}, "
+                            f"whose space has dimension {n}")
+
+
 class ClosureTest:
     """The closure test of the generator list ``maps``: called on
     ``spaces`` (keys to lists of rows), whether every ``(i, j, mat)`` of
@@ -611,11 +617,14 @@ class ClosureTest:
     memoised under v and tuple(row) with its encoded form and its nonzero
     images under the maps out of v only (a map out of another vertex may
     have another width); once ``COLUMN_CACHE_SIZE`` rows are held, the
-    memo is emptied.  A row whose length is not the dimension at v that
-    ``maps`` gives (a map into v has that many rows, a map out of v with
-    rows that many columns) raises ``ShapeMismatch`` when it enters the
-    memo, so a memo hit is not checked again.  A target span is built
-    only when a nonzero image needs it, from the memoised rows.
+    memo is emptied.  A row of ``spaces`` whose length is not the
+    dimension at v that ``maps`` gives (a map into v has that many rows, a
+    map out of v with rows that many columns) raises ``ShapeMismatch``,
+    whether or not the test reads it.  A row is checked when it enters the
+    memo, so a memo hit is not checked again; before the verdict is
+    returned, every row at a vertex whose span the test did not build is
+    checked too.  A target span is built only when a nonzero image needs
+    it, from the memoised forms of all the rows at its vertex.
 
     The field picks the encoding.  Over GF(2) a row and an image are one
     ``int`` each, bit c the parity of entry c, and a target span is a dict
@@ -641,10 +650,7 @@ class ClosureTest:
     def _entry(self, v, row):
         """Compute and memoise the entry of ``row`` at vertex ``v``: (its
         encoded form, ((target, image), ...))."""
-        n = self.dims.get(v, len(row))
-        if len(row) != n:
-            raise ShapeMismatch(f"a row of length {len(row)} at vertex {v}, "
-                                f"whose space has dimension {n}")
+        _check_length(v, row, self.dims.get(v, len(row)))
         if sum(map(len, self.memo.values())) >= COLUMN_CACHE_SIZE:
             for rows in self.memo.values():
                 rows.clear()
@@ -660,8 +666,18 @@ class ClosureTest:
         return entry
 
     def __call__(self, spaces):
+        spans = {}  # vertex -> its built span
+        closed = self._closed(spaces, spans)
+        # a built span went through the memo, which checked all its rows
+        for v in spaces:
+            if v not in spans and (n := self.dims.get(v)) is not None:
+                for row in spaces[v]:
+                    _check_length(v, row, n)
+        return closed
+
+    def _closed(self, spaces, spans):
+        """The verdict; ``spans`` gets the target spans it builds."""
         memo, entry, packed = self.memo, self._entry, self.packed
-        spans = {}
         for j in self.maps_from:
             at_j = memo[j]
             for row in map(tuple, spaces.get(j, ())):

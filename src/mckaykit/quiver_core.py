@@ -51,7 +51,8 @@ class Quiver:
     ``framing`` maps non-framing vertices to their multiplicities w_i when
     the quiver is framed, a missing vertex counting as 0; it names no other
     key, and each w_i is the number of bar pairs between i and the framing
-    vertex.  Instances are treated as immutable.
+    vertex.  No vertex and no arrow id is listed twice.  Instances are
+    treated as immutable.
     """
 
     vertices: tuple
@@ -63,7 +64,15 @@ class Quiver:
 
     def __post_init__(self):
         self._relation_generators = None  # filled by relation_generators
+        if len(set(self.vertices)) != len(self.vertices):
+            repeated = list(dict.fromkeys(v for v in self.vertices
+                                          if self.vertices.count(v) > 1))
+            raise InvariantViolation(f"repeated vertices {repeated}")
         self._by_id = {a.id: a for a in self.arrows}
+        if len(self._by_id) != len(self.arrows):
+            ids = [a.id for a in self.arrows]
+            repeated = list(dict.fromkeys(aid for aid in ids if ids.count(aid) > 1))
+            raise InvariantViolation(f"repeated arrow ids {repeated}")
         self._by_tail = {v: [] for v in self.vertices}
         for a in self.arrows:
             self._by_tail[a.tail].append(a)

@@ -5,6 +5,7 @@ substitution, so it shares no code path with either the path-algebra
 quotients or the character-theoretic counts it is used to check.
 """
 
+import hashlib
 from fractions import Fraction
 
 from mckaykit import dynkin
@@ -323,3 +324,139 @@ def reference_subspaces_of_dimension(p, n, s):
             for (r, c), val in zip(free_positions, values):
                 rows[r][c] = val
             yield tuple(map(tuple, rows))
+
+
+# ---------------------------------------------------------------------------
+# the corner extension by one elimination of every bilinearity row
+# ---------------------------------------------------------------------------
+
+# (group, corner, component dims): the round-trip configurations of the
+# benchmark's corner workload
+ROUND_TRIP_CONFIGS = [
+    ("A1", (0,), {0: 2, 1: 1}),
+    ("A1", (0, 1), {0: 2, 1: 2}),
+    ("A2", (0,), {0: 2, 1: 1, 2: 1}),
+    ("A2", (0, 1), {0: 1, 1: 1, 2: 2}),
+    ("A3", (0,), {0: 2, 1: 1, 2: 1, 3: 1}),
+    ("A3", (0, 2), {0: 1, 1: 1, 2: 1, 3: 1}),
+    ("D4", (0,), {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}),
+    ("D4", (0, 2), {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}),
+    ("D5", (0,), {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}),
+    ("D5", (0, 1), {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}),
+]
+
+# (group, corner, component dims, seed): the fixed round trips of the
+# same workload, whose extensions once raised
+KEPT_FAULT_INPUTS = [
+    ("A3", (0,), {0: 2, 1: 2, 2: 2, 3: 2}, 0),
+    ("D5", (0,), {0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1}, 0),
+    ("D5", (0,), {0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1}, 3),
+    ("D5", (0,), {0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1}, 4),
+]
+
+
+def extension_digest(data):
+    """The md5 of a computed corner extension: its maps, dims, ``k_max``,
+    ``place`` and the normal form of every coordinate key up to ``k_max``,
+    each by ``repr``."""
+    from mckaykit.corner_functors import pi_context
+
+    module = data.module
+    ctx = pi_context(module.group)
+    h = hashlib.md5()
+    for part in (dict(data.rep.maps), data.rep.dims.as_dict(), data.k_max, data.place):
+        h.update(repr(part).encode())
+    for k in range(data.k_max + 1):
+        for src in sorted(module.corner):
+            for c in range(ctx.layer(src, k).dim):
+                for b in range(module.dim(src)):
+                    h.update(repr(data.normal_form((-k, src, c, b))).encode())
+    return h.hexdigest()
+
+
+def reference_extension(module, force_degree=0):
+    """The corner extension of the QQ module ``module`` as (maps, dims,
+    k_max, place, normal_form), computed by building every bilinearity row
+    (u.a (x) w) - (u (x) a.w) from scratch, products included, and
+    inserting each into one fresh ``Echelon``, degree by degree; the same
+    stopping rule, key order and output maps as ``j_shriek_with_data``."""
+    from mckaykit.corner_functors import TRUNCATION_WINDOW, pi_context
+    from mckaykit.graded_algebra import _expand_path_on
+    from mckaykit.quiver_core import mckay_quiver, triple_quiver
+
+    ctx = pi_context(module.group)
+    quiver_b = triple_quiver(mckay_quiver(module.group))
+    corner = sorted(module.corner)
+    gen_deg = module.gen_degree
+    window = max(TRUNCATION_WINDOW, gen_deg)
+    ech = Echelon(QQ)
+
+    def degree_keys(k):
+        return [(-k, src, c, b) for src in corner
+                for c in range(ctx.layer(src, k).dim)
+                for b in range(module.dim(src))]
+
+    new_content = []
+    k = 0
+    while True:
+        k += 1
+        for d in range(1, min(gen_deg, k) + 1):
+            m = k - d
+            for i in corner:
+                paths = ctx.layer(i, m).paths
+                for src in corner:
+                    acts = module.actions[(d, i, src)]
+                    for c, act in zip(ctx.slice_coords(i, src, d)[1], acts):
+                        for u, path in enumerate(paths):
+                            prod = _expand_path_on(ctx, path, {c: QQ.one}, src, d)
+                            for b in range(module.dim(src)):
+                                row = {(-k, src, c2, b): v for c2, v in prod.items()}
+                                for bb in range(module.dim(i)):
+                                    if act[bb][b]:
+                                        key = (-m, i, u, bb)
+                                        row[key] = row.get(key, 0) - act[bb][b]
+                                row = {key: v for key, v in row.items() if v}
+                                if row:
+                                    ech.insert(row)
+        pivots = sum(1 for key in ech.rows if key[0] == -k)
+        new_content.append(len(degree_keys(k)) - pivots)
+        if (k >= force_degree and len(new_content) >= window
+                and not any(new_content[-window:])):
+            break
+    k_max = k
+
+    place = {}
+    comps = {v: 0 for v in quiver_b.vertices}
+    for kdeg in range(k_max, -1, -1):
+        for key in degree_keys(kdeg):
+            if key not in ech.rows:
+                v = ctx.layer(key[1], kdeg).vertex_of[key[2]]
+                place[key] = (v, comps[v])
+                comps[v] += 1
+
+    def normal_form(key):
+        return ech.reduce({key: QQ.one})
+
+    def scatter(rows, col, coef, red, vertex):
+        for key, x in red.items():
+            v, r = place[key]
+            if v == vertex:
+                rows[r][col] += coef * x
+
+    maps = {a.id: [[QQ.zero] * comps[a.head] for _ in range(comps[a.tail])]
+            for a in quiver_b.arrows}
+    for (neg_k, src, c, b), (v, col) in place.items():
+        if -neg_k < k_max:
+            lay_next = ctx.layer(src, 1 - neg_k)
+            for a in quiver_b.non_loop_arrows():
+                if a.head == v:
+                    for c2, val in lay_next.lmul_in.get(a.id, {}).get(c, ()):
+                        scatter(maps[a.id], col, val,
+                                normal_form((neg_k - 1, src, c2, b)), a.tail)
+        zmat = module.z_mats[src]
+        for bb in range(module.dim(src)):
+            if zmat[bb][b]:
+                scatter(maps[quiver_b.loops[v]], col, zmat[bb][b],
+                        normal_form((neg_k, src, c, bb)), v)
+    maps = {aid: tuple(tuple(row) for row in rows) for aid, rows in maps.items()}
+    return maps, comps, k_max, place, normal_form

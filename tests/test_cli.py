@@ -373,6 +373,38 @@ def test_explicit_quiver_framing_mismatch_exit_2(capsys, tmp_path, framing):
     assert err.startswith("error: framing ") and err.count("\n") == 1
 
 
+def repeat_vertex(quiver):
+    quiver["vertices"].insert(0, quiver["vertices"][0])
+
+
+def repeat_arrow(quiver):
+    quiver["arrows"].append(quiver["arrows"][0])
+
+
+@pytest.mark.parametrize("change, message", [(repeat_vertex, "repeated vertices [0]"),
+                                             (repeat_arrow, "repeated arrow ids [0]")],
+                         ids=["vertex", "arrow"])
+@pytest.mark.parametrize("command", [("stability", "--corner", "0,1"),
+                                     ("vgit", "--from-corner", "0,1", "--to-corner", "0")],
+                         ids=["stability", "vgit"])
+def test_explicit_quiver_repeats_exit_2(capsys, tmp_path, change, message, command):
+    """An explicit quiver that lists a vertex or an arrow id twice is a
+    usage error, here on a module stable for {0, 1} (which, read with the
+    repeated vertex, was reported unstable and then not pushed)."""
+    q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
+    rep = random_flat_rep(q, DimVector(components={0: 1, 1: 1}, at_infinity=1), 3)
+    data = rep_to_dict(rep)
+    path = tmp_path / "module.json"
+    dump_json(data, str(path))
+    assert run(capsys, command[0], str(path), *command[1:])[0] == 0
+    change(data["quiver"])
+    dump_json(data, str(path))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_stability_framed_tripled_module_exit(capsys, tmp_path):
     """The framing vertex of a tripled quiver has no loop, so the loop
     relations are undefined: a usage error naming the arrow."""

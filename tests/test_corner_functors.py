@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_memo_misses, flat_reps, memo_row
+from helpers import (
+    KEPT_FAULT_INPUTS,
+    ROUND_TRIP_CONFIGS,
+    count_memo_misses,
+    flat_reps,
+    memo_row,
+    reference_extension,
+)
 from mckaykit.errors import (
     BadPrime,
     InvariantViolation,
@@ -15,7 +22,7 @@ from mckaykit.errors import (
     VertexNotInCorner,
 )
 from mckaykit.gamma_data import build_group
-from mckaykit.graded_algebra import AlgebraContext, molien_sequence
+from mckaykit.graded_algebra import AlgebraContext, _expand_path_on, molien_sequence
 from mckaykit.io_formats import fraction_to_str
 from mckaykit.linalg import QQ, PrimeField, rank
 from mckaykit.moduli_tools import truncated_corner_column
@@ -25,10 +32,11 @@ from mckaykit.rep_theory import (
     random_flat_rep,
     subspaces_of_dimension,
     vertex_simple,
+    zero_rep,
 )
 from mckaykit.corner_functors import (
     CorneredModule,
-    _bilinearity_products,
+    _top_plan,
     cornered_hom_space,
     cornered_isomorphic,
     cornered_mod_p,
@@ -39,6 +47,7 @@ from mckaykit.corner_functors import (
     j_shriek_on_hom,
     j_shriek_with_data,
     j_star,
+    pi_context,
 )
 
 
@@ -427,6 +436,36 @@ def test_closure_refuses_a_long_row():
             cornered_submodule_is_closed(column, {0: [top, top + (0,)]})
 
 
+@pytest.mark.parametrize("row", [(1,), (1, 0, 0, 1)], ids=["short", "long"])
+def test_closure_refuses_a_row_it_never_reads(row):
+    """On S + S over A1 {0}, every action zero, no row is read: a row of
+    the wrong length still raises ShapeMismatch, alone or after a good
+    row, over GF(2) and over QQ."""
+    for column in a1_columns():
+        gens = column.generators()
+        zero = column.rebuild({0: 2}, [((0, 0), (0, 0)) for _ in gens])
+        assert cornered_submodule_is_closed(zero, {0: [(1, 0)]})
+        for rows in ([row], [(1, 0), row]):
+            with pytest.raises(ShapeMismatch):
+                cornered_submodule_is_closed(zero, {0: rows})
+
+
+def test_closure_refuses_a_row_after_an_early_false():
+    """Over A1 {0, 1} with only the maps from 0 to 1 nonzero, the first
+    row at 0 has an image outside the empty space at 1, so the verdict is
+    False before the second row at 0 is read; that row, one entry too
+    long, still raises ShapeMismatch, and so does one at 1."""
+    quiver = triple_quiver(mckay_quiver(build_group("A1")))
+    cm = j_star(zero_rep(quiver, DimVector(components={0: 1, 1: 1})), {0, 1})
+    mats = [((1,),) if (i, j) == (1, 0) else ((0,),) for i, j, _ in cm.generators()]
+    for module in (cm.rebuild(cm.dims, mats), cornered_mod_p(cm.rebuild(cm.dims, mats), 2)):
+        assert not cornered_submodule_is_closed(module, {0: [(1,)], 1: []})
+        with pytest.raises(ShapeMismatch):
+            cornered_submodule_is_closed(module, {0: [(1,), (1, 0)], 1: []})
+        with pytest.raises(ShapeMismatch):
+            cornered_submodule_is_closed(module, {0: [(1,)], 1: [(1, 0)]})
+
+
 def test_closure_refuses_a_vertex_outside_the_corner():
     """A space at a vertex outside the corner raises VertexNotInCorner,
     alone or beside a space at a corner vertex."""
@@ -437,23 +476,167 @@ def test_closure_refuses_a_vertex_outside_the_corner():
                 cornered_submodule_is_closed(column, spaces)
 
 
-def test_bilinearity_products_stay_as_computed():
-    """The shared product table of the corner extension is read, never
+def tripled(label):
+    return triple_quiver(mckay_quiver(build_group(label)))
+
+
+def assert_extension_matches_reference(module, force_degree=0):
+    """``j_shriek_with_data`` equals the extension that inserts every
+    bilinearity row into a fresh ``Echelon``: the maps (by ``repr``, so
+    ``int`` and ``Fraction`` entries count apart), dims, ``k_max``,
+    ``place`` in order, and the normal form of every coordinate key up to
+    ``k_max``.  Returns the computed extension."""
+    data = j_shriek_with_data(module, force_degree)
+    maps, dims, k_max, place, normal_form = reference_extension(module, force_degree)
+    assert repr(dict(data.rep.maps)) == repr(maps)
+    assert data.rep.dims.as_dict() == dims
+    assert data.k_max == k_max
+    assert list(data.place.items()) == list(place.items())
+    ctx = pi_context(module.group)
+    for k in range(k_max + 1):
+        for src in sorted(module.corner):
+            for c in range(ctx.layer(src, k).dim):
+                for b in range(module.dim(src)):
+                    key = (-k, src, c, b)
+                    assert repr(data.normal_form(key)) == repr(normal_form(key))
+    return data
+
+
+def action_types(module):
+    return {type(x) for mats in module.actions.values() for mat in mats
+            for row in mat for x in row}
+
+
+@pytest.mark.parametrize("label, corner, comps", ROUND_TRIP_CONFIGS,
+                         ids=[f"{g}-{c}" for g, c, _ in ROUND_TRIP_CONFIGS])
+def test_extension_matches_reference_on_round_trips(label, corner, comps):
+    for _, rep in flat_reps(tripled(label), DimVector(components=comps), 3):
+        assert_extension_matches_reference(j_star(rep, corner))
+
+
+@pytest.mark.parametrize("label, corner, comps, seed", KEPT_FAULT_INPUTS)
+def test_extension_matches_reference_on_kept_faults(label, corner, comps, seed):
+    rep = random_flat_rep(tripled(label), DimVector(components=comps), seed)
+    assert_extension_matches_reference(j_star(rep, corner))
+
+
+def test_extension_matches_reference_on_e6():
+    """E6 {0}, generation degree 12: a seeded sample and the zero module."""
+    quiver = tripled("E6")
+    (_, rep), = flat_reps(quiver, DimVector(components={v: 1 for v in range(7)}), 1)
+    assert_extension_matches_reference(j_star(rep, (0,)))
+    zero = zero_rep(quiver, DimVector(components={v: 0 for v in range(7)}))
+    data = assert_extension_matches_reference(j_star(zero, (0,)))
+    assert data.rep.dims.as_dict() == {v: 0 for v in range(7)} and not data.place
+
+
+def test_extension_matches_reference_with_a_zero_corner_vertex():
+    quiver = tripled("A2")
+    for _, rep in flat_reps(quiver, DimVector(components={0: 1, 1: 0, 2: 2}), 2):
+        cm = j_star(rep, (0, 1))
+        assert cm.dim(1) == 0
+        assert_extension_matches_reference(cm)
+
+
+def test_extension_matches_reference_on_integral_and_fraction_actions(a1):
+    """Integral actions, actions with a denominator (scaled to integer
+    columns), and a hand-built module of ``Fraction`` zeros."""
+    seen = set()
+    for label, corner, comps in (("A1", (0,), {0: 2, 1: 1}),
+                                 ("A1", (0, 1), {0: 2, 1: 2})):
+        for _, rep in flat_reps(tripled(label), DimVector(components=comps), 3):
+            cm = j_star(rep, corner)
+            seen |= action_types(cm)
+            assert_extension_matches_reference(cm)
+    assert seen == {int, Fraction}
+    corner = frozenset({0})
+    gen_deg = generation_degree(a1, corner)
+    z = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
+    ctx = AlgebraContext(a1, "pi")
+    actions = {(d, 0, 0): [((Fraction(0),) * 2,) * 2] * ctx.slice_dim(0, 0, d)
+               for d in range(1, gen_deg + 1)}
+    cm = CorneredModule(group=a1, corner=corner, dims={0: 2}, z_mats={0: z},
+                        actions=actions, gen_degree=gen_deg, field=QQ)
+    assert_extension_matches_reference(cm)
+
+
+@pytest.mark.parametrize("label, corner, comps", [ROUND_TRIP_CONFIGS[1],
+                                                  ROUND_TRIP_CONFIGS[7]])
+def test_extension_matches_reference_past_the_window(label, corner, comps):
+    """``force_degree`` three degrees past the natural stop."""
+    (_, rep), = flat_reps(tripled(label), DimVector(components=comps), 1)
+    cm = j_star(rep, corner)
+    k_max = j_shriek_with_data(cm).k_max
+    data = assert_extension_matches_reference(cm, force_degree=k_max + 3)
+    assert data.k_max == k_max + 3
+
+
+def plan_products(label, corner, gen_deg, k_top, src):
+    """The expansion of every product u.t a plan step combines, keyed by
+    its index (d, i, t, u), in index order."""
+    ctx = pi_context(build_group(label))
+    out = {}
+    for d in range(1, min(gen_deg, k_top) + 1):
+        for i in sorted(corner):
+            paths = ctx.layer(i, k_top - d).paths
+            for t, c in enumerate(ctx.slice_coords(i, src, d)[1]):
+                for u, path in enumerate(paths):
+                    out[(d, i, t, u)] = _expand_path_on(ctx, path, {c: 1}, src, d)
+    return out
+
+
+@pytest.mark.parametrize("label, corner, kmax", [
+    ("A1", (0,), 8), ("A2", (0, 1), 8), ("D4", (0, 2), 10), ("E6", (0,), 16)])
+def test_top_plan_invariants(label, corner, kmax):
+    """Each pivot step combines the products into its top vector, whose
+    smallest coordinate is its lead with a positive entry, leads distinct
+    per source; each kernel step combines them into zero; the pivot count
+    is the rank of the products; and the steps, each named by its last
+    index, are one per index, so they transform the rows invertibly."""
+    corner = frozenset(corner)
+    gen_deg = generation_degree(build_group(label), corner)
+    for k_top in range(1, kmax + 1):
+        plan = _top_plan(label, corner, gen_deg, k_top)
+        assert [src for src, _, _ in plan] == sorted(corner)
+        for src, pivots, kernels in plan:
+            products = plan_products(label, corner, gen_deg, k_top, src)
+
+            def combined(combo):
+                out = {}
+                for idx, coef in combo:
+                    for c, x in products[idx].items():
+                        out[c] = out.get(c, 0) + coef * x
+                return {c: x for c, x in out.items() if x}
+
+            for lead, top, combo in pivots:
+                assert combined(combo) == top
+                assert min(top) == lead and top[lead] > 0
+                assert all(type(x) is int for x in top.values())
+            for combo in kernels:
+                assert combined(combo) == {}
+            assert len({lead for lead, _, _ in pivots}) == len(pivots)
+            width = pi_context(build_group(label)).layer(src, k_top).dim
+            dense = [[prod.get(c, 0) for c in range(width)] for prod in products.values()]
+            assert len(pivots) == (rank(QQ, dense) if width else 0)
+            combos = [combo for _, _, combo in pivots] + list(kernels)
+            assert all(coef and type(coef) is int for combo in combos for _, coef in combo)
+            assert sorted(max(idx for idx, _ in combo) for combo in combos) == list(products)
+
+
+def test_top_plan_stays_as_computed():
+    """The shared elimination plan of the corner extension is read, never
     changed: after extensions of several modules every entry they used
     equals a fresh computation."""
-    quiver = triple_quiver(mckay_quiver(build_group("A2")))
-    corner = (0, 1)
+    quiver = tripled("A2")
+    corner = frozenset((0, 1))
     k_max = 0
     for _, rep in flat_reps(quiver, DimVector(components={0: 1, 1: 1, 2: 2}), 3):
         data = j_shriek_with_data(j_star(rep, corner))
         k_max = max(k_max, data.k_max)
     gen_deg = data.module.gen_degree
-    for i in corner:
-        for src in corner:
-            for d in range(1, gen_deg + 1):
-                for m in range(k_max - d + 1):
-                    cached = _bilinearity_products("A2", i, src, d, m)
-                    assert cached == _bilinearity_products.__wrapped__("A2", i, src, d, m)
+    for k_top in range(1, k_max + 1):
+        cached = _top_plan("A2", corner, gen_deg, k_top)
+        assert cached == _top_plan.__wrapped__("A2", corner, gen_deg, k_top)
 
 
 def test_j_star_path_through_zero_component():
