@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from .errors import (
     BadPrime,
     EmptyI,
+    InvalidArgument,
     InvariantViolation,
     RepresentativeDependence,
     TruncationNotReached,
@@ -54,7 +55,6 @@ from .linalg import (
     QQ,
     ClosureTest,
     Echelon,
-    PrimeField,
     _echelon_of_sparse,
     _primitive,
     common_field,
@@ -62,11 +62,10 @@ from .linalg import (
     isomorphic,
     mat_mul,
     quotient_maps,
-    reduce_entries,
     zeros,
 )
 from .quiver_core import DimVector, mckay_quiver, triple_quiver
-from .rep_theory import QuiverRep, is_flat
+from .rep_theory import QuiverRep, is_flat, reduce_mod_p
 
 TRUNCATION_WINDOW = 4
 
@@ -305,14 +304,18 @@ def j_shriek_with_data(module, force_degree=0):
     ``force_degree`` keeps extending at least that far even after the
     stabilisation window, so two extensions can be compared coordinate
     by coordinate.  The module must be over QQ; a module over a prime
-    field raises BadPrime.
+    field raises BadPrime, and a ``force_degree`` above the degree cap
+    raises InvalidArgument.
     """
     group = module.group
     field = module.field
-    if field is not QQ:
+    if field.p:
         raise BadPrime(f"corner extension runs over QQ, not {field}")
     label = group.descriptor.label
     ctx = pi_context(group)
+    if force_degree > ctx.degree_cap:
+        raise InvalidArgument(f"force_degree {force_degree} is above the degree "
+                              f"cap {ctx.degree_cap} of {label}")
     quiver_b = _tripled_quiver(label)
     corner_sorted = sorted(module.corner)
     gen_deg = module.gen_degree
@@ -529,8 +532,5 @@ def cornered_quotient(module, spaces, with_projection=False):
     return (quotient, proj) if with_projection else quotient
 
 
-def cornered_mod_p(module, p):
-    """Entrywise reduction of a rational cornered module modulo p."""
-    field = PrimeField(p)
-    return module.rebuild(module.vertex_dims(),
-                          reduce_entries(field, module.generators()), field)
+# a cornered module reduces mod p as a framed one does
+cornered_mod_p = reduce_mod_p

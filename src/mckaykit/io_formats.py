@@ -70,10 +70,9 @@ def quiver_to_dict(q):
 
 
 def quiver_from_dict(data):
-    """Parse an explicit quiver; a malformed one raises MalformedFile.
-
-    Every arrow id is an integer, every arrow joins two listed vertices,
-    and every ``"loops"`` entry names an arrow from its vertex to itself.
+    """Parse an explicit quiver.  A malformed entry raises MalformedFile,
+    as does an arrow id in ``"arrows"``, ``"bar"`` or ``"loops"`` that is
+    not an integer; ``Quiver`` refuses the rest of a bad structure.
     """
     try:
         vertices = tuple(key_to_vertex(v) for v in data["vertices"])
@@ -86,16 +85,9 @@ def quiver_from_dict(data):
         if data.get("framing") is not None:
             framing = {key_to_vertex(k): w for k, w in data["framing"].items()}
         loops = {key_to_vertex(k): aid for k, aid in data.get("loops", {}).items()}
-        by_id = {a.id: a for a in arrows}
-        for a in arrows:
-            if type(a.id) is not int:
-                raise ValueError(f"arrow id {a.id!r} is not an integer")
-            if a.tail not in vertices or a.head not in vertices:
-                raise ValueError(f"arrow {a.id} joins a vertex that is not listed")
-        for v, aid in loops.items():
-            loop = by_id.get(aid) if type(aid) is int else None
-            if loop is None or not loop.tail == loop.head == v:
-                raise ValueError(f"loop entry {vertex_to_key(v)!r} names no loop arrow there")
+        for aid in [a.id for a in arrows] + list(bar.values()) + list(loops.values()):
+            if type(aid) is not int:
+                raise ValueError(f"arrow id {aid!r} is not an integer")
         return Quiver(
             vertices=vertices,
             arrows=arrows,

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-All core computations in the toolkit run over an exact field: ``QQ``
-(Python ``int`` when integral, ``Fraction`` otherwise) for construction
-and graded dimensions, ``GF(p)`` for brute-force enumerations.  Matrices
+All core computations in the toolkit run over an exact field, one
+``Field`` type given by its characteristic ``p``: ``QQ`` (``p == 0``;
+Python ``int`` when integral, ``Fraction`` otherwise) for construction
+and graded dimensions, ``GF(p)`` (``PrimeField``) for brute-force
+enumerations.  Every choice that depends on the field reads ``p``.  Matrices
 are immutable tuples of row tuples; the zero-row and zero-column cases
 are legal, so shape arguments are passed explicitly where they cannot be
 inferred.
@@ -14,8 +16,7 @@ Over GF(p) a stored row has pivot 1.  Over QQ elimination is fraction-free
 pivot, every intermediate value is an ``int``, and a value is divided
 only where a caller reads it normalised (``reduce``, ``reduced_rows``,
 ``monic_rows``), so a ``Fraction`` appears only in a result that is not
-integral.  Each field exposes its characteristic ``p`` (``QQ.p == 0``).
-The echelon, the sparse images and the dense helpers compute with
+integral.  The echelon, the sparse images and the dense helpers compute with
 Python's native ``+``, ``-`` and ``*`` and reduce each computed entry once
 mod ``p`` when ``p`` is nonzero, so GF(p) values, given in ``range(p)``,
 stay there.  Only the closure test over GF(2) eliminates otherwise, by
@@ -46,49 +47,6 @@ from .errors import BadPrime, InvariantViolation, ShapeMismatch
 ISOMORPHISM_TRIES = 40
 # rows each ``ClosureTest`` memoises (all dropped once it is full)
 COLUMN_CACHE_SIZE = 256
-
-
-class RationalField:
-    """Field of rationals; an element is an ``int`` when it is integral and
-    a ``Fraction`` otherwise, so elimination with pivots +-1 stays in
-    integer arithmetic and a division moves to ``Fraction`` by itself."""
-
-    zero = 0
-    one = 1
-    name = "QQ"
-    p = 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return a if a in (1, -1) else Fraction(1) / a
-
-    @staticmethod
-    def from_int(n):
-        return n
-
-    @staticmethod
-    def from_fraction(fr):
-        fr = Fraction(fr)
-        return fr.numerator if fr.denominator == 1 else fr
-
-    def __repr__(self):
-        return "QQ"
 
 
 # Miller-Rabin with these bases decides primality exactly below
@@ -122,64 +80,80 @@ def _is_prime(n):
     return True
 
 
-class PrimeField:
-    """GF(p) for a prime p below ``PRIMALITY_BOUND``; elements are ints in
-    ``range(p)``."""
+class Field:
+    """The exact field of characteristic ``p``: QQ when ``p`` is 0, else
+    GF(p).  An element of QQ is an ``int`` when it is integral and a
+    ``Fraction`` otherwise, so elimination with pivots +-1 stays in integer
+    arithmetic and a division moves to ``Fraction`` by itself; an element
+    of GF(p) is an ``int`` in ``range(p)``.  Two fields are equal when
+    their characteristics are.  ``PrimeField`` builds GF(p) and certifies
+    that p is prime."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
-        if not isinstance(p, int):
-            raise BadPrime(f"the characteristic must be an int, not {p!r}")
-        if p >= PRIMALITY_BOUND:
-            raise BadPrime(f"{p} is too large to certify as prime")
-        if not _is_prime(p):
-            raise BadPrime(f"{p} is not prime")
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
-        self.name = f"GF({p})"
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.p if self.p else a + b
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        return (a - b) % self.p if self.p else a - b
 
     def mul(self, a, b):
-        return (a * b) % self.p
+        return a * b % self.p if self.p else a * b
 
     def neg(self, a):
-        return (-a) % self.p
+        return -a % self.p if self.p else -a
 
     def inv(self, a):
-        if a % self.p == 0:
+        p = self.p
+        if not p:
+            return a if a in (1, -1) else Fraction(1) / a
+        if a % p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, p - 2, p)
 
     def from_int(self, n):
-        return n % self.p
+        return n % self.p if self.p else n
 
     def from_fraction(self, fr):
         p = self.p
         if type(fr) is int:
-            return fr % p
+            return fr % p if p else fr
         if not isinstance(fr, Fraction):
             fr = Fraction(fr)
         den = fr.denominator
+        if not p:
+            return fr.numerator if den == 1 else fr
         if den % p == 0:
             raise BadPrime(f"denominator {den} divisible by {p}")
         return fr.numerator * pow(den, -1, p) % p
 
     def __repr__(self):
-        return self.name
+        return f"GF({self.p})" if self.p else "QQ"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return type(other) is Field and other.p == self.p
 
     def __hash__(self):
-        return hash(("GF", self.p))
+        return hash(self.p)
 
 
-QQ = RationalField()
+QQ = Field(0)
+
+
+def PrimeField(p):
+    """GF(p) for a prime ``p`` below ``PRIMALITY_BOUND``; any other ``p``
+    raises BadPrime."""
+    if not isinstance(p, int):
+        raise BadPrime(f"the characteristic must be an int, not {p!r}")
+    if p >= PRIMALITY_BOUND:
+        raise BadPrime(f"{p} is too large to certify as prime")
+    if not _is_prime(p):
+        raise BadPrime(f"{p} is not prime")
+    return Field(p)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +820,7 @@ def seeded_candidates(field, basis, seed, tries):
     for _ in range(tries):
         coeffs = [field.from_int(rng.randint(-3, 3)) for _ in basis]
         yield combine(field, coeffs, basis, nvars)
-    if isinstance(field, PrimeField) and field.p ** len(basis) <= 4096:
+    if field.p and field.p ** len(basis) <= 4096:
         for combo in itertools.product(range(field.p), repeat=len(basis)):
             yield combine(field, combo, basis, nvars)
 

@@ -75,13 +75,21 @@ class Quiver:
             raise InvariantViolation(f"repeated arrow ids {repeated}")
         self._by_tail = {v: [] for v in self.vertices}
         for a in self.arrows:
+            if a.tail not in self._by_tail or a.head not in self._by_tail:
+                raise InvariantViolation(f"arrow {a.id} joins a vertex that is not listed")
             self._by_tail[a.tail].append(a)
         for aid, bid in self.bar.items():
-            a, b = self._by_id[aid], self._by_id[bid]
+            a, b = self._by_id.get(aid), self._by_id.get(bid)
+            if a is None or b is None:
+                raise InvariantViolation(f"bar entry {aid!r}: {bid!r} names a missing arrow")
             if self.bar.get(bid) != aid or aid == bid:
                 raise InvariantViolation("bar is not a fixed-point-free involution")
             if a.tail != b.head or a.head != b.tail:
                 raise InvariantViolation("bar partner does not swap tail and head")
+        for v, aid in self.loops.items():
+            loop = self._by_id.get(aid)
+            if loop is None or not loop.tail == loop.head == v:
+                raise InvariantViolation(f"loop entry {v!r} names no loop arrow there")
         if self.framing is not None:
             if self.vertices.count(INFINITY) != 1:
                 raise InvariantViolation("framed quiver needs one framing vertex")

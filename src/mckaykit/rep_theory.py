@@ -177,7 +177,7 @@ def vertex_simple(quiver, v, field=QQ):
 
 def direct_sum(a, b):
     """Blockwise direct sum of two representations of the same quiver."""
-    if a.quiver != b.quiver or a.field is not b.field and a.field != b.field:
+    if a.quiver != b.quiver or a.field != b.field:
         raise ShapeMismatch("direct sum needs the same quiver and field")
     zero = a.field.zero
     mats = []
@@ -419,7 +419,8 @@ def subspace_count(p, n):
 
 
 def reduce_mod_p(rep, p):
-    """Entrywise reduction of a rational representation modulo p.
+    """Entrywise reduction of a rational module modulo p: a framed
+    module, or a cornered one (``cornered_mod_p``).
 
     Raises BadPrime when p divides any denominator; reduction is a ring
     homomorphism, so flat representations stay flat.
@@ -479,7 +480,7 @@ def brute_force_stability(rep, theta):
     nonzero arrow matrix are computed once per call, before the walk; a
     closed family is scored when it is reached.
     """
-    if not isinstance(rep.field, PrimeField):
+    if not rep.field.p:
         raise BadPrime("brute force runs over a prime field; reduce mod p first")
     total = rep.total_dim()
     if total > BRUTE_FORCE_DIM_LIMIT:

@@ -381,16 +381,33 @@ def repeat_arrow(quiver):
     quiver["arrows"].append(quiver["arrows"][0])
 
 
-@pytest.mark.parametrize("change, message", [(repeat_vertex, "repeated vertices [0]"),
-                                             (repeat_arrow, "repeated arrow ids [0]")],
-                         ids=["vertex", "arrow"])
+def unlisted_head(quiver):
+    quiver["arrows"][0]["head"] = "9"
+
+
+def bar_to_missing_arrow(quiver):
+    quiver["arrows"][0]["bar"] = 99
+
+
+def loop_on_edge(quiver):
+    quiver["loops"] = {"0": 0}
+
+
+@pytest.mark.parametrize("change, message", [
+    (repeat_vertex, "repeated vertices [0]"),
+    (repeat_arrow, "repeated arrow ids [0]"),
+    (unlisted_head, "arrow 0 joins a vertex that is not listed"),
+    (bar_to_missing_arrow, "bar entry 0: 99 names a missing arrow"),
+    (loop_on_edge, "loop entry 0 names no loop arrow there"),
+], ids=["vertex", "arrow", "head", "bar", "loop"])
 @pytest.mark.parametrize("command", [("stability", "--corner", "0,1"),
                                      ("vgit", "--from-corner", "0,1", "--to-corner", "0")],
                          ids=["stability", "vgit"])
 def test_explicit_quiver_repeats_exit_2(capsys, tmp_path, change, message, command):
-    """An explicit quiver that lists a vertex or an arrow id twice is a
-    usage error, here on a module stable for {0, 1} (which, read with the
-    repeated vertex, was reported unstable and then not pushed)."""
+    """An explicit quiver that lists a vertex or an arrow id twice, or
+    breaks another structural rule of ``Quiver``, is a usage error with the
+    quiver's own message, here on a module stable for {0, 1} (which, read
+    with the repeated vertex, was reported unstable and then not pushed)."""
     q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
     rep = random_flat_rep(q, DimVector(components={0: 1, 1: 1}, at_infinity=1), 3)
     data = rep_to_dict(rep)

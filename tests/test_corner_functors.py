@@ -1,7 +1,9 @@
 """Corner restriction and extension, and the cornered-module kernels."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from helpers import (
 )
 from mckaykit.errors import (
     BadPrime,
+    InvalidArgument,
     InvariantViolation,
     RepresentativeDependence,
     ShapeMismatch,
@@ -228,8 +231,38 @@ def test_truncated_column_reaches_e7_factor_top():
 
 def test_j_shriek_refuses_prime_field(a1, a1_tripled):
     rep = random_flat_rep(a1_tripled, DimVector(components={0: 2, 1: 2}), 0)
-    with pytest.raises(BadPrime):
-        j_shriek(cornered_mod_p(j_star(rep, {0}), 5))
+    for p in (2, 5):
+        with pytest.raises(BadPrime, match=rf"over QQ, not GF\({p}\)"):
+            j_shriek(cornered_mod_p(j_star(rep, {0}), p))
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_cornered_kernels_accept_a_copy(a1_tripled, duplicate):
+    """A deep-copied or unpickled cornered module holds a second QQ object,
+    which is still QQ: the isomorphism test, the hom space and the corner
+    extension accept it, and the extension is the original's."""
+    (_, rep), = flat_reps(a1_tripled, DimVector(components={0: 2, 1: 1}), 1)
+    cm = j_star(rep, {0})
+    twin = duplicate(cm)
+    assert twin.field is not QQ and twin.field == QQ
+    assert cornered_isomorphic(cm, twin) and cornered_isomorphic(twin, cm)
+    assert cornered_hom_space(twin, cm)
+    assert j_shriek(twin) == j_shriek(cm)
+
+
+def test_j_shriek_refuses_force_degree_above_cap(a1_tripled):
+    """A forced degree past the context's degree cap is the caller's
+    error, refused before any degree is built, not a truncation of the
+    module."""
+    cm = j_star(vertex_simple(a1_tripled, 0), {0})
+    cap = pi_context(cm.group).degree_cap
+    assert j_shriek_with_data(cm, force_degree=cap).k_max == cap
+    with pytest.raises(InvalidArgument, match=f"force_degree {cap + 1} is above "
+                                              f"the degree cap {cap} of A1"):
+        j_shriek_with_data(cm, force_degree=cap + 1)
+    with pytest.raises(InvalidArgument, match="force_degree 50"):
+        j_shriek_with_data(cm, force_degree=50)
 
 
 def test_round_trip_nilpotent_z(a1):

@@ -11,7 +11,9 @@ the values an ``Echelon`` stores against its field's arithmetic
 convention, and its normal forms on tuple-keyed sparse vectors against a
 reference computed here in ``Fraction`` arithmetic."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from mckaykit.linalg import (
     nullspace,
     rank,
     rref,
+    seeded_candidates,
     solve,
     solve_columns,
     vec_to_sparse,
@@ -683,3 +686,35 @@ def test_prime_field_refuses_non_int():
         with pytest.raises(BadPrime, match="must be an int"):
             PrimeField(p)
     assert PrimeField(7).from_fraction(3) == 3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+                         ids=["deepcopy", "pickle"])
+def test_field_is_its_characteristic(field, duplicate):
+    """A field is given by its characteristic alone: a deep copy or an
+    unpickled copy is a second object, yet equals the field and hashes
+    like it, by ``hash(p)``, which no hash seed moves."""
+    twin = duplicate(field)
+    assert twin is not field
+    assert twin == field and not twin != field
+    assert hash(twin) == hash(field) == hash(field.p)
+    assert repr(twin) == repr(field) == ("QQ" if field.p == 0 else f"GF({field.p})")
+    assert QQ != PrimeField(2) and PrimeField(2) != QQ
+    assert PrimeField(5) == PrimeField(5) and hash(PrimeField(5)) == hash(PrimeField(5))
+    assert PrimeField(5) != PrimeField(3) and QQ != 0
+
+
+@pytest.mark.parametrize("field, extra", [(QQ, 0), (PrimeField(2), 4), (PrimeField(5), 25)],
+                         ids=str)
+def test_seeded_candidates_count(field, extra):
+    """Over QQ the search tries the basis and the seeded combinations only
+    (``0 ** n`` would pass the span bound); over GF(p) a 2-vector basis
+    also yields the p^2 elements of its span."""
+    basis = [(1, 0, 1), (0, 1, 1)]
+    tries = 7
+    candidates = list(seeded_candidates(field, basis, 0, tries))
+    assert len(candidates) == len(basis) + tries + extra
+    assert candidates[:2] == basis
+    span = {(a, b, (a + b) % field.p) for a in range(field.p) for b in range(field.p)}
+    assert set(candidates[len(candidates) - extra:]) == span

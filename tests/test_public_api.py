@@ -49,3 +49,17 @@ def test_readme_cache_table_lists_exactly_the_caches():
     rows = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
     assert len(rows) == len(set(rows))
     assert sorted(rows) == sorted(cached_functions())
+
+
+def test_readme_library_example_runs():
+    """The README's library example runs as printed, and its two lines,
+    the corner algebra's graded dimensions and the character count of the
+    same numbers, are one sequence."""
+    section = README.read_text().split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    assert len(blocks) == 1
+    printed = []
+    exec(compile(blocks[0], "README.md", "exec"), {"print": printed.append})
+    assert len(printed) == 2
+    assert list(printed[0]) == list(printed[1])
+    assert len(printed[0]) == 9 and printed[0][0] == 1

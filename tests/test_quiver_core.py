@@ -14,6 +14,7 @@ from mckaykit.errors import (
 from mckaykit.gamma_data import build_group, tensor_multiplicity
 from mckaykit.quiver_core import (
     INFINITY,
+    Arrow,
     DimVector,
     delta,
     frame_quiver,
@@ -119,6 +120,31 @@ def test_quiver_refuses_framing_that_disagrees_with_arrows(framing):
     with pytest.raises(InvariantViolation):
         dataclasses.replace(fq, framing=framing)
     assert dataclasses.replace(fq, framing={0: 1}).framing == {0: 1}
+
+
+def add_arrow(q, tail, head):
+    return {"arrows": q.arrows + (Arrow(99, tail, head),)}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda q: add_arrow(q, 0, 7), "arrow 99 joins a vertex that is not listed"),
+    (lambda q: add_arrow(q, 7, 0), "arrow 99 joins a vertex that is not listed"),
+    (lambda q: {"bar": {**q.bar, 0: 99}}, "bar entry 0: 99 names a missing arrow"),
+    (lambda q: {"bar": {99: 0, **q.bar}}, "bar entry 99: 0 names a missing arrow"),
+    (lambda q: {"loops": {**q.loops, 0: 0}}, "loop entry 0 names no loop arrow there"),
+    (lambda q: {"loops": {**q.loops, 0: 99}}, "loop entry 0 names no loop arrow there"),
+    (lambda q: {"loops": {0: q.loops[1], 1: q.loops[0]}},
+     "loop entry 0 names no loop arrow there"),
+], ids=["head", "tail", "bar-target", "bar-source", "loop-edge", "loop-missing",
+        "loop-elsewhere"])
+def test_quiver_refuses_broken_structure(change, message):
+    """A quiver built directly checks its own arrows: every endpoint is a
+    listed vertex, ``bar`` names only arrows, and each ``loops`` entry an
+    arrow from its vertex to itself, each failure an InvariantViolation."""
+    q = triple_quiver(mckay_quiver(build_group("A1")))
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        dataclasses.replace(q, **change(q))
+    assert dataclasses.replace(q) == q
 
 
 def test_quiver_and_dim_vector_equality():

@@ -1,6 +1,8 @@
 """Framed representations: relations, submodules, stability, decomposition."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -487,6 +489,22 @@ def test_are_isomorphic_refuses_mixed_fields(a1_framed, dims11):
     with pytest.raises(InvariantViolation, match=r"GF\(3\) and GF\(5\)"):
         are_isomorphic(reduce_mod_p(rep, 3), reduce_mod_p(rep, 5))
     assert are_isomorphic(reduce_mod_p(rep, 3), reduce_mod_p(rep, 3))
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+                         ids=["deepcopy", "pickle"])
+def test_kernels_accept_a_copied_field(a1_framed, dims11, p, duplicate):
+    """A module whose field is a copy of QQ or GF(p) is over the same
+    field: the isomorphism test and the direct sum accept it."""
+    (_, rep), = flat_reps(a1_framed, dims11, 1)
+    if p:
+        rep = reduce_mod_p(rep, p)
+    twin = rep.rebuild(rep.vertex_dims(), [mat for _, _, mat in rep.generators()],
+                       duplicate(rep.field))
+    assert twin.field is not rep.field
+    assert are_isomorphic(rep, twin) and are_isomorphic(twin, rep)
+    assert direct_sum(rep, twin).field == rep.field
 
 
 def test_polystable_requires_semistable(a1_framed, dims11):
