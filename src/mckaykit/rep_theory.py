@@ -22,8 +22,11 @@ a fast characterisation is used: semistability means the submodule
 generated by the framing component fills the corner dimensions, and
 stability additionally means that submodule is everything and no nonzero
 submodule avoids the corner and the framing vertex.  The characterisation
-ships together with an exhaustive finite-field checker and the test
-suite enforces their agreement.
+ships together with an exhaustive finite-field checker, which walks the
+closed families of subspaces vertex by vertex, each subspace between the
+bounds the earlier vertices' picks set, stops at the first destabilising
+submodule and answers in the same (semistable, stable, witness) shape;
+the test suite enforces their agreement.
 """
 
 import functools
@@ -45,7 +48,6 @@ from .linalg import (
     Echelon,
     PrimeField,
     _columns,
-    _echelon_of_sparse,
     _image,
     _mod,
     combine,
@@ -75,7 +77,8 @@ class QuiverRep:
     ``maps`` is kept as a read-only view of the mapping it is built with
     (every builder here passes a dict of its own), and its matrices are
     not changed after construction, which keeps the memos
-    ``_max_residual`` and ``_framing`` valid.
+    ``_max_residual`` and ``_framing`` valid.  A copy or an unpickled
+    module is rebuilt from a dict of the maps and recomputes its memos.
     """
 
     quiver: object
@@ -85,6 +88,9 @@ class QuiverRep:
 
     def __post_init__(self):
         object.__setattr__(self, "maps", MappingProxyType(self.maps))
+
+    def __reduce__(self):
+        return QuiverRep, (self.quiver, self.dims, dict(self.maps), self.field)
 
     def total_dim(self):
         return sum(self.dims.get(v) for v in self.quiver.vertices)
@@ -368,8 +374,11 @@ def is_stable(rep, theta):
 # ---------------------------------------------------------------------------
 
 BRUTE_FORCE_DIM_LIMIT = 8
-# Bound on the subspaces held in memory at once (summed over the vertices):
-# GF(2)^7 has 29,212 and GF(5)^5 has 42,176; GF(2)^8 has 417,199.
+# Bound on the walk's work, as the vertices' subspace counts summed: at
+# each vertex the walk runs through at most every subspace once per family
+# picked at the earlier vertices, and holds one subspace per vertex.
+# GF(2)^7 has 29,212 and GF(5)^5 has 42,176; GF(2)^8 (417,199) and
+# GF(3)^7 (2,052,656) are refused before the walk starts.
 BRUTE_FORCE_SUBSPACE_LIMIT = 100_000
 
 
@@ -398,14 +407,6 @@ def subspaces_of_dimension(p, n, s):
         yield from itertools.product(*choices)
 
 
-def all_subspaces(p, n):
-    """All subspaces of GF(p)^n as canonical reduced-echelon bases."""
-    spaces = []
-    for s in range(n + 1):
-        spaces.extend(subspaces_of_dimension(p, n, s))
-    return spaces
-
-
 def subspace_count(p, n):
     """Number of subspaces of GF(p)^n: the sum of the Gaussian binomials."""
     total = 0
@@ -430,55 +431,26 @@ def reduce_mod_p(rep, p):
                        field)
 
 
-def _subspace_images(field, mat, subspaces):
-    """For each basis of ``subspaces``, the tuple of the nonzero sparse
-    images under ``mat`` of its vectors; a vector that lies in several
-    bases is mapped once."""
-    cols = _columns(mat)
-    seen = {}
-    out = []
-    for basis in subspaces:
-        imgs = []
-        for vec in basis:
-            img = seen.get(vec)
-            if img is None:
-                img = seen[vec] = _image(field.p, cols, vec)
-            if img:
-                imgs.append(img)
-        out.append(tuple(imgs))
-    return out
-
-
-def _subspace_echelons(field, subspaces):
-    """The ``Echelon`` of each basis of ``subspaces``, which are canonical
-    reduced-echelon bases (see ``all_subspaces``), so ``_echelon_of_sparse``
-    stores every row as it is.  A row that lies in several bases is one
-    shared sparse dict."""
-    sparse = {}
-    out = []
-    for basis in subspaces:
-        for vec in basis:
-            if vec not in sparse:
-                sparse[vec] = vec_to_sparse(field, vec)
-        out.append(_echelon_of_sparse(field, [sparse[vec] for vec in basis]))
-    return out
-
-
 def brute_force_stability(rep, theta):
-    """Exhaustive stability check by enumerating all submodules.
+    """Exhaustive stability check over every submodule.
 
     The representation must live over a prime field, have total
     dimension at most BRUTE_FORCE_DIM_LIMIT, and its vertices together
     at most BRUTE_FORCE_SUBSPACE_LIMIT subspaces.  Returns
-    (semistable, stable, violating dimension dicts).
+    (semistable, stable, witness) in the shape of ``stability_verdict``:
+    the witness is the dimension dict of a destabilising submodule (the
+    whole module when theta(v) != 0), or None when the module is stable.
 
-    The walk picks one subspace per vertex, in vertex order and in the
-    order of ``all_subspaces``, and goes on to the next vertex only while
-    every arrow between the vertices picked so far maps the head's
-    subspace into the tail's.  The subspaces, the echelons of the tail
-    subspaces and the images of the head subspaces' bases under each
-    nonzero arrow matrix are computed once per call, before the walk; a
-    closed family is scored when it is reached.
+    The walk picks one subspace U per vertex, in vertex order, between
+    two bounds set by the subspaces already picked: U contains L, the
+    span of the images of the earlier heads' subspaces under the arrows
+    into the vertex, and lies in P, the common preimage of the earlier
+    tails' subspaces under the arrows out of it.  U runs over L plus each
+    subspace of a complement of L in P, and is kept when the loops at the
+    vertex map it into itself, so every family the walk reaches is
+    closed.  The walk stops at the first family of negative theta, which
+    settles both answers; otherwise the first proper nonzero family of
+    theta zero is the witness.
     """
     if not rep.field.p:
         raise BadPrime("brute force runs over a prime field; reduce mod p first")
@@ -493,64 +465,77 @@ def brute_force_stability(rep, theta):
         raise DimensionTooLarge(
             f"{count} vertex subspaces > {BRUTE_FORCE_SUBSPACE_LIMIT}"
         )
+    if theta(rep.dims) != 0:
+        return False, False, rep.dims.as_dict()
     dims = [rep.dims.get(v) for v in verts]
-    # vertices of one dimension share their subspaces and echelons
-    spaces = {n: all_subspaces(p, n) for n in set(dims)}
-    echelons = {}
-    # per position idx, the arrows with a nonzero matrix whose later
-    # endpoint is verts[idx], as (tail position, head position, images of
-    # each head subspace, echelons of the tail subspaces)
-    tests_at = [[] for _ in verts]
     pos = {v: i for i, v in enumerate(verts)}
+    # per position, the nonzero arrows met there: from an earlier head
+    # (lower bound), to an earlier tail (upper bound) and the loops
+    into = [[] for _ in verts]
+    out_of = [[] for _ in verts]
+    loops = [[] for _ in verts]
     for tail, head, mat in rep.generators():
-        if not any(map(any, mat)):
+        cols = _columns(mat)
+        if not cols:
             continue
         t, h = pos[tail], pos[head]
-        if dims[t] not in echelons:
-            echelons[dims[t]] = _subspace_echelons(field, spaces[dims[t]])
-        images = _subspace_images(field, mat, spaces[dims[h]])
-        tests_at[max(t, h)].append((t, h, images, echelons[dims[t]]))
+        if t == h:
+            loops[t].append(cols)
+        elif h < t:
+            into[t].append((h, cols))
+        else:
+            out_of[h].append((t, [(c, dict(col)) for c, col in cols]))
     weights = [QQ.from_fraction(theta.values.get(v, 0)) for v in verts]
 
-    semistable = True
-    stable = True
-    violations = []
-    if theta(rep.dims) != 0:
-        semistable = stable = False
-        violations.append(rep.dims.as_dict())
-
-    chosen = [0] * len(verts)  # index of the subspace picked at each vertex
-    sizes = [0] * len(verts)  # its dimension
-
-    def closed(tests):
-        for t, h, images, echs in tests:
-            imgs = images[chosen[h]]
-            if imgs:
-                ech = echs[chosen[t]]
-                for img in imgs:
-                    if not ech.contains(img):
-                        return False
-        return True
+    bases = [()] * len(verts)  # the subspace picked at each position
+    echelons = [None] * len(verts)  # and its Echelon
+    zero_witness = None
 
     def walk(idx, value, size):
-        nonlocal semistable, stable
+        """The first family of negative theta below the picks so far."""
+        nonlocal zero_witness
         if idx == len(verts):
             if value < 0:
-                semistable = stable = False
-                violations.append(dict(zip(verts, sizes)))
-            elif value == 0 and 0 < size < total:
-                stable = False
-                violations.append(dict(zip(verts, sizes)))
-            return
-        tests, weight = tests_at[idx], weights[idx]
-        for k, basis in enumerate(spaces[dims[idx]]):
-            chosen[idx] = k
-            if closed(tests):
-                sizes[idx] = len(basis)
-                walk(idx + 1, value + weight * sizes[idx], size + sizes[idx])
+                return dict(zip(verts, map(len, bases)))
+            if value == 0 and 0 < size < total and zero_witness is None:
+                zero_witness = dict(zip(verts, map(len, bases)))
+            return None
+        n = dims[idx]
+        low = Echelon(field)
+        for h, cols in into[idx]:
+            for vec in bases[h]:
+                low.insert(_image(p, cols, vec))
+        lower = [tuple(row.get(c, 0) for c in range(n))
+                 for row in low.monic_rows().values()]
+        residuals = {}  # (arrow, row) -> the row of the residuals of the columns
+        for k, (t, cols) in enumerate(out_of[idx]):
+            for c, col in cols:
+                for r, x in echelons[t].reduce(col).items():
+                    residuals.setdefault((k, r), [0] * n)[c] = x
+        upper = nullspace(field, list(residuals.values()), ncols=n)
+        complement = [vec for vec in upper if low.insert(vec_to_sparse(field, vec))]
+        if len(lower) + len(complement) != len(upper):
+            return None  # L is not inside P
+        for s in range(len(complement) + 1):
+            for sub in subspaces_of_dimension(p, len(complement), s):
+                basis = lower + [combine(field, row, complement, n) for row in sub]
+                ech = Echelon(field)
+                for vec in basis:
+                    ech.insert(vec_to_sparse(field, vec))
+                if not all(ech.contains(_image(p, cols, vec))
+                           for cols in loops[idx] for vec in basis):
+                    continue
+                bases[idx], echelons[idx] = basis, ech
+                found = walk(idx + 1, value + weights[idx] * len(basis),
+                             size + len(basis))
+                if found is not None:
+                    return found
+        return None
 
-    walk(0, 0, 0)
-    return semistable, stable, violations
+    witness = walk(0, 0, 0)
+    if witness is not None:
+        return False, False, witness
+    return True, zero_witness is None, zero_witness
 
 
 # ---------------------------------------------------------------------------

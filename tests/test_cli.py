@@ -185,6 +185,23 @@ def test_stability_brute_force_prime_certificate(capsys, tmp_path):
     assert err == f"error: {2**89 - 1} is too large to certify as prime\n"
 
 
+@pytest.mark.parametrize("comps,prime,message", [
+    ({0: 5, 1: 3}, "2", "total dimension 9 > 8"),
+    ({0: 7, 1: 0}, "3", "2052659 vertex subspaces > 100000"),
+], ids=["dimension", "subspaces"])
+def test_stability_brute_force_refusals(capsys, tmp_path, comps, prime, message):
+    """Past either limit of the exhaustive check the command exits 2 with
+    the limit in the message, before any subspace is enumerated."""
+    q = frame_quiver(mckay_quiver(build_group("A1")), {0: 1})
+    rep = zero_rep(q, DimVector(components=comps, at_infinity=1))
+    path = _write_module(tmp_path, rep)
+    code, out, err = run(capsys, "stability", path, "--corner", "0",
+                         "--brute-force", "--prime", prime)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_stability_oracle_mismatch_report(capsys, tmp_path, monkeypatch, as_json):
     """A disagreeing oracle: the report is printed once, in the mode asked
@@ -193,7 +210,7 @@ def test_stability_oracle_mismatch_report(capsys, tmp_path, monkeypatch, as_json
     rep = zero_rep(q, DimVector(components={0: 1, 1: 1}, at_infinity=1))
     path = _write_module(tmp_path, rep)
     monkeypatch.setattr(cli, "brute_force_stability",
-                        lambda rep, theta: (True, True, []))
+                        lambda rep, theta: (True, True, None))
     argv = ["stability", path, "--corner", "0,1", "--brute-force", "--prime", "3"]
     code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
     assert code == 4

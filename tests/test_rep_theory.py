@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -38,7 +39,6 @@ from mckaykit.quiver_core import (
 )
 from mckaykit.rep_theory import (
     QuiverRep,
-    all_subspaces,
     are_isomorphic,
     brute_force_stability,
     check_relations,
@@ -107,6 +107,29 @@ def test_maps_are_read_only(a1_framed, dims11):
     with pytest.raises(TypeError):
         copy.maps[0] = ((0,),)
     assert rep != make_rep(a1_framed, dims11, {**maps, 0: ((0,),)})
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+                         ids=["deepcopy", "pickle"])
+def test_module_copies(a1_framed, dims11, p, duplicate):
+    """A deep copy and an unpickled module equal the original, keep its
+    field, give its stability verdicts and are isomorphic to it."""
+    theta = theta_I({0}, dims11)
+    for _, rep in flat_reps(a1_framed, dims11, 3):
+        if p:
+            rep = reduce_mod_p(rep, p)
+        verdict = stability_verdict(rep, theta)  # fills the memos
+        twin = duplicate(rep)
+        assert twin == rep and twin is not rep
+        assert twin.field == rep.field and repr(twin.field) == repr(rep.field)
+        assert stability_verdict(twin, theta) == verdict
+        assert is_flat(twin)
+        if p:
+            assert brute_force_stability(twin, theta) == brute_force_stability(rep, theta)
+        assert are_isomorphic(twin, rep)
+        with pytest.raises(TypeError):
+            twin.maps[0] = ((0,),)
 
 
 def test_loop_commutation_is_a_relation():
@@ -256,9 +279,9 @@ def test_zero_maps_not_semistable(a1_framed, dims11):
     assert (semis, stable) == (False, False)
     # brute-force agreement on the reduced module
     reduced = reduce_mod_p(rep, 2)
-    bs, bst, violations = brute_force_stability(reduced, theta)
+    bs, bst, witness = brute_force_stability(reduced, theta)
     assert (bs, bst) == (False, False)
-    assert violations
+    assert witness
 
 
 def test_unsupported_theta(a1_framed, dims11):
@@ -317,9 +340,7 @@ def test_brute_force_vacuous_stability(a1_framed):
     dims = DimVector(components={0: 0, 1: 0}, at_infinity=1)
     rep = reduce_mod_p(zero_rep(a1_framed, dims), 2)
     theta = theta_I({0}, dims)
-    semis, stable, violations = brute_force_stability(rep, theta)
-    assert semis and stable
-    assert violations == []
+    assert brute_force_stability(rep, theta) == (True, True, None)
 
 
 def test_vertex_simple_summand_blocks_stability(a1_framed, dims11):
@@ -370,7 +391,9 @@ def reference_brute_force(rep, theta):
             leaves.append({v: len(assignment[v]) for v in verts})
             return
         v = verts[idx]
-        for basis in all_subspaces(field.p, rep.dims.get(v)):
+        n = rep.dims.get(v)
+        for basis in itertools.chain.from_iterable(
+                subspaces_of_dimension(field.p, n, s) for s in range(n + 1)):
             assignment[v] = basis
             if ClosureTest(field, maps_into[idx])(assignment):
                 walk(idx + 1)
@@ -409,14 +432,18 @@ ORACLE_CASES = [
                          ids=[f"{g}-{''.join(map(str, c.values()))}"
                               for g, c in ORACLE_CASES])
 def test_brute_force_matches_reference_walk(label, comps):
-    """Same triple as the reference walk, violation order included, on
-    seeded flat modules (one of them stable for the full corner) and the
-    zero module, for three corners, over GF(2), GF(3) and GF(5)."""
+    """The reference walk's verdict, with a witness from its violation
+    list, on seeded flat modules (one of them stable for the full corner),
+    the zero module and the zero module of framing dimension 2 (where
+    theta(v) != 0 and the witness is v), for three corners, over GF(2),
+    GF(3) and GF(5)."""
     quiver = frame_quiver(mckay_quiver(build_group(label)), {0: 1})
     dims = DimVector(components=comps, at_infinity=1)
+    framed_twice = DimVector(components=comps, at_infinity=2)
     every = tuple(range(len(comps)))
     reps = [rep for _, rep in flat_reps(quiver, dims, 2)
-            + stable_reps(quiver, dims, every, 1)] + [zero_rep(quiver, dims)]
+            + stable_reps(quiver, dims, every, 1)] + [zero_rep(quiver, dims),
+                                                     zero_rep(quiver, framed_twice)]
     seen = set()
     for rep in reps:
         for p in (2, 3, 5):
@@ -425,11 +452,43 @@ def test_brute_force_matches_reference_walk(label, comps):
             except BadPrime:
                 continue
             for corner in ((0,), (0, 1), every):
-                theta = theta_I(corner, dims)
-                got = brute_force_stability(reduced, theta)
-                assert got == reference_brute_force(reduced, theta), (p, corner)
-                seen.add((*got[:2], bool(got[2])))
+                theta = theta_I(corner, rep.dims)
+                semistable, stable, witness = brute_force_stability(reduced, theta)
+                want = reference_brute_force(reduced, theta)
+                assert (semistable, stable) == want[:2], (p, corner)
+                assert (witness is None) == (not want[2]), (p, corner)
+                assert witness is None or witness in want[2], (p, corner)
+                if rep.dims is framed_twice:
+                    assert witness == framed_twice.as_dict() == want[2][0]
+                    assert not semistable
+                seen.add((semistable, stable, witness is not None))
     assert (False, False, True) in seen and (True, True, False) in seen
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_brute_force_tests_loops(p):
+    """On the framed tripled A1 quiver with v = (2, 0; 1) and corner {0},
+    the framing vector maps to e_2 at vertex 0.  With every loop zero the
+    submodule it generates (dims 1, 0; 1) destabilises; the nilpotent loop
+    e_2 -> e_1 at vertex 0 makes it generate everything, and the module is
+    stable.  Fast path, oracle and reference walk agree on both."""
+    quiver = frame_quiver(triple_quiver(mckay_quiver(build_group("A1"))), {0: 1})
+    dims = DimVector(components={0: 2, 1: 0}, at_infinity=1)
+    theta = theta_I({0}, dims)
+    frame_in, = (a.id for a in quiver.arrows if a.tail == 0 and a.head == INFINITY)
+    maps = {frame_in: ((0,), (1,))}
+    plain = make_rep(quiver, dims, maps)
+    looped = make_rep(quiver, dims, {**maps, quiver.loops[0]: ((0, 1), (0, 0))})
+    for rep, want in ((plain, (False, False)), (looped, (True, True))):
+        reduced = reduce_mod_p(rep, p)
+        assert stability_verdict(rep, theta)[:2] == want
+        assert brute_force_stability(reduced, theta)[:2] == want
+        assert reference_brute_force(reduced, theta)[:2] == want
+    witness = {0: 1, 1: 0, INFINITY: 1}
+    assert stability_verdict(plain, theta)[2] == witness
+    assert brute_force_stability(reduce_mod_p(plain, p), theta)[2] == witness
+    assert witness in reference_brute_force(reduce_mod_p(plain, p), theta)[2]
+    assert brute_force_stability(reduce_mod_p(looped, p), theta)[2] is None
 
 
 def test_generated_submodule_rows_lead_with_one(a1_framed):
