@@ -163,6 +163,8 @@ class AlgebraContext:
                  degree_cap=DEFAULT_DEGREE_CAP):
         if flavor not in FLAVORS:
             raise InvalidArgument(f"unknown algebra flavor {flavor!r}")
+        if degree_cap < 0:
+            raise InvalidArgument(f"degree cap must be nonnegative, got {degree_cap}")
         self.group = group
         self.flavor = flavor
         self.degree_cap = degree_cap

@@ -8,7 +8,7 @@ and serialising round-trip byte-identically under sorted-key JSON.
 import json
 from fractions import Fraction
 
-from .errors import InvalidDescriptor, MalformedFile, MckayError
+from .errors import InvalidArgument, InvalidDescriptor, MalformedFile, MckayError
 from .linalg import QQ
 from .quiver_core import (
     INFINITY,
@@ -216,8 +216,11 @@ def dump_json(obj, path=None):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path is None:
         return text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgument(f"{path}: cannot write: {exc.strerror}") from None
     return text
 
 

@@ -21,12 +21,16 @@ a vertex subset, zero elsewhere, balancing value at the framing vertex)
 a fast characterisation is used: semistability means the submodule
 generated by the framing component fills the corner dimensions, and
 stability additionally means that submodule is everything and no nonzero
-submodule avoids the corner and the framing vertex.  The characterisation
-ships together with an exhaustive finite-field checker, which walks the
-closed families of subspaces vertex by vertex, each subspace between the
-bounds the earlier vertices' picks set, stops at the first destabilising
-submodule and answers in the same (semistable, stable, witness) shape;
-the test suite enforces their agreement.
+submodule avoids the corner and the framing vertex.  Both questions are
+one least-closure walk: the greatest submodule avoiding a set S is the
+annihilator of the least family of the dual module (each map transposed
+and reversed) that holds the whole dual component at every vertex of S.
+The characterisation ships together with an exhaustive finite-field
+checker, which walks the closed families of subspaces vertex by vertex,
+each subspace between the bounds the earlier vertices' picks set, stops
+at the first destabilising submodule and answers in the same
+(semistable, stable, witness) shape; the test suite enforces their
+agreement.
 """
 
 import functools
@@ -132,8 +136,9 @@ class QuiverRep:
     @functools.cached_property
     def _framing(self):
         """The submodule generated by the framing component."""
-        return generated_submodule(
-            self, {INFINITY: _unit_rows(self.field, self.dims.get(INFINITY))})
+        n, field = self.dims.get(INFINITY), self.field
+        return generated_submodule(self, {INFINITY: [
+            tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)]})
 
 
 def make_rep(quiver, dims, maps, field=QQ):
@@ -254,19 +259,24 @@ class SubmoduleWitness:
 
 
 def generated_submodule(rep, seeds):
-    """Least arrow-closed family of subspaces containing the seed vectors.
+    """Least arrow-closed family of subspaces containing the ``seeds``, a
+    map from vertices to iterables of vectors in their components."""
+    dims = {v: rep.dims.get(v) for v in rep.quiver.vertices}
+    return _generated(rep.field, dims, rep.generators(), seeds)
 
-    ``seeds`` maps vertices to iterables of vectors in their components.
-    """
-    field = rep.field
-    ech = {v: Echelon(field) for v in rep.quiver.vertices}
+
+def _generated(field, dims, gens, seeds):
+    """The least family of subspaces, one per vertex of ``dims``, that
+    contains the ``seeds`` and is closed under the ``(i, j, mat)`` of
+    ``gens``, each sending the component at j into the one at i."""
+    ech = {v: Echelon(field) for v in dims}
     queue = []
     for v, vecs in seeds.items():
         for vec in vecs:
             if ech[v].insert(vec_to_sparse(field, vec)):
                 queue.append((v, tuple(vec)))
     maps_by_head = {}
-    for tail, head, mat in rep.generators():
+    for tail, head, mat in gens:
         maps_by_head.setdefault(head, []).append((tail, _columns(mat)))
     while queue:
         v, vec = queue.pop()
@@ -274,56 +284,38 @@ def generated_submodule(rep, seeds):
             img = _image(field.p, cols, vec)
             if ech[tail].insert(img):
                 queue.append((tail, tuple(img.get(r, field.zero)
-                                          for r in range(rep.dims.get(tail)))))
+                                          for r in range(dims[tail]))))
     spaces = {}
-    for v in rep.quiver.vertices:
+    for v, n in dims.items():
         monic = ech[v].monic_rows()
-        spaces[v] = tuple(tuple(monic[piv].get(c, field.zero) for c in range(rep.dims.get(v)))
+        spaces[v] = tuple(tuple(monic[piv].get(c, field.zero) for c in range(n))
                           for piv in sorted(monic))
     return SubmoduleWitness(spaces=spaces)
-
-
-def _unit_rows(field, n):
-    return [tuple(field.one if i == j else field.zero for j in range(n))
-            for i in range(n)]
 
 
 def max_submodule_avoiding(rep, avoid):
     """Greatest submodule with zero component at every avoided vertex.
 
-    Greatest-fixpoint iteration: start full off the avoided set, then
-    repeatedly shrink each component to the vectors whose arrow images
-    stay inside the current family.
+    A family N is closed under the maps exactly when its annihilator is
+    closed under their transposes, so this is the annihilator of the least
+    closed family of the dual module holding each avoided dual component,
+    walked on the other vertices from the rows of the maps into an avoided
+    vertex (their transposes' images); the transpose of a map out of one
+    lands in a full component.  An avoided vertex the quiver lacks is ignored.
     """
     field = rep.field
-    basis = {v: [] if v in avoid else _unit_rows(field, rep.dims.get(v))
-             for v in rep.quiver.vertices}
-    # an arrow out of an avoided vertex never acts, its source being empty
-    columns = {a.id: _columns(rep.matrix(a.id)) for a in rep.quiver.arrows
-               if a.head not in avoid}
-    changed = True
-    while changed:
-        changed = False
-        for a in rep.quiver.arrows:
-            src = basis[a.head]
-            if not src:
-                continue
-            tgt = basis[a.tail]
-            # the combinations of src whose image lies in span(tgt)
-            images = [_image(field.p, columns[a.id], vec) for vec in src]
-            rows = [tuple(img.get(r, field.zero) for img in images)
-                    + tuple(field.neg(t[r]) for t in tgt)
-                    for r in range(rep.dims.get(a.tail))]
-            new_src = []
-            ech = Echelon(field)
-            for combo in nullspace(field, rows, ncols=len(src) + len(tgt)):
-                vec = combine(field, combo[:len(src)], src, rep.dims.get(a.head))
-                if ech.insert(vec_to_sparse(field, vec)):
-                    new_src.append(vec)
-            if len(new_src) < len(src):
-                basis[a.head] = new_src
-                changed = True
-    return SubmoduleWitness(spaces={v: tuple(rows) for v, rows in basis.items()})
+    dims = {v: rep.dims.get(v) for v in rep.quiver.vertices if v not in avoid}
+    seeds, dual = {v: [] for v in dims}, []
+    for tail, head, mat in rep.generators():
+        if head in dims and tail in dims:
+            dual.append((head, tail, tuple(tuple(row[c] for row in mat)
+                                           for c in range(dims[head]))))
+        elif head in dims:
+            seeds[head] += mat
+    perp = _generated(field, dims, dual, seeds).spaces
+    return SubmoduleWitness(spaces={
+        v: tuple(nullspace(field, perp[v], ncols=dims[v])) if v in dims else ()
+        for v in rep.quiver.vertices})
 
 
 # ---------------------------------------------------------------------------

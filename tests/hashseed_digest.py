@@ -6,9 +6,11 @@
 
 It runs the README's commands on the seeded A2 modules of the golden-output
 test and prints each exit code, its stdout and the sha256 of every file
-written, then the digest (``helpers.extension_digest``) of
-``j_shriek_with_data`` on three seeded modules of each round-trip
-configuration.  The corner extension's elimination plan is a
+written, then the rows of ``max_submodule_avoiding`` on the same two
+modules for the avoided sets {inf} and {0, inf}, then the digest
+(``helpers.extension_digest``) of ``j_shriek_with_data`` on three seeded
+modules of each round-trip configuration.  The avoided vertices come as
+a set, and the corner extension's elimination plan is a
 process-lifetime cache built in dict order, so an order that followed the
 hash seed would show as a difference.  Needs ``mckaykit`` importable (for
 example ``PYTHONPATH=src``); the name keeps pytest from collecting it.
@@ -29,12 +31,13 @@ from mckaykit.corner_functors import j_shriek_with_data, j_star  # noqa: E402
 from mckaykit.gamma_data import build_group  # noqa: E402
 from mckaykit.io_formats import dump_json, rep_to_dict  # noqa: E402
 from mckaykit.quiver_core import (  # noqa: E402
+    INFINITY,
     DimVector,
     frame_quiver,
     mckay_quiver,
     triple_quiver,
 )
-from mckaykit.rep_theory import random_flat_rep  # noqa: E402
+from mckaykit.rep_theory import max_submodule_avoiding, random_flat_rep  # noqa: E402
 
 README_COMMANDS = [
     "quiver A1 --frame 1,0",
@@ -49,11 +52,16 @@ README_COMMANDS = [
 ]
 
 
-def readme_commands():
+def readme_modules():
     q = frame_quiver(mckay_quiver(build_group("A2")), {0: 1})
     dims = DimVector(components={0: 1, 1: 1, 2: 1}, at_infinity=1)
-    for name, seed in (("module.json", 7), ("unstable.json", 4)):
-        dump_json(rep_to_dict(random_flat_rep(q, dims, seed)), name)
+    return [(name, random_flat_rep(q, dims, seed))
+            for name, seed in (("module.json", 7), ("unstable.json", 4))]
+
+
+def readme_commands():
+    for name, rep in readme_modules():
+        dump_json(rep_to_dict(rep), name)
     for argv in README_COMMANDS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -63,6 +71,13 @@ def readme_commands():
     for name in sorted(os.listdir(".")):
         with open(name, "rb") as f:
             print(name, hashlib.sha256(f.read()).hexdigest())
+
+
+def avoiding():
+    for name, rep in readme_modules():
+        for avoid in ({INFINITY}, {0, INFINITY}):
+            spaces = max_submodule_avoiding(rep, avoid).spaces
+            print(name, sorted(avoid, key=str), list(spaces.items()))
 
 
 def extensions():
@@ -81,6 +96,7 @@ def run():
             readme_commands()
         finally:
             os.chdir(here)
+    avoiding()
     extensions()
 
 

@@ -1,7 +1,9 @@
 """Command-line surface: outputs, exit codes, file-format round trips."""
 
+import errno
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,7 @@ def test_hilbert_bad_corner(capsys):
 @pytest.mark.parametrize("argv", [
     ("hilbert", "E8", "--kmax", "-1"),
     ("hilbert", "D4", "--algebra", "piw"),
+    ("hilbert", "A1", "--cap", "-1", "--kmax", "0"),
 ])
 def test_hilbert_bad_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -292,6 +295,32 @@ def test_vgit_compare_builds_the_input_framing_once(capsys, tmp_path, monkeypatc
     assert code == 0 and "chain agreement: ok" in out
     assert builds[0].dims == dims
     assert len({id(m) for m in builds}) == len(builds)
+
+
+@pytest.mark.parametrize("target,code", [
+    ("missing/{}", errno.ENOENT), ("{}", errno.EISDIR),
+], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["quiver", "vgit"])
+def test_unwritable_output_exit_2(capsys, tmp_path, command, target, code):
+    """An output path that cannot be written is refused with exit 2 and a
+    one-line message naming it, before anything is printed."""
+    if command == "quiver":
+        path = str(tmp_path / target.format("q.json"))
+        argv = ["quiver", "A1", "--out", path]
+    else:
+        q = frame_quiver(mckay_quiver(build_group("A2")), {0: 1})
+        dims = DimVector(components={0: 1, 1: 1, 2: 1}, at_infinity=1)
+        _, rep = stable_reps(q, dims, {0, 1, 2}, 1)[0]
+        prefix = str(tmp_path / target.format("summand"))
+        path = f"{prefix}_0.json"
+        argv = ["vgit", _write_module(tmp_path, rep), "--from-corner", "0,1,2",
+                "--to-corner", "0", "--out-prefix", prefix]
+    if code == errno.EISDIR:
+        os.mkdir(path)
+    status, out, err = run(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {path}: cannot write: {os.strerror(code)}\n"
 
 
 def test_vgit_not_stable_exit(capsys, tmp_path):

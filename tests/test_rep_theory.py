@@ -26,7 +26,7 @@ from mckaykit.errors import (
     UnsupportedTheta,
 )
 from mckaykit.gamma_data import build_group
-from mckaykit.linalg import QQ, ClosureTest, PrimeField
+from mckaykit.linalg import QQ, ClosureTest, PrimeField, rank
 from mckaykit.quiver_core import (
     INFINITY,
     DimVector,
@@ -262,6 +262,67 @@ def test_max_submodule_avoiding(a1_framed, dims11):
     assert max_submodule_avoiding(rep, set()).total() == rep.total_dim()
     w = max_submodule_avoiding(rep, {INFINITY})
     assert w.dims_dict() == {0: 1, 1: 1, INFINITY: 0}
+
+
+# (label, framing, components): A1/A2 framed modules of total dimension
+# at most 6, among them ones with a vertex of dimension 0
+AVOIDING_CONFIGS = [
+    ("A1", {0: 1}, {0: 1, 1: 1}),
+    ("A1", {0: 1}, {0: 2, 1: 1}),
+    ("A1", {0: 1}, {0: 2, 1: 2}),
+    ("A1", {0: 1}, {0: 1, 1: 0}),
+    ("A1", {0: 1, 1: 1}, {0: 1, 1: 1}),
+    ("A1", {0: 1, 1: 1}, {0: 2, 1: 2}),
+    ("A2", {0: 1}, {0: 1, 1: 1, 2: 1}),
+    ("A2", {0: 1}, {0: 2, 1: 1, 2: 1}),
+    ("A2", {0: 1}, {0: 1, 1: 2, 2: 2}),
+    ("A2", {0: 1}, {0: 1, 1: 0, 2: 1}),
+]
+
+
+def _closed_families_avoiding(rep, avoid, closed):
+    """Every family of subspaces that the closure test ``closed`` passes and
+    that is zero on ``avoid``, by running through all the subspaces of every
+    component."""
+    p, verts = rep.field.p, rep.quiver.vertices
+    choices = [[()] if v in avoid else
+               [b for s in range(rep.dims.get(v) + 1)
+                for b in subspaces_of_dimension(p, rep.dims.get(v), s)]
+               for v in verts]
+    for pick in itertools.product(*choices):
+        spaces = dict(zip(verts, pick))
+        if closed(spaces):
+            yield spaces
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("label,framing,comps", AVOIDING_CONFIGS, ids=[
+    f"{label}-d{''.join(map(str, comps.values()))}-w{len(framing)}"
+    for label, framing, comps in AVOIDING_CONFIGS])
+def test_max_submodule_avoiding_is_greatest(label, framing, comps, p):
+    """The greatest submodule avoiding a set against exhaustive enumeration:
+    it is closed, zero on the set, and holds every closed family that is
+    zero on the set.  Seeded flat modules and the all-zero maps, avoiding
+    {inf}, {0, inf}, {0, 1, inf}, every vertex, nothing, and a vertex the
+    quiver lacks."""
+    field = PrimeField(p)
+    quiver = frame_quiver(mckay_quiver(build_group(label)), framing)
+    dims = DimVector(components=comps, at_infinity=1)
+    reps = [random_flat_rep(quiver, dims, seed, field) for seed in range(3)]
+    reps = [rep for rep in reps if rep is not None] + [zero_rep(quiver, dims, field)]
+    avoids = [{INFINITY}, {0, INFINITY}, {0, 1, INFINITY},
+              set(quiver.vertices), set(), {7, INFINITY}]
+    for rep in reps:
+        closed = ClosureTest(field, rep.generators())
+        for avoid in avoids:
+            spaces = max_submodule_avoiding(rep, avoid).spaces
+            assert list(spaces) == list(quiver.vertices)
+            assert closed(spaces)
+            assert all(not spaces[v] for v in avoid if v in spaces)
+            for family in _closed_families_avoiding(rep, avoid, closed):
+                for v, rows in family.items():
+                    assert (rank(field, list(spaces[v]) + list(rows))
+                            == rank(field, list(spaces[v])))
 
 
 def test_infinity_only_module_stable(a1_framed):
