@@ -54,12 +54,11 @@ FLAVORS = ("pi", "piw", "pibullet")
 class _Layer:
     __slots__ = ("paths", "vertex_of", "by_vertex", "lmul_in")
 
-    def __init__(self, paths, vertex_of, lmul_in):
+    def __init__(self, paths, vertex_of, by_vertex, lmul_in):
         self.paths = paths
         self.vertex_of = vertex_of
-        self.by_vertex = {}
-        for idx, v in enumerate(vertex_of):
-            self.by_vertex.setdefault(v, []).append(idx)
+        # by_vertex[v] = the tuple of coords whose class ends at v, increasing
+        self.by_vertex = by_vertex
         # lmul_in[aid][prev_coord] = expansion of (arrow . prev basis class)
         # in this layer's coordinates, as sparse ((coord, value), ...) pairs
         # with nonzero values in increasing coord order
@@ -70,23 +69,39 @@ class _Layer:
         return len(self.paths)
 
 
+def _layer_plan(quiver, kill=frozenset()):
+    """What the layer tables of ``quiver`` read: the arrows whose tail is
+    not in ``kill``, as ``(id, head, tail)``, the terms of each relation
+    generator whose target is not in ``kill``, with the generator's
+    source, and ``kill``.  Built once and shared by the tables."""
+    arrows = tuple((a.id, a.head, a.tail) for a in quiver.arrows
+                   if a.tail not in kill)
+    relations = tuple((gen.src, gen.terms) for gen in relation_generators(quiver)
+                      if gen.tgt not in kill)
+    return arrows, relations, kill
+
+
 class _LayerTable:
     """Degreewise quotient bases for classes with a fixed right endpoint.
 
-    ``kill`` removes every class whose left endpoint lies in the given
-    vertex set (used for the factor algebra by the corner ideal).
+    The ``plan`` (:func:`_layer_plan`) removes every class whose left
+    endpoint lies in its ``kill`` set (used for the factor algebra by the
+    corner ideal).  Degree k + 1 has one slot per planned arrow and
+    degree-k class ending at its head; the relation rows over the slots go
+    through one ``Echelon``, and the free slots of its reduced form are the
+    new basis.
     """
 
-    def __init__(self, quiver, relgens, right_end, kill=frozenset()):
-        self.quiver = quiver
-        self.relgens = relgens
-        self.right_end = right_end
-        self.kill = kill
+    def __init__(self, plan, right_end):
+        self.arrows, self.relations, kill = plan
         if right_end in kill:
-            base = _Layer((), (), {})
+            base = _Layer((), (), {}, {})
         else:
-            base = _Layer(((),), (right_end,), {})
+            base = _Layer(((),), (right_end,), {right_end: (0,)}, {})
         self.layers = [base]
+        # units[t] = ((t, 1),), the image of a slot that is basis class t;
+        # every layer of the table shares them
+        self.units = []
 
     def ensure(self, k):
         while len(self.layers) <= k:
@@ -94,30 +109,24 @@ class _LayerTable:
         return self.layers[k]
 
     def _build_next(self):
-        quiver = self.quiver
         prev = self.layers[-1]
         k = len(self.layers)
         slots = []
         slot_index = {}
-        for a in quiver.arrows:
-            if a.tail in self.kill:
-                continue
-            for c in prev.by_vertex.get(a.head, ()):
-                slot_index[(a.id, c)] = len(slots)
-                slots.append((a, c))
-        nslots = len(slots)
+        for aid, head, tail in self.arrows:
+            for c in prev.by_vertex.get(head, ()):
+                slot_index[(aid, c)] = len(slots)
+                slots.append((aid, tail, c))
 
         # relation rows, sparse over the slots, straight into the echelon
         ech = Echelon(QQ)
-        if k >= 2 and nslots:
+        if k >= 2 and slots:
             prev2 = self.layers[k - 2]
             lm = prev.lmul_in
-            for gen in self.relgens:
-                if gen.tgt in self.kill:
-                    continue
-                for u in prev2.by_vertex.get(gen.src, ()):
+            for src, terms in self.relations:
+                for u in prev2.by_vertex.get(src, ()):
                     row = {}
-                    for coeff, (x, y) in gen.terms:
+                    for coeff, (x, y) in terms:
                         w = lm.get(y, {}).get(u)
                         if w is None:
                             continue
@@ -125,30 +134,40 @@ class _LayerTable:
                             s = slot_index[(x, c)]
                             row[s] = row.get(s, QQ.zero) + coeff * val
                     ech.insert(row)
-
         red = ech.reduced_rows()
-        free = [s for s in range(nslots) if s not in red]
-        free_pos = {s: t for t, s in enumerate(free)}
 
-        # expansion of each slot in the quotient basis
-        slot_image = [None] * nslots
-        for t, s in enumerate(free):
-            slot_image[s] = ((t, QQ.one),)
-        for p, row in red.items():
-            slot_image[p] = tuple(sorted(
-                (free_pos[s], -val) for s, val in row.items() if s != p))
-
+        # a reduced row's columns are free slots after its pivot, so the
+        # free positions are counted before the pass that writes the layer
+        free_pos = {}
+        for s in range(len(slots)):
+            if s not in red:
+                free_pos[s] = len(free_pos)
+        prev_paths = prev.paths
+        units = self.units
         paths = []
         vertex_of = []
-        for s in free:
-            a, c = slots[s]
-            paths.append((a.id,) + prev.paths[c])
-            vertex_of.append(a.tail)
-
+        by_vertex = {}
         lmul_in = {}
-        for (aid, c), s in slot_index.items():
-            lmul_in.setdefault(aid, {})[c] = slot_image[s]
-        self.layers.append(_Layer(tuple(paths), tuple(vertex_of), lmul_in))
+        for s, (aid, tail, c) in enumerate(slots):
+            row = red.get(s)
+            if row is None:
+                t = len(paths)
+                if t == len(units):
+                    units.append(((t, QQ.one),))
+                image = units[t]
+                paths.append((aid,) + prev_paths[c])
+                vertex_of.append(tail)
+                by_vertex.setdefault(tail, []).append(t)
+            else:
+                image = tuple(sorted((free_pos[x], -val)
+                                     for x, val in row.items() if x != s))
+            images = lmul_in.get(aid)
+            if images is None:
+                images = lmul_in[aid] = {}
+            images[c] = image
+        by_vertex = {v: tuple(coords) for v, coords in by_vertex.items()}
+        self.layers.append(_Layer(tuple(paths), tuple(vertex_of), by_vertex,
+                                  lmul_in))
 
 
 class AlgebraContext:
@@ -157,6 +176,10 @@ class AlgebraContext:
     A ``pibullet`` context is a dimensions-only view of the ``pi`` context
     with the same group, corner and cap: its slices are running sums of
     that context's, and it has no layers, classes or products.
+
+    ``table``, ``layer``, ``slice_coords`` and ``slice_basis_paths``
+    refuse a vertex the quiver lacks; only ``slice_dim`` also refuses one
+    outside the corner.
     """
 
     def __init__(self, group, flavor, w=None, corner=None,
@@ -189,7 +212,7 @@ class AlgebraContext:
             self._pi = AlgebraContext(group, "pi", corner=self.corner,
                                      degree_cap=degree_cap)
         else:
-            self.relgens = relation_generators(self.quiver)
+            self._plan = _layer_plan(self.quiver)
         self._tables = {}
 
     def endpoints(self):
@@ -203,9 +226,12 @@ class AlgebraContext:
         if k > self.degree_cap:
             raise DegreeCapExceeded(f"degree {k} above cap {self.degree_cap}")
 
-    def _check_endpoint(self, v):
+    def _check_vertex(self, v):
         if v not in self.quiver.vertices:
             raise VertexNotInCorner(f"vertex {v} not in the quiver")
+
+    def _check_endpoint(self, v):
+        self._check_vertex(v)
         if self.corner is not None and v not in self.corner:
             raise VertexNotInCorner(f"vertex {v} outside the corner set")
 
@@ -215,7 +241,8 @@ class AlgebraContext:
                                   "read layers and classes on a pi context")
         tbl = self._tables.get(right_end)
         if tbl is None:
-            tbl = _LayerTable(self.quiver, self.relgens, right_end)
+            self._check_vertex(right_end)
+            tbl = _LayerTable(self._plan, right_end)
             self._tables[right_end] = tbl
         return tbl
 
@@ -224,8 +251,9 @@ class AlgebraContext:
         return self.table(right_end).ensure(k)
 
     def slice_coords(self, i, j, k):
+        self._check_vertex(i)
         layer = self.layer(j, k)
-        return layer, tuple(layer.by_vertex.get(i, ()))
+        return layer, layer.by_vertex.get(i, ())
 
     def slice_dim(self, i, j, k):
         self._check_endpoint(i)
@@ -244,17 +272,23 @@ class AlgebraContext:
 def hilbert_sequence(ctx, kmax):
     """Degreewise total dimension over the allowed endpoint pairs.
 
-    A ``pibullet`` context returns the running sums of the sequence of its
-    ``pi`` context (Pi-bullet = Pi[z], z central of degree one, commuting
-    with every idempotent).
+    Each allowed right end's layer table is read once per degree, adding
+    the sizes of its blocks at the allowed left ends; the endpoints are
+    the context's, checked when it was made.  A ``pibullet`` context
+    returns the running sums of the sequence of its ``pi`` context
+    (Pi-bullet = Pi[z], z central of degree one, commuting with every
+    idempotent).
     """
     ctx._check_degree(kmax)
     if ctx.flavor == "pibullet":
         return tuple(accumulate(hilbert_sequence(ctx._pi, kmax)))
     ends = ctx.endpoints()
-    out = []
-    for k in range(kmax + 1):
-        out.append(sum(ctx.slice_dim(i, j, k) for i in ends for j in ends))
+    out = [0] * (kmax + 1)
+    for j in ends:
+        table = ctx.table(j)
+        for k in range(kmax + 1):
+            by_vertex = table.ensure(k).by_vertex
+            out[k] += sum(len(by_vertex.get(i, ())) for i in ends)
     return tuple(out)
 
 
@@ -386,12 +420,8 @@ def factor_through_bound(g, corner):
     bad = [v for v in corner if v not in quiver.vertices]
     if bad:
         raise VertexNotInCorner(f"vertices {bad} not in the quiver")
-    relgens = relation_generators(quiver)
-    tables = [
-        _LayerTable(quiver, relgens, j, kill=corner)
-        for j in quiver.vertices
-        if j not in corner
-    ]
+    plan = _layer_plan(quiver, corner)
+    tables = [_LayerTable(plan, j) for j in quiver.vertices if j not in corner]
     coxeter = sum(g.irrep_dims)
     for k in range(1, coxeter):
         if sum(t.ensure(k).dim for t in tables) == 0:

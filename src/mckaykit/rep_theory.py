@@ -46,6 +46,7 @@ from .errors import (
     NotSemistable,
     ShapeMismatch,
     UnsupportedTheta,
+    VertexNotInCorner,
 )
 from .linalg import (
     QQ,
@@ -260,8 +261,13 @@ class SubmoduleWitness:
 
 def generated_submodule(rep, seeds):
     """Least arrow-closed family of subspaces containing the ``seeds``, a
-    map from vertices to iterables of vectors in their components."""
+    map from vertices to iterables of vectors in their components.  A seed
+    at a vertex the quiver lacks raises VertexNotInCorner, and one whose
+    length is not its component's dimension raises ShapeMismatch."""
     dims = {v: rep.dims.get(v) for v in rep.quiver.vertices}
+    for v in seeds:
+        if v not in dims:
+            raise VertexNotInCorner(f"vertex {v} not in the quiver")
     return _generated(rep.field, dims, rep.generators(), seeds)
 
 
@@ -273,6 +279,9 @@ def _generated(field, dims, gens, seeds):
     queue = []
     for v, vecs in seeds.items():
         for vec in vecs:
+            if len(vec) != dims[v]:
+                raise ShapeMismatch(f"seed of length {len(vec)} at vertex {v}, "
+                                    f"whose component has dimension {dims[v]}")
             if ech[v].insert(vec_to_sparse(field, vec)):
                 queue.append((v, tuple(vec)))
     maps_by_head = {}

@@ -7,13 +7,18 @@
 It runs the README's commands on the seeded A2 modules of the golden-output
 test and prints each exit code, its stdout and the sha256 of every file
 written, then the rows of ``max_submodule_avoiding`` on the same two
-modules for the avoided sets {inf} and {0, inf}, then the digest
-(``helpers.extension_digest``) of ``j_shriek_with_data`` on three seeded
-modules of each round-trip configuration.  The avoided vertices come as
-a set, and the corner extension's elimination plan is a
-process-lifetime cache built in dict order, so an order that followed the
-hash seed would show as a difference.  Needs ``mckaykit`` importable (for
-example ``PYTHONPATH=src``); the name keeps pytest from collecting it.
+modules for the avoided sets {inf} and {0, inf}, and on a seeded A2
+module of dimension (2, 1, 1; 1) for {inf}, {0, inf} and {1, inf}, whose
+two-row space at vertex 0 would show a change of row order.  Then it
+prints the digest (``helpers.extension_digest``) of
+``j_shriek_with_data`` on three seeded modules of each round-trip
+configuration, and the framed Hilbert sequence of A2 with w = (1, 0, 0),
+with and without the corner {0}, whose right ends include inf.  The
+avoided vertices come as a set, and the corner extension's elimination
+plan is a process-lifetime cache built in dict order, so an order that
+followed the hash seed would show as a difference.  Needs ``mckaykit``
+importable (for example ``PYTHONPATH=src``); the name keeps pytest from
+collecting it.
 """
 
 import contextlib
@@ -51,31 +56,47 @@ README_COMMANDS = [
     "--out-prefix summand",
 ]
 
+FRAMED_HILBERT_COMMANDS = [
+    "hilbert A2 --algebra piw --w 1,0,0 --kmax 12",
+    "hilbert A2 --algebra piw --w 1,0,0 --kmax 12 --corner 0",
+]
+
+
+def framed_a2_rep(components, seed):
+    q = frame_quiver(mckay_quiver(build_group("A2")), {0: 1})
+    return random_flat_rep(q, DimVector(components=components, at_infinity=1), seed)
+
 
 def readme_modules():
-    q = frame_quiver(mckay_quiver(build_group("A2")), {0: 1})
-    dims = DimVector(components={0: 1, 1: 1, 2: 1}, at_infinity=1)
-    return [(name, random_flat_rep(q, dims, seed))
+    return [(name, framed_a2_rep({0: 1, 1: 1, 2: 1}, seed))
             for name, seed in (("module.json", 7), ("unstable.json", 4))]
 
 
-def readme_commands():
-    for name, rep in readme_modules():
-        dump_json(rep_to_dict(rep), name)
-    for argv in README_COMMANDS:
+def run_commands(commands):
+    for argv in commands:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv.split())
         print(f"$ mckaykit {argv}  (exit {code})")
         print(out.getvalue(), end="")
+
+
+def readme_commands():
+    for name, rep in readme_modules():
+        dump_json(rep_to_dict(rep), name)
+    run_commands(README_COMMANDS)
     for name in sorted(os.listdir(".")):
         with open(name, "rb") as f:
             print(name, hashlib.sha256(f.read()).hexdigest())
 
 
 def avoiding():
-    for name, rep in readme_modules():
-        for avoid in ({INFINITY}, {0, INFINITY}):
+    cases = [(name, rep, ({INFINITY}, {0, INFINITY}))
+             for name, rep in readme_modules()]
+    cases.append(("A2 (2, 1, 1; 1) seed 1", framed_a2_rep({0: 2, 1: 1, 2: 1}, 1),
+                  ({INFINITY}, {0, INFINITY}, {1, INFINITY})))
+    for name, rep, avoided in cases:
+        for avoid in avoided:
             spaces = max_submodule_avoiding(rep, avoid).spaces
             print(name, sorted(avoid, key=str), list(spaces.items()))
 
@@ -98,6 +119,7 @@ def run():
             os.chdir(here)
     avoiding()
     extensions()
+    run_commands(FRAMED_HILBERT_COMMANDS)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ from mckaykit.gamma_data import build_group
 from mckaykit.graded_algebra import (
     AlgebraContext,
     SliceClass,
+    _LayerTable,
+    _layer_plan,
     _expand_path_on,
     corner_generation_bound,
     factor_through_bound,
@@ -112,6 +114,15 @@ def test_pibullet_engine_is_pi_with_z(label, corner):
     assert bullet._tables == {}
 
 
+def _canonical_lmul_in(layer):
+    return sorted(
+        (aid, sorted(
+            (c, tuple(sorted((t, str(Fraction(v))) for t, v in img if v)))
+            for c, img in images.items()))
+        for aid, images in layer.lmul_in.items()
+    )
+
+
 #: sha256 of every layer of ``pi`` on A1, A3, D4, D5, E6 and E7 to degree
 #: 7, in the canonical form of ``test_layer_identity``.  The value was
 #: computed when the ``pibullet`` flavor still had tripled-quiver layers of
@@ -128,16 +139,96 @@ def test_layer_identity():
         for j in ctx.quiver.vertices:
             for k in range(8):
                 layer = ctx.layer(j, k)
-                lmul_in = sorted(
-                    (aid, sorted(
-                        (c, tuple(sorted((t, str(Fraction(v)))
-                                         for t, v in img if v)))
-                        for c, img in images.items()))
-                    for aid, images in layer.lmul_in.items()
-                )
                 digest.update(repr((label, "pi", j, k, layer.paths,
-                                    layer.vertex_of, lmul_in)).encode())
+                                    layer.vertex_of,
+                                    _canonical_lmul_in(layer))).encode())
     assert digest.hexdigest() == LAYER_DIGEST
+
+
+#: sha256 of the layers ``LAYER_DIGEST`` does not reach, with their
+#: ``by_vertex`` blocks in order: ``pi`` on E8 at every right end to degree
+#: 16, ``piw`` on A2 with w = Lambda_0 at every right end (inf too) to
+#: degree 10, and the tables ``factor_through_bound`` builds for D4 and E6
+#: with the corner {0} killed, to degree h - 1.  The value was computed
+#: before the layer builder wrote its blocks in the same pass as its paths.
+FRAMED_AND_KILLED_LAYER_DIGEST = (
+    "246ab9992d5eca06b9f962e3508e1ca44a83669d26aed764016b4f40173a1754")
+
+
+def _framed_and_killed_tables():
+    ctx = AlgebraContext(build_group("E8"), "pi")
+    for j in ctx.quiver.vertices:
+        yield ("E8", "pi", j), ctx.table(j), 16
+    ctx = AlgebraContext(build_group("A2"), "piw", w={0: 1})
+    for j in ctx.quiver.vertices:
+        yield ("A2", "piw", j), ctx.table(j), 10
+    for label in ("D4", "E6"):
+        g = build_group(label)
+        quiver = mckay_quiver(g)
+        plan = _layer_plan(quiver, frozenset({0}))
+        for j in quiver.vertices:
+            if j != 0:
+                table = _LayerTable(plan, j)
+                yield (label, "kill0", j), table, sum(g.irrep_dims) - 1
+
+
+def test_layer_identity_framed_e8_and_killed():
+    digest = hashlib.sha256()
+    for key, table, kmax in _framed_and_killed_tables():
+        for k in range(kmax + 1):
+            layer = table.ensure(k)
+            digest.update(repr((key, k, layer.paths, layer.vertex_of,
+                                [(v, list(coords))
+                                 for v, coords in layer.by_vertex.items()],
+                                _canonical_lmul_in(layer))).encode())
+    assert digest.hexdigest() == FRAMED_AND_KILLED_LAYER_DIGEST
+
+
+@pytest.mark.parametrize("corner", [None, {0}, {0, 1}], ids=["none", "0", "01"])
+@pytest.mark.parametrize("flavor", ["pi", "piw", "pibullet"])
+@pytest.mark.parametrize("label", ["A1", "A3", "D4", "E6"])
+def test_hilbert_sequence_sums_slices(label, flavor, corner):
+    g = build_group(label)
+    w = {0: 1} if flavor == "piw" else None
+    kmax = 8
+    hilbert = hilbert_sequence(AlgebraContext(g, flavor, w=w, corner=corner), kmax)
+    ctx = AlgebraContext(g, flavor, w=w, corner=corner)
+    ends = ctx.endpoints()
+    assert hilbert == tuple(
+        sum(ctx.slice_dim(i, j, k) for i in ends for j in ends)
+        for k in range(kmax + 1))
+
+
+@pytest.mark.parametrize("flavor", ["pi", "piw", "pibullet"])
+def test_hilbert_sequence_refusals(a1, flavor):
+    w = {0: 1} if flavor == "piw" else None
+    ctx = AlgebraContext(a1, flavor, w=w, degree_cap=3)
+    with pytest.raises(DegreeCapExceeded):
+        hilbert_sequence(ctx, 4)
+    with pytest.raises(InvalidArgument):
+        hilbert_sequence(ctx, -1)
+    tables = ctx._pi._tables if flavor == "pibullet" else ctx._tables
+    assert tables == {}
+    assert len(hilbert_sequence(ctx, 3)) == 4
+
+
+def test_accessors_refuse_vertex_outside_quiver():
+    ctx = AlgebraContext(build_group("A2"), "pi")
+    calls = [
+        lambda: ctx.table(7),
+        lambda: ctx.layer(7, 1),
+        lambda: ctx.slice_coords(0, 7, 2),
+        lambda: ctx.slice_coords(7, 0, 2),
+        lambda: ctx.slice_basis_paths(0, 7, 2),
+        lambda: ctx.slice_basis_paths(7, 0, 2),
+    ]
+    for call in calls:
+        with pytest.raises(VertexNotInCorner, match="vertex 7 not in the quiver"):
+            call()
+    assert ctx._tables == {}
+    cornered = AlgebraContext(build_group("A2"), "pi", corner={0})
+    assert cornered.layer(1, 1).dim == 2
+    assert cornered.slice_basis_paths(2, 1, 1) != ()
 
 
 def test_corner_requires_member_vertices(a1):

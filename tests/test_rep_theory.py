@@ -24,6 +24,7 @@ from mckaykit.errors import (
     NotSemistable,
     ShapeMismatch,
     UnsupportedTheta,
+    VertexNotInCorner,
 )
 from mckaykit.gamma_data import build_group
 from mckaykit.linalg import QQ, ClosureTest, PrimeField, rank
@@ -550,6 +551,17 @@ def test_brute_force_tests_loops(p):
     assert brute_force_stability(reduce_mod_p(plain, p), theta)[2] == witness
     assert witness in reference_brute_force(reduce_mod_p(plain, p), theta)[2]
     assert brute_force_stability(reduce_mod_p(looped, p), theta)[2] is None
+
+
+def test_generated_submodule_refuses_malformed_seeds(a1_framed, dims11):
+    rep = zero_rep(a1_framed, dims11)
+    with pytest.raises(VertexNotInCorner, match="vertex 7 not in the quiver"):
+        generated_submodule(rep, {INFINITY: [(Fraction(1),)], 7: [(Fraction(1),)]})
+    for vec in ((Fraction(0), Fraction(1)), ()):
+        with pytest.raises(ShapeMismatch, match="at vertex 0"):
+            generated_submodule(rep, {0: [vec]})
+    spaces = max_submodule_avoiding(rep, {7, INFINITY}).spaces
+    assert spaces == max_submodule_avoiding(rep, {INFINITY}).spaces
 
 
 def test_generated_submodule_rows_lead_with_one(a1_framed):
