@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolation,
     NonIntegralMultiplicity,
 )
-from .linalg import PrimeField, mat_vec, solve
+from .linalg import PrimeField, combine, mat_vec, solve
 
 PRIME_FLOOR = 2**31
 
@@ -276,7 +276,7 @@ def _eigenvectors(field, t, rng):
     vectors = []
     for lam in sorted(_split_roots(p, f, rng)):
         q = _poly_divmod(p, f, [-lam % p, 1])[0]
-        v = tuple(sum(c * u[r] for c, u in zip(q, krylov)) % p for r in range(k))
+        v = combine(field, q, krylov, k)
         if not any(v):
             return None  # lam is no eigenvalue of t: x was not cyclic
         vectors.append(v)

@@ -39,6 +39,7 @@ from .errors import (
     EndpointMismatch,
     BoundNotFound,
     InvalidArgument,
+    InvalidDescriptor,
     NonIntegralCoefficient,
     VertexNotInCorner,
 )
@@ -71,14 +72,14 @@ class _Layer:
 
 def _layer_plan(quiver, kill=frozenset()):
     """What the layer tables of ``quiver`` read: the arrows whose tail is
-    not in ``kill``, as ``(id, head, tail)``, the terms of each relation
+    not in ``kill``, as ``(id, head, tail)``, and the terms of each relation
     generator whose target is not in ``kill``, with the generator's
-    source, and ``kill``.  Built once and shared by the tables."""
+    source.  Built once and shared by the tables."""
     arrows = tuple((a.id, a.head, a.tail) for a in quiver.arrows
                    if a.tail not in kill)
     relations = tuple((gen.src, gen.terms) for gen in relation_generators(quiver)
                       if gen.tgt not in kill)
-    return arrows, relations, kill
+    return arrows, relations
 
 
 class _LayerTable:
@@ -86,19 +87,15 @@ class _LayerTable:
 
     The ``plan`` (:func:`_layer_plan`) removes every class whose left
     endpoint lies in its ``kill`` set (used for the factor algebra by the
-    corner ideal).  Degree k + 1 has one slot per planned arrow and
-    degree-k class ending at its head; the relation rows over the slots go
-    through one ``Echelon``, and the free slots of its reduced form are the
-    new basis.
+    corner ideal; the right end lies outside it).  Degree k + 1 has one
+    slot per planned arrow and degree-k class ending at its head; the
+    relation rows over the slots go through one ``Echelon``, and the free
+    slots of its reduced form are the new basis.
     """
 
     def __init__(self, plan, right_end):
-        self.arrows, self.relations, kill = plan
-        if right_end in kill:
-            base = _Layer((), (), {}, {})
-        else:
-            base = _Layer(((),), (right_end,), {right_end: (0,)}, {})
-        self.layers = [base]
+        self.arrows, self.relations = plan
+        self.layers = [_Layer(((),), (right_end,), {right_end: (0,)}, {})]
         # units[t] = ((t, 1),), the image of a slot that is basis class t;
         # every layer of the table shares them
         self.units = []
@@ -369,8 +366,13 @@ def molien_sequence(g, i, j, with_z, kmax):
     over degrees up to k with z), at most d_i (k+1), or d_i (k+1)(k+2)/2
     with z.  A residue above its bound raises NonIntegralCoefficient; when
     the bound at ``kmax`` reaches p, DimensionTooLarge is raised before
-    any work.
+    any work.  An irrep index outside ``range(g.num_irreps)`` raises
+    InvalidDescriptor and a negative ``kmax`` InvalidArgument.
     """
+    if not (0 <= i < g.num_irreps and 0 <= j < g.num_irreps):
+        raise InvalidDescriptor(f"irrep index out of range: ({i}, {j})")
+    if kmax < 0:
+        raise InvalidArgument(f"degree must be nonnegative, got {kmax}")
     d = g.irrep_dims[i]
 
     def bound(k):

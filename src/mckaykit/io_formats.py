@@ -8,7 +8,7 @@ and serialising round-trip byte-identically under sorted-key JSON.
 import json
 from fractions import Fraction
 
-from .errors import InvalidArgument, InvalidDescriptor, MalformedFile, MckayError
+from .errors import InvalidArgument, InvalidDescriptor, MalformedFile
 from .linalg import QQ
 from .quiver_core import (
     INFINITY,
@@ -225,8 +225,9 @@ def dump_json(obj, path=None):
 
 
 def load_json(path):
-    """Parse a JSON file; a file that cannot be read as UTF-8 text raises
-    MalformedFile and a JSON syntax error reports its line and column."""
+    """Parse a JSON file; a file that cannot be read as UTF-8 text or is
+    not JSON raises MalformedFile, a syntax error with its line and
+    column."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -239,6 +240,6 @@ def load_json(path):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MckayError(
+        raise MalformedFile(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None

@@ -11,6 +11,8 @@ inferred.
 
 There is one elimination kernel, the sparse incremental ``Echelon``;
 ``rref``, ``rank``, ``solve`` and ``nullspace`` are dense views of it.
+There is one dense product loop, ``combine``, with ``mat_mul`` and
+``mat_vec`` as its dense views.
 Over GF(p) a stored row has pivot 1.  Over QQ elimination is fraction-free
 (after Bareiss): a stored row is a primitive integer row with a positive
 pivot, every intermediate value is an ``int``, and a value is divided
@@ -179,36 +181,31 @@ def mat_sub(field, a, b):
     return tuple(_mod(p, [x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b))
 
 
+def combine(field, coeffs, vectors, n):
+    """The linear combination sum_i coeffs[i] * vectors[i] in F^n, skipping
+    zeros and reducing once mod p: the one dense product loop."""
+    out = [field.zero] * n
+    for coef, vec in zip(coeffs, vectors):
+        if coef:
+            for idx, x in enumerate(vec):
+                if x:
+                    out[idx] += coef * x
+    return _mod(field.p, out)
+
+
 def mat_mul(field, a, b, b_ncols=None):
-    """Product a @ b.  ``b_ncols`` is required when ``b`` has no rows."""
+    """Product a @ b, row by row the combination of the rows of ``b``.
+    ``b_ncols`` is required when ``b`` has no rows."""
     if b:
         b_ncols = len(b[0])
     if b_ncols is None:
         raise ValueError("b_ncols required for an empty middle dimension")
-    p = field.p
-    out = []
-    for row in a:
-        acc = [field.zero] * b_ncols
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(_mod(p, acc))
-    return tuple(out)
+    return tuple(combine(field, row, b, b_ncols) for row in a)
 
 
 def mat_vec(field, a, v):
-    support = [(i, y) for i, y in enumerate(v) if y]
-    out = []
-    for row in a:
-        s = field.zero
-        for i, y in support:
-            x = row[i]
-            if x:
-                s += x * y
-        out.append(s)
-    return _mod(field.p, out)
+    """a . v, the combination of the columns of ``a``."""
+    return combine(field, v, zip(*a), len(a))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +472,13 @@ def solve_columns(field, a, bs):
     elimination of the augmented rows, or None if any is inconsistent.
 
     Free variables are set to zero, so each solution is the one ``solve``
-    gives for its vector alone.
+    gives for its vector alone.  A vector whose length is not the number of
+    rows of A raises ShapeMismatch.
     """
+    for b in bs:
+        if len(b) != len(a):
+            raise ShapeMismatch(f"a right-hand side of length {len(b)} "
+                                f"for {len(a)} equations")
     if not a:
         return [() for _ in bs]
     ncols = len(a[0])
@@ -514,19 +516,8 @@ def nullspace(field, a, ncols=None):
 
 
 # ---------------------------------------------------------------------------
-# combinations, closure, quotients, hom spaces and the seeded search
+# closure, quotients, hom spaces and the seeded search
 # ---------------------------------------------------------------------------
-
-def combine(field, coeffs, vectors, n):
-    """The linear combination sum_i coeffs[i] * vectors[i] in F^n."""
-    out = [field.zero] * n
-    for coef, vec in zip(coeffs, vectors):
-        if coef:
-            for idx, x in enumerate(vec):
-                if x:
-                    out[idx] += coef * x
-    return _mod(field.p, out)
-
 
 def _columns(mat):
     """The nonzero columns of ``mat`` as ((column, ((row, value), ...)),
@@ -722,8 +713,11 @@ def quotient_maps(field, gens, dims, spaces):
     ``spaces`` maps vertices to spanning rows.  Returns (quotient dims,
     induced matrices in the order of ``gens``, projection per vertex); the
     induced matrix has column c equal to ``proj[i] . mat . lift[j][c]``,
-    ``lift`` being the lifted bases of the quotients.
+    ``lift`` being the lifted bases of the quotients.  A family that is not
+    closed, or a row of the wrong length, raises ShapeMismatch.
     """
+    if not ClosureTest(field, gens)(spaces):
+        raise ShapeMismatch("the family of subspaces is not closed")
     proj, lift = {}, {}
     for v, n in dims.items():
         proj[v], lift[v] = quotient_projection(field, spaces.get(v, ()), n)

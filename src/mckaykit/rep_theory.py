@@ -50,11 +50,11 @@ from .errors import (
 )
 from .linalg import (
     QQ,
+    ClosureTest,
     Echelon,
     PrimeField,
     _columns,
     _image,
-    _mod,
     combine,
     common_field,
     isomorphic,
@@ -208,24 +208,19 @@ def direct_sum(a, b):
 def check_relations(rep):
     """The residual sum of coeff . x . y over the terms of each relation
     generator (``quiver_core.relation_generators``), keyed by generator; all
-    zero iff flat.  Each is accumulated row by row, with no product matrix."""
-    p = rep.field.p
+    zero iff flat.  Row r of a residual is one ``combine`` of the
+    coefficients coeff . x[r][m] against the stacked rows of the right
+    factors y, with no product matrix."""
+    field = rep.field
     out = {}
     for gen in relation_generators(rep.quiver):
+        lefts = [(coeff, rep.matrix(x)) for coeff, (x, _) in gen.terms]
+        stacked = [row for _, (_, y) in gen.terms for row in rep.matrix(y)]
         ncols = rep.dims.get(gen.src)
-        terms = [(coeff, rep.matrix(x), rep.matrix(y)) for coeff, (x, y) in gen.terms]
-        rows = []
-        for r in range(rep.dims.get(gen.tgt)):
-            acc = [0] * ncols
-            for coeff, xm, ym in terms:
-                for a, yrow in zip(xm[r], ym):
-                    if a:
-                        a *= coeff
-                        for c, b in enumerate(yrow):
-                            if b:
-                                acc[c] += a * b
-            rows.append(_mod(p, acc))
-        out[gen] = tuple(rows)
+        out[gen] = tuple(
+            combine(field, [coeff * a for coeff, xm in lefts for a in xm[r]],
+                    stacked, ncols)
+            for r in range(rep.dims.get(gen.tgt)))
     return out
 
 
@@ -544,17 +539,19 @@ def brute_force_stability(rep, theta):
 # ---------------------------------------------------------------------------
 
 def restrict_rep(rep, witness):
-    """The representation induced on a closed family of subspaces."""
+    """The representation induced on a closed family of subspaces; a family
+    that is not closed, or a row of the wrong length, raises ShapeMismatch."""
     field = rep.field
+    if not ClosureTest(field, rep.generators())(witness.spaces):
+        raise ShapeMismatch("vector not in the subspace span")
     mats = []
     for tail, head, mat in rep.generators():
         src = witness.spaces.get(head, ())
         tgt = witness.spaces.get(tail, ())
         # the coordinates of the images of src in the basis tgt, by one solve
-        coords = solve_columns(field, list(zip(*tgt)),
+        coords = solve_columns(field, [tuple(vec[r] for vec in tgt)
+                                       for r in range(rep.dims.get(tail))],
                                [mat_vec(field, mat, vec) for vec in src])
-        if coords is None:
-            raise ShapeMismatch("vector not in the subspace span")
         mats.append(tuple(
             tuple(coords[c][r] for c in range(len(src))) for r in range(len(tgt))
         ))

@@ -11,9 +11,11 @@ import pytest
 from helpers import count_framing_builds, etingof_eu_slices, stable_reps
 from mckaykit import cli
 from mckaykit.cli import build_parser, main
+from mckaykit.errors import MalformedFile
 from mckaykit.gamma_data import build_group
 from mckaykit.io_formats import (
     dump_json,
+    load_json,
     quiver_from_dict,
     quiver_to_dict,
     rep_from_dict,
@@ -249,6 +251,20 @@ def test_stability_relation_violation_exit(capsys, tmp_path):
     code, _, err = run(capsys, "stability", str(path), "--corner", "0")
     assert code == 5
     assert "largest residual entry 1/3" in err
+
+
+def test_json_syntax_error_is_malformed_file(capsys, tmp_path):
+    """A JSON syntax error raises MalformedFile, with its line and column,
+    and the command exits 2 with that message."""
+    path = tmp_path / "broken.json"
+    path.write_text('{"a": 1,, }')
+    message = (f"{path}: parse error at line 1, column 9: "
+               "Expecting property name enclosed in double quotes")
+    with pytest.raises(MalformedFile) as info:
+        load_json(str(path))
+    assert str(info.value) == message
+    code, out, err = run(capsys, "stability", str(path), "--corner", "0")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_vgit_identity_and_compare(capsys, tmp_path):

@@ -457,6 +457,17 @@ def test_closure_refuses_a_short_row():
         assert (1,) + (0,) * 7 not in column._closure_test.memo[0]
 
 
+def test_cornered_quotient_refuses_a_family_that_is_not_closed():
+    """The degree-0 line of the truncated A1 column is not closed, so
+    there is no quotient by it; the top-degree line is closed."""
+    for column in a1_columns():
+        bottom, top = (1,) + (0,) * 8, (0,) * 8 + (1,)
+        assert not cornered_submodule_is_closed(column, {0: [bottom]})
+        with pytest.raises(ShapeMismatch, match="not closed"):
+            cornered_quotient(column, {0: [bottom]})
+        assert cornered_quotient(column, {0: [top]}).dims == {0: 8}
+
+
 def test_closure_refuses_a_long_row():
     """A row longer than its component raises ShapeMismatch, even one
     whose extra entry no map reads."""

@@ -11,6 +11,7 @@ from mckaykit.errors import (
     DegreeCapExceeded,
     EndpointMismatch,
     InvalidArgument,
+    InvalidDescriptor,
     VertexNotInCorner,
 )
 from mckaykit.gamma_data import build_group
@@ -257,6 +258,21 @@ def test_molien_examples(a1):
     # degrees 6, 8, 12; the central z adds its powers
     assert molien_sequence(build_group("E6"), 0, 0, True, 8) == (
         1, 1, 1, 1, 1, 1, 2, 2, 3)
+
+
+@pytest.mark.parametrize("i,j", [(0, -1), (-1, 0), (2, 0), (0, 5)])
+def test_molien_sequence_refuses_irrep_out_of_range(a1, i, j):
+    """An index outside ``range(num_irreps)`` is refused, as
+    ``tensor_multiplicity`` refuses it; Python's negative indexing would
+    read the last irrep."""
+    with pytest.raises(InvalidDescriptor, match="irrep index out of range"):
+        molien_sequence(a1, i, j, False, 3)
+
+
+def test_molien_sequence_refuses_negative_degree(a1):
+    with pytest.raises(InvalidArgument, match="nonnegative"):
+        molien_sequence(a1, 0, 0, True, -1)
+    assert molien_sequence(a1, 0, 0, True, 0) == (1,)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "D4"])

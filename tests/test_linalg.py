@@ -12,6 +12,7 @@ convention, and its normal forms on tuple-keyed sparse vectors against a
 reference computed here in ``Fraction`` arithmetic."""
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -21,7 +22,7 @@ import pytest
 
 from helpers import closure_memo, count_memo_misses, memo_row
 from mckaykit import linalg
-from mckaykit.errors import BadPrime
+from mckaykit.errors import BadPrime, ShapeMismatch
 from mckaykit.linalg import (
     PRIMALITY_BOUND,
     QQ,
@@ -31,6 +32,7 @@ from mckaykit.linalg import (
     _columns,
     _echelon,
     _image,
+    combine,
     mat_mul,
     mat_vec,
     matrix_equation_rows,
@@ -470,6 +472,41 @@ def test_sparse_image_equals_mat_vec(field, integral):
         dense = mat_vec(field, mat, vec)
         assert dense == reference_image(field, mat, vec)
         assert _image(field.p, _columns(mat), vec) == vec_to_sparse(field, dense)
+
+
+@pytest.mark.parametrize("field,integral", field_cases())
+def test_dense_products_match_reference(field, integral):
+    """``combine``, the one dense product loop, and its views ``mat_mul``
+    and ``mat_vec`` equal, value for value, products built from the field's
+    own ``add`` and ``mul`` (``reference_image``), on every shape with 0, 1
+    or 3 rows, columns and middle dimension."""
+    for n, m, q in itertools.product((0, 1, 3), repeat=3):
+        for seed in range(3):
+            rng = random.Random(seed)
+            a = tuple(random_matrix(field, rng, n, m, integral))
+            b = tuple(random_matrix(field, rng, m, q, integral))
+            vec = random_matrix(field, rng, 1, m, integral)[0]
+            b_cols = tuple(tuple(row[c] for row in b) for c in range(q))
+            want = tuple(reference_image(field, b_cols, row) for row in a)
+            assert tuple(combine(field, row, b, q) for row in a) == want
+            assert mat_mul(field, a, b, b_ncols=q) == want
+            assert mat_vec(field, a, vec) == reference_image(field, a, vec)
+    with pytest.raises(ValueError, match="b_ncols required"):
+        mat_mul(field, ((), ()), ())
+    assert mat_mul(field, ((), ()), (), b_ncols=2) == ((0, 0), (0, 0))
+
+
+def test_solve_columns_refuses_a_right_hand_side_of_another_length():
+    """A right-hand side must have one entry per equation, also when there
+    are no equations."""
+    with pytest.raises(ShapeMismatch, match="length 2 for 1 equations"):
+        solve_columns(QQ, [(1,)], [(1, 5)])
+    with pytest.raises(ShapeMismatch, match="length 1 for 0 equations"):
+        solve_columns(QQ, [], [(7,)])
+    with pytest.raises(ShapeMismatch):
+        solve(PrimeField(3), [(1, 0), (0, 1)], (1,))
+    assert solve_columns(QQ, [(1,)], [(5,)]) == [(5,)]
+    assert solve_columns(QQ, [], [()]) == [()]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import pickle
 import random
@@ -26,6 +27,7 @@ from mckaykit.errors import (
     UnsupportedTheta,
     VertexNotInCorner,
 )
+from mckaykit.corner_functors import j_star
 from mckaykit.gamma_data import build_group
 from mckaykit.linalg import QQ, ClosureTest, PrimeField, rank
 from mckaykit.quiver_core import (
@@ -40,6 +42,7 @@ from mckaykit.quiver_core import (
 )
 from mckaykit.rep_theory import (
     QuiverRep,
+    SubmoduleWitness,
     are_isomorphic,
     brute_force_stability,
     check_relations,
@@ -51,8 +54,10 @@ from mckaykit.rep_theory import (
     max_relation_residual,
     max_submodule_avoiding,
     polystable_decomposition,
+    quotient_rep,
     random_flat_rep,
     reduce_mod_p,
+    restrict_rep,
     s_equivalent,
     stability_verdict,
     subspace_count,
@@ -193,6 +198,124 @@ def test_check_relations_matches_reference(field, flavor):
                         == [[list(map(type, row)) for row in m] for m in want.values()])
                 nonzero += any(x for m in got.values() for row in m for x in row)
     assert nonzero
+
+
+#: sha256 of the outputs of ``_product_outputs``, repr'd so that ``int``
+#: and ``Fraction`` entries differ.  The value was computed before
+#: ``mat_mul``, ``mat_vec``, ``check_relations`` and the Krylov eigenvectors
+#: of ``gamma_data`` shared ``combine`` as their one dense product loop.
+PRODUCT_DIGEST = "22a435859761a832d631f87c8608a2830a20229098736379617d0052d6273ac6"
+
+PRODUCT_GROUPS = ("A1", "A2", "A5", "D4", "D5", "D7", "E6", "E7", "E8")
+
+
+def _rep_parts(rep):
+    return (sorted(rep.dims.as_dict().items(), key=str), repr(rep.field),
+            [(a.id, rep.matrix(a.id)) for a in rep.quiver.arrows])
+
+
+def _random_maps(quiver, dims, field, integral, rng):
+    def entry():
+        if rng.random() < 0.3:
+            return field.zero
+        if field.p == 0 and not integral and rng.random() < 0.5:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return field.from_int(rng.randint(-3, 3))
+
+    return {a.id: [[entry() for _ in range(dims.get(a.head))]
+                   for _ in range(dims.get(a.tail))] for a in quiver.arrows}
+
+
+def _product_outputs():
+    """The group tables (their Krylov eigenvectors), the relation
+    residuals, the corner restrictions (path products), the sub- and
+    quotient modules of generated submodules and polystable decompositions,
+    each as a tuple whose repr is fed to ``PRODUCT_DIGEST``."""
+    for label in PRODUCT_GROUPS:
+        g = build_group(label)
+        yield label, g.prime, g.characters, g.class_sizes, g.class_inverse
+    fields = [(QQ, False), (QQ, True), (PrimeField(2), False),
+              (PrimeField(3), False), (PrimeField(5), False)]
+    for field, integral in fields:
+        for label, flavor in (("A1", "piw"), ("A2", "pibullet"), ("D4", "pi")):
+            quiver = _flavor_quiver(label, flavor)
+            for seed in range(4):
+                rng = random.Random(seed)
+                comps = {v: rng.randint(0, 3) for v in quiver.plain_vertices}
+                dims = DimVector(components=comps, at_infinity=(
+                    rng.randint(0, 2) if quiver.is_framed else None))
+                reps = [make_rep(quiver, dims, _random_maps(quiver, dims, field,
+                                                            integral, rng), field)]
+                flat = random_flat_rep(quiver, dims, seed, field)
+                reps += [flat] if flat is not None else []
+                for rep in reps:
+                    yield "relations", [(gen.src, gen.tgt, rows)
+                                        for gen, rows in check_relations(rep).items()]
+    for label, corner, comps in (("A1", (0,), {0: 2, 1: 1}),
+                                 ("A2", (0, 1), {0: 1, 1: 1, 2: 2}),
+                                 ("D4", (0, 2), {0: 1, 1: 1, 2: 2, 3: 1, 4: 1})):
+        quiver = triple_quiver(mckay_quiver(build_group(label)))
+        for seed, rep in flat_reps(quiver, DimVector(components=comps), 2):
+            for module in (rep, reduce_mod_p(rep, 3)) if seed % 2 else (rep,):
+                cm = j_star(module, corner)
+                yield ("j_star", label, seed, repr(cm.field), sorted(cm.z_mats.items()),
+                       sorted(cm.actions.items()))
+    for label, comps in (("A1", {0: 1, 1: 1}), ("A1", {0: 2, 1: 1}),
+                         ("A2", {0: 1, 1: 2, 2: 1})):
+        quiver = frame_quiver(mckay_quiver(build_group(label)), {0: 1})
+        dims = DimVector(components=comps, at_infinity=1)
+        for seed, rep in flat_reps(quiver, dims, 3):
+            for module in (rep, reduce_mod_p(rep, 3), reduce_mod_p(rep, 5)):
+                rng = random.Random(seed)
+                for v in (0, 1, INFINITY):
+                    vec = tuple(module.field.from_int(rng.randint(-2, 2))
+                                for _ in range(module.dims.get(v)))
+                    w = generated_submodule(module, {v: [vec]})
+                    yield ("generated", label, seed, v, sorted(w.spaces.items(), key=str),
+                           _rep_parts(restrict_rep(module, w)),
+                           _rep_parts(quotient_rep(module, w)))
+                for corner in ({0}, {0, 1}):
+                    big = direct_sum(module, vertex_simple(quiver, 1, module.field))
+                    for m in (module, big):
+                        try:
+                            parts = polystable_decomposition(m, corner)
+                        except NotSemistable:
+                            continue
+                        yield ("polystable", label, seed, sorted(corner),
+                               [_rep_parts(s) for s in parts])
+
+
+def test_product_identity():
+    """Byte-identical outputs of the dense products (``PRODUCT_DIGEST``)."""
+    digest = hashlib.sha256()
+    for part in _product_outputs():
+        digest.update(repr(part).encode())
+    assert digest.hexdigest() == PRODUCT_DIGEST
+
+
+def test_sub_and_quotient_refuse_a_family_that_is_not_closed(a1_framed):
+    """Arrows send the line (1, 0) at vertex 0 of a seeded A1 module to
+    nonzero vectors at 1 and inf, where the family is zero: the restriction
+    and the quotient both raise ShapeMismatch.  The family that line
+    generates (here the whole module) is closed, and both accept it.
+    Spanning rows shorter or longer than their component raise as well."""
+    rep = random_flat_rep(a1_framed, DimVector({0: 2, 1: 1}, 1), 3)
+    line = SubmoduleWitness({0: ((1, 0),), 1: (), INFINITY: ()})
+    assert not ClosureTest(rep.field, rep.generators())(line.spaces)
+    with pytest.raises(ShapeMismatch, match="not in the subspace span"):
+        restrict_rep(rep, line)
+    with pytest.raises(ShapeMismatch, match="not closed"):
+        quotient_rep(rep, line)
+    short = SubmoduleWitness({0: ((1,), (0,)), 1: ((1,),), INFINITY: ((1,),)})
+    long = SubmoduleWitness({0: ((1, 0, 0), (0, 1, 0)), 1: ((1,),), INFINITY: ((1,),)})
+    for rows in (short, long):
+        with pytest.raises(ShapeMismatch, match="whose space has dimension 2"):
+            restrict_rep(rep, rows)
+        with pytest.raises(ShapeMismatch, match="whose space has dimension 2"):
+            quotient_rep(rep, rows)
+    closed = generated_submodule(rep, line.spaces)
+    sub, quo = restrict_rep(rep, closed), quotient_rep(rep, closed)
+    assert sub == rep and quo.total_dim() == 0
 
 
 def test_relation_generators_kept_per_quiver():
