@@ -76,7 +76,9 @@ class UnsupportedTheta(MckayError):
 
 
 class DimensionTooLarge(MckayError):
-    """Total dimension exceeds the brute-force enumeration limit."""
+    """A size exceeds a documented limit: the brute-force enumeration's
+    dimension or subspace count, a Molien bound at the prime, or the rank
+    of a group to build."""
 
 
 class BadPrime(MckayError):

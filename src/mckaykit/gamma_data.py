@@ -7,29 +7,43 @@ prime >= 2^31 with p = 1 (mod e), e the group's exponent: GF(p) then
 holds every character value, and p is far above every integer lifted
 from it.  Every series is built by one path: its elements are the
 closure of its generators in SL(2, GF(p)) (``sl2_generators``), which
-must have the group order sum(delta_i^2); its conjugacy classes and
-character table come from the Dixon-Schneider method over GF(p).  Row
+must have the group order sum(delta_i^2).  Its conjugacy classes are the
+orbits under conjugation by a generating set, and its character table
+comes from the Dixon-Schneider method over GF(p): the eigenvectors of a
+random combination of the class matrices, whose eigenvalues are the roots
+of its characteristic polynomial, found by Cantor-Zassenhaus splitting
+(Cantor and Zassenhaus, Math. Comp. 1981) and the quadratic formula.  Row
 index equals the canonical affine Dynkin vertex of
 :mod:`mckaykit.dynkin`, with the trivial representation at vertex 0;
 each vertex's row is fixed up to a diagram automorphism fixing vertex 0,
 which preserves chi_V and so every multiplicity and Molien count.
+``build_group`` refuses a rank above ``MAX_RANK``.
 """
 
 import functools
 import math
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import dynkin
 from .errors import (
     BadPrime,
+    DimensionTooLarge,
     InvalidDescriptor,
     InvariantViolation,
     NonIntegralMultiplicity,
 )
-from .linalg import PrimeField, combine, mat_vec, solve
+from .linalg import PrimeField, combine, solve
 
 PRIME_FLOOR = 2**31
+
+#: the largest affine rank ``build_group`` accepts.  A group of rank r has
+#: r + 1 classes and at most 4r elements, and its build time grows as r^3:
+#: A100 and D100 build in about 1 s each, A200 in about 6 s (CPython 3.11,
+#: 2 shared cores).
+MAX_RANK = 100
 
 #: exponents of the binary tetrahedral, octahedral and icosahedral groups
 E_EXPONENTS = {6: 12, 7: 24, 8: 60}
@@ -155,6 +169,15 @@ def _mat2_inv(p, a):
     return ((a[1][1], -a[0][1] % p), (-a[1][0] % p, a[0][0]))
 
 
+def _mat2_conj(p, g, x):
+    """g x g^-1 for g of determinant 1, whose inverse is its adjugate."""
+    (a, b), (c, d) = g
+    (x00, x01), (x10, x11) = x
+    u, v, w, y = a * x00 + b * x10, a * x01 + b * x11, c * x00 + d * x10, c * x01 + d * x11
+    return (((u * d - v * c) % p, (v * a - u * b) % p),
+            ((w * d - y * c) % p, (y * a - w * b) % p))
+
+
 def closure(field, generators, order):
     """All products of the generators, in deterministic BFS order.
 
@@ -179,20 +202,36 @@ def closure(field, generators, order):
 
 
 def conjugacy_classes(field, elements):
-    """Brute-force classes.  Returns (class_of, class_reps, class_sizes)."""
+    """Classes as orbits under conjugation by a generating set.  Returns
+    (class_of, class_reps, class_sizes).
+
+    The generators are taken greedily from ``elements``: each one outside
+    the closure of the earlier ones, until that closure is the whole list.
+    Classes are numbered by their first element, which is their
+    representative.
+    """
     p = field.p
+    gens, span = [], {_IDENTITY}
+    for e in elements:
+        if e not in span:
+            gens.append(e)
+            span = set(closure(field, gens, len(elements)))
     index = {e: i for i, e in enumerate(elements)}
     class_of = [None] * len(elements)
     reps = []
     sizes = []
     for i, e in enumerate(elements):
-        if class_of[i] is not None:
-            continue
-        members = {index[_mat2_mul(p, _mat2_mul(p, g, e), _mat2_inv(p, g))] for g in elements}
-        for j in members:
-            class_of[j] = len(reps)
-        reps.append(i)
-        sizes.append(len(members))
+        if class_of[i] is None:
+            class_of[i] = len(reps)
+            orbit = [e]
+            for x in orbit:  # the orbit grows while it is walked
+                for g in gens:
+                    j = index[_mat2_conj(p, g, x)]
+                    if class_of[j] is None:
+                        class_of[j] = len(reps)
+                        orbit.append(elements[j])
+            reps.append(i)
+            sizes.append(len(orbit))
     return tuple(class_of), tuple(reps), tuple(sizes)
 
 
@@ -206,51 +245,123 @@ def _poly_trim(a):
     return a
 
 
-def _poly_divmod(p, a, b):
-    """(quotient, remainder) of a by a nonzero b."""
-    a = list(a)
-    lead = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for s in range(len(q) - 1, -1, -1):
-        q[s] = coef = a[s + len(b) - 1] * lead % p
-        for t, y in enumerate(b):
-            a[s + t] = (a[s + t] - coef * y) % p
-    return _poly_trim(q), _poly_trim(a[:len(b) - 1])
+def _poly_divide(p, a, f):
+    """Divide the list ``a`` by the monic ``f`` in place, from the top
+    down: a[:d] becomes the remainder and a[d:] the quotient, d = deg f,
+    every entry in range(p).  Returns ``a``."""
+    d = len(f) - 1
+    low = f[:d]
+    for s in range(len(a) - 1, d - 1, -1):
+        a[s] = coef = a[s] % p
+        if coef:
+            a[s - d:s] = [x - coef * y for x, y in zip(a[s - d:s], low)]
+    a[:d] = [x % p for x in a[:d]]
+    return a
+
+
+def _poly_rem(p, a, f):
+    """a mod the monic f."""
+    return _poly_trim(_poly_divide(p, list(a), f)[:len(f) - 1])
+
+
+def _poly_pack(a, width):
+    """The entries of ``a``, in range(2^(8 width)), as the fields of
+    ``width`` bytes of one ``int``, lowest first."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
+
+
+def _poly_unpack(number, width, count):
+    data = number.to_bytes(count * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, count * width, width)]
+
+
+def _poly_mulmod(p, f):
+    """The product mod the monic f, d = deg f, as a function of two
+    polynomials of degree below d.
+
+    The product is one ``int`` product of the coefficient lists packed
+    into fixed-width fields (Kronecker substitution).  Its coefficients
+    c_j of x^(d+j) are folded back as the sum of c_j times the packed
+    x^(d+j) mod f, one more ``int`` sum; every field stays below d p^2.
+    """
+    d = len(f) - 1
+    width = (2 * p.bit_length() + d.bit_length() + 7) // 8
+    rows = []
+    row = [-c % p for c in f[:d]]  # x^d mod f
+    for _ in range(d - 1):
+        rows.append(_poly_pack(row, width))
+        row = [(low - row[-1] * c) % p for low, c in zip([0] + row[:-1], f)]
+
+    def mulmod(x, y):
+        if not x or not y:
+            return []
+        packed = _poly_pack(x, width)
+        packed *= packed if y is x else _poly_pack(y, width)
+        coeffs = _poly_unpack(packed, width, max(len(x) + len(y) - 1, d))
+        folded = sum(c % p * row for c, row in zip(coeffs[d:], rows))
+        return _poly_trim([(c + r) % p for c, r in
+                           zip(coeffs, _poly_unpack(folded, width, d))])
+    return mulmod
 
 
 def _poly_powmod(p, a, n, f):
-    """a^n mod f."""
-    def mulmod(x, y):
-        prod = [0] * max(len(x) + len(y) - 1, 0)
-        for s, u in enumerate(x):
-            for t, v in enumerate(y):
-                prod[s + t] += u * v
-        return _poly_divmod(p, [c % p for c in prod], f)[1]
-
+    """a^n mod the monic f, by squaring from the top bit of n down, so a
+    short a (x + r in the root splitting) is multiplied as it is."""
+    mulmod = _poly_mulmod(p, f)
+    a = _poly_rem(p, a, f)
     out = [1]
-    while n:
-        if n & 1:
+    for bit in bin(n)[2:]:
+        out = mulmod(out, out)
+        if bit == "1":
             out = mulmod(out, a)
-        a = mulmod(a, a)
-        n >>= 1
     return out
 
 
-def _split_roots(p, f, rng):
-    """Roots of a monic f dividing x^p - x, by Cantor-Zassenhaus
-    splitting with gcd(f, (x + r)^((p-1)/2) - 1) for random r."""
-    if len(f) == 2:
-        return [-f[0] % p]
+def _sqrt_mod(p, a):
+    """A square root of the nonzero square a in GF(p), by Tonelli-Shanks
+    from the least non-square z >= 2."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # t has order 2^i < 2^s: halve it with c, of order 2^s
+        i, u = 1, t * t % p
+        while u != 1:
+            i, u = i + 1, u * u % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, root = i, b * b % p, t * b * b % p, root * b % p
+    return root
+
+
+def _split_roots(p, f, rng, h=None):
+    """Roots of a monic f dividing x^p - x.  A quadratic is solved by its
+    formula; a higher degree is split by Cantor-Zassenhaus into
+    gcd(f, (x + r)^((p-1)/2) - 1), the roots lam with lam + r a nonzero
+    square, and its cofactor, for random r.  ``h``, when given, is
+    x^((p-1)/2) mod f and serves as the first split, r = 0, once a root 0
+    is taken out (h vanishes there)."""
+    if h is not None and f[0] == 0:
+        f = f[1:]
+        return [0] + _split_roots(p, f, rng, _poly_rem(p, h, f))
+    if len(f) < 3:
+        return [-f[0] % p] if len(f) == 2 else []
+    if len(f) == 3:
+        root = _sqrt_mod(p, (f[1] * f[1] - 4 * f[0]) % p)
+        half = (p + 1) // 2
+        return [(root - f[1]) * half % p, (-root - f[1]) * half % p]
     while True:
-        h = _poly_powmod(p, [rng.randrange(p), 1], (p - 1) // 2, f) or [0]
-        h[0] = (h[0] - 1) % p
-        g, h = f, _poly_trim(h)
-        while h:  # g = gcd(f, h)
-            g, h = h, _poly_divmod(p, g, h)[1]
-        g = [x * pow(g[-1], -1, p) % p for x in g]
+        if h is None:
+            h = _poly_powmod(p, [rng.randrange(p), 1], (p - 1) // 2, f)
+        g, r = f, _poly_trim([((h[0] if h else 0) - 1) % p] + h[1:])
+        while r:  # g = gcd(f, h - 1), kept monic
+            inv = pow(r[-1], -1, p)
+            r = [x * inv % p for x in r]
+            g, r = r, _poly_rem(p, g, r)
+        h = None
         if 1 < len(g) < len(f):
             return (_split_roots(p, g, rng)
-                    + _split_roots(p, _poly_divmod(p, f, g)[0], rng))
+                    + _split_roots(p, _poly_divide(p, list(f), g)[len(g) - 1:], rng))
 
 
 def _eigenvectors(field, t, rng):
@@ -258,24 +369,30 @@ def _eigenvectors(field, t, rng):
     eigenvalue order; None unless t has k distinct eigenvalues in GF(p).
 
     The characteristic polynomial f comes from the Krylov relation
-    t^k x = -sum_i c_i t^i x of a random vector x, and the eigenvector of
-    lam is read from the Krylov vectors as (f / (t - lam))(t) x.
+    t^k x = -sum_i c_i t^i x of a random vector x.  One power h =
+    x^((p-1)/2) mod f serves twice: f has k distinct roots in GF(p) iff it
+    divides x^p - x, that is iff x h^2 = x mod f, and h gives the first
+    split of ``_split_roots``.  The eigenvector of lam is read from the
+    Krylov vectors as (f / (t - lam))(t) x.
     """
     p = field.p
     k = len(t)
+    columns = list(zip(*t))
     krylov = [tuple(rng.randrange(p) for _ in range(k))]
     for _ in range(k):
-        krylov.append(mat_vec(field, t, krylov[-1]))
+        krylov.append(combine(field, krylov[-1], columns, k))
     coeffs = solve(field, [tuple(v[r] for v in krylov[:k]) for r in range(k)],
                    tuple(-y % p for y in krylov[k]))
     if coeffs is None:
         return None
     f = list(coeffs) + [1]
-    if _poly_powmod(p, [0, 1], p, f) != _poly_divmod(p, [0, 1], f)[1]:
+    h = _poly_powmod(p, [0, 1], (p - 1) // 2, f)
+    mulmod, x = _poly_mulmod(p, f), _poly_rem(p, [0, 1], f)
+    if mulmod(x, mulmod(h, h)) != x:
         return None  # f does not split into distinct linear factors
     vectors = []
-    for lam in sorted(_split_roots(p, f, rng)):
-        q = _poly_divmod(p, f, [-lam % p, 1])[0]
+    for lam in sorted(_split_roots(p, f, rng, h)):
+        q = _poly_divide(p, list(f), [-lam % p, 1])[1:]
         v = combine(field, q, krylov, k)
         if not any(v):
             return None  # lam is no eigenvalue of t: x was not cyclic
@@ -295,10 +412,13 @@ def dixon_character_table(field, elements):
     |C_a| chi(a) / chi(1) of each irrep is a common eigenvector,
     sum_c n_ab^c w(c) = w(a) w(b), of the class matrices.  A random
     combination T of them has distinct eigenvalues; each eigenvector,
-    read from the Krylov vectors of T, is scaled to w(1) = 1, and chi(1)^2 =
-    |G| / sum_a w(a) w(a^-1) / |C_a| is lifted and checked to be a square
-    (Dixon, Numer. Math. 1967; Schneider, J. Symbolic Comput. 1990).
-    Exact when p does not divide |G| and p = 1 mod the exponent.
+    read from the Krylov vectors of T (``_eigenvectors``), is scaled to
+    w(1) = 1, and chi(1)^2 = |G| / sum_a w(a) w(a^-1) / |C_a| is lifted
+    and checked to be a square (Dixon, Numer. Math. 1967; Schneider,
+    J. Symbolic Comput. 1990).  The n_ab^c are counted once, from |G|
+    products per class; each try of T draws its coefficients from
+    ``random.Random(0)``.  Exact when p does not divide |G| and p = 1 mod
+    the exponent.
     ``elements[0]`` must be the identity.  Rows are in increasing order of
     their eigenvalue of T.  Returns (characters, class_sizes, class_of,
     reps, class_inverse).
@@ -313,21 +433,23 @@ def dixon_character_table(field, elements):
     inverse = tuple(class_of[index[_mat2_inv(p, elements[r])]] for r in reps)
 
     inverses = [_mat2_inv(p, x) for x in elements]
+    # pairs[c][a, b] = n_ab^c; the row sums are sum_c n_ab^c |C_c| = |C_a||C_b|
+    pairs = [Counter(zip(class_of, [class_of[index[_mat2_mul(p, x_inv, elements[r])]]
+                                    for x_inv in inverses]))
+             for r in reps]
+    sums = [[0] * k for _ in range(k)]
+    for size, counts in zip(sizes, pairs):
+        for (a, b), m in counts.items():
+            sums[a][b] += m * size
+    if sums != [[sa * sb for sb in sizes] for sa in sizes]:
+        raise InvariantViolation("class algebra structure constants broken")
     rng = random.Random(0)
     for _ in range(25):
         coeffs = [rng.randrange(p) for _ in range(k)]
-        # x in C_a with x^-1 z_c in C_b adds |C_c| to the row sum
-        # sum_c n_ab^c |C_c| = |C_a||C_b| and coeffs[a] to T[b][c]
-        sums = [[0] * k for _ in range(k)]
-        total = [[0] * k for _ in range(k)]
-        for c, r in enumerate(reps):
-            z, size = elements[r], sizes[c]
-            for a, x_inv in zip(class_of, inverses):
-                b = class_of[index[_mat2_mul(p, x_inv, z)]]
-                sums[a][b] += size
-                total[b][c] += coeffs[a]
-        if sums != [[sa * sb for sb in sizes] for sa in sizes]:
-            raise InvariantViolation("class algebra structure constants broken")
+        total = [[0] * k for _ in range(k)]  # T[b][c] = sum_a coeffs[a] n_ab^c
+        for c, counts in enumerate(pairs):
+            for (a, b), m in counts.items():
+                total[b][c] += m * coeffs[a]
         vectors = _eigenvectors(field, [[t % p for t in row] for row in total], rng)
         if vectors is not None:
             break
@@ -337,7 +459,8 @@ def dixon_character_table(field, elements):
     inv_sizes = [pow(size, -1, p) for size in sizes]
     rows = []
     for v in vectors:
-        omega = [x * pow(v[0], -1, p) % p for x in v]
+        scale = pow(v[0], -1, p)
+        omega = [x * scale % p for x in v]
         denom = sum(omega[a] * omega[inverse[a]] * inv_sizes[a] for a in range(k))
         square = n * pow(denom, -1, p) % p
         degree = math.isqrt(square)
@@ -397,10 +520,14 @@ def build_group(descriptor):
     """The group data for an ADE descriptor (or its label), fully validated.
 
     Built once per descriptor and process; ``GroupData`` is immutable, so
-    every caller shares the one copy.
+    every caller shares the one copy.  A rank above ``MAX_RANK`` raises
+    DimensionTooLarge before any element is built.
     """
     if isinstance(descriptor, str):
         descriptor = parse_descriptor(descriptor)
+    if descriptor.rank > MAX_RANK:
+        raise DimensionTooLarge(
+            f"{descriptor.label} has rank above the limit {MAX_RANK} of group construction")
     return _build_group(descriptor)
 
 
@@ -461,8 +588,9 @@ def _build_group(descriptor):
 
 def character_inner(g, weights, i, j):
     """(1/|G|) sum_c |C_c| weights[c] chi_i(c) chi_j(c^-1), in GF(p)."""
-    s = sum(g.class_sizes[c] * w * g.characters[i][c] * g.characters[j][g.class_inverse[c]]
-            for c, w in enumerate(weights))
+    conj = g.characters[j]
+    s = sum(size * w * x * conj[inv] for size, w, x, inv
+            in zip(g.class_sizes, weights, g.characters[i], g.class_inverse))
     return s * pow(g.order, -1, g.prime) % g.prime
 
 
@@ -509,11 +637,17 @@ def _certify(g, mult):
         raise InvariantViolation("row 0 is not the trivial character")
     if sum(g.class_sizes) != g.order:
         raise InvariantViolation("class sizes do not sum to the group order")
-    ones = (1,) * g.num_classes
-    for i in range(g.num_irreps):
-        for j in range(g.num_irreps):
-            s = character_inner(g, ones, i, j)
-            if s != (1 if i == j else 0):
+    # row orthogonality, character_inner(g, (1, ..., 1), i, j) = [i == j]:
+    # duals[j][c] = |C_c| chi_j(c^-1) / |G|, so the inner products are
+    # the dot products of the rows with the duals
+    p = g.prime
+    scale = pow(g.order, -1, p)
+    duals = [[size * scale * row[inv] % p for size, inv in zip(g.class_sizes, g.class_inverse)]
+             for row in g.characters]
+    for i, row in enumerate(g.characters):
+        for j, dual in enumerate(duals):
+            s = sum(map(operator.mul, row, dual)) % p
+            if s != (i == j):
                 raise InvariantViolation(
                     f"row orthogonality fails at ({i},{j}): {s} mod {g.prime}")
 

@@ -195,16 +195,33 @@ def combine(field, coeffs, vectors, n):
 
 def mat_mul(field, a, b, b_ncols=None):
     """Product a @ b, row by row the combination of the rows of ``b``.
-    ``b_ncols`` is required when ``b`` has no rows."""
+    ``b_ncols`` is required when ``b`` has no rows.  A row of ``b`` whose
+    length is not ``b_ncols``, or a row of ``a`` whose length is not the
+    number of rows of ``b``, raises ShapeMismatch."""
     if b:
         b_ncols = len(b[0])
     if b_ncols is None:
         raise ValueError("b_ncols required for an empty middle dimension")
-    return tuple(combine(field, row, b, b_ncols) for row in a)
+    for row in b:
+        if len(row) != b_ncols:
+            raise ShapeMismatch(f"a right factor with rows of lengths {len(row)} "
+                                f"and {b_ncols}")
+    out = []
+    for row in a:
+        if len(row) != len(b):
+            raise ShapeMismatch(f"a row of length {len(row)} times "
+                                f"a right factor with {len(b)} rows")
+        out.append(combine(field, row, b, b_ncols))
+    return tuple(out)
 
 
 def mat_vec(field, a, v):
-    """a . v, the combination of the columns of ``a``."""
+    """a . v, the combination of the columns of ``a``; a row of ``a``
+    whose length is not that of ``v`` raises ShapeMismatch."""
+    for row in a:
+        if len(row) != len(v):
+            raise ShapeMismatch(f"a row of length {len(row)} times "
+                                f"a vector of length {len(v)}")
     return combine(field, v, zip(*a), len(a))
 
 

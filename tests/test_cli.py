@@ -108,6 +108,19 @@ def test_hilbert_bad_arguments_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("quiver", "A100000000"),
+    ("hilbert", "D101", "--kmax", "2"),
+])
+def test_oversized_group_exit_2(capsys, argv):
+    """A rank above the construction limit is refused with one line."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "rank above the limit" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,names", [
     (("quiver", "A1", "--frame", "1,0,5"), "vertex 2"),
     (("hilbert", "A1", "--algebra", "piw", "--w", "1,0,5"), "vertex 2"),

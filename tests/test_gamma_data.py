@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -31,7 +33,7 @@ from mckaykit.gamma_data import (
     validate_group_data,
 )
 from mckaykit.graded_algebra import molien_sequence
-from mckaykit.linalg import PrimeField
+from mckaykit.linalg import PrimeField, mat_vec
 from mckaykit.quiver_core import mckay_quiver
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
@@ -359,3 +361,149 @@ def test_match_layout_rejects_disconnected():
     mult = [[0, 2, 0], [2, 0, 0], [0, 0, 0]]
     with pytest.raises(InvariantViolation):
         dynkin.match_layout(mult, [1, 1, 1], 0, "A", 2)
+
+
+# sha256 of repr(build_group(label)): the elements in closure order, the
+# classes, the character rows in canonical order and the McKay matrix
+GROUP_DATA_DIGESTS = {
+    "A1": "4d04214be3a2c0604244e020e3158496548d41e0b7cbeb2a8b791b9289d3fd9e",
+    "A2": "c83bce50c41435cb9864341658cfe3cfb0294be296bf49aebd90d6ebc6aa9948",
+    "A3": "9dc4eac18d3c264083c65bb713bb0f840a327a6e8b0489308b2e75e40d74b104",
+    "A4": "c3bbdca042c98f0225088612cc1ca087725bfc459b71a11485d686ff16e9fb40",
+    "A5": "8dc31107ab4660b956c0d1d788cecd8ed379f4a140e74a10eb7b657c4d076fd4",
+    "A6": "72f0bfe27fde05ea084e50332a6c0a94a1fe029a7fabb993893aebc143d1da94",
+    "A7": "66d71c7a8da6ac09130e44610583eaf9fd7e3fa9299a37a496428d40d8df132b",
+    "A8": "3306e014e3d97057889240130ebc78b9a0f0bb34bc385331bf0fae690a3a39b9",
+    "A9": "1eed4b521d7f00bd64d3563f85a89fab06bf77a6f5a40e70bc2dd84a8a5f9584",
+    "A10": "25aa3c1bfd93b3a59c155e57d87b8289a7a131a9d515fe7efa7b1ae49b2f17bf",
+    "A11": "b75c7bce6b07e2c0999c82818bcf9ef9d16bac6cc154de7d5238a8ce1d8e121a",
+    "A12": "c9744a314deea35e7766492aea3ef7f72d98211e524a255087fc2eb764efe00e",
+    "A13": "1de7eb34114779cf02533a6e0abe6c38b9ea49387cb7bdb4c9e91c4b8116b2e9",
+    "A14": "2a36f941357478142ebf27343aa4d8d98088633317861269a6fd3594ce82b3b8",
+    "A15": "716f4d884f8ddc4459de1f038875f940a07c1a353fde9160a0acc18f886f7afa",
+    "A16": "323846c12ea056d74d9320c05693d9bc4c32d9529a01861cc09c1ad03664f0cc",
+    "A17": "6d99e052caa3bcbc5a8578f98d36df492f90e22d04426ace2dd910c0d16e481f",
+    "A18": "5160727285db02686ca6027290f6bcfbc263c6df9791160e36e256db893481e6",
+    "A19": "3f874c0fa667601ada08c0508d0df53901c03eaffd666f5caab142dc338b7872",
+    "A20": "01e6f6726c34961746b05283410e6738f6d7184ed76f742085c08090ee2e8f6d",
+    "D4": "aa9c0f179688eb7fbcdd307a4ed9bd16932c8426f40352facb9c776bf1dc7912",
+    "D5": "cd5a2197eddf8abc493493da89c6cae04cebc5c98c37176ae87005ff3cb10893",
+    "D6": "9f5c8fd9e1f7e92ef520c3dd779cc06079582d4daa5e9b732519163353d96d5a",
+    "D7": "0afee9dc98d738a6dfbfcc10f126f834c3cb091ddefbffcf16da76a09d57d4a9",
+    "D8": "f2d9e8ab5859b071203c11fffb94ce66268f870ad92418a4980175da398bc700",
+    "D9": "13f590d869000375679df4ebd800dd91d90acd82f5186290c9171feffd8a6281",
+    "D10": "f659524ccc22ae90f216305263b9c4d9d529980d1ed1fbef0bb8d02959604bd5",
+    "D11": "844634dbb443ac5dc156198d19a3b87fe7fd86bec89edf1346fc5f7f9bdbde1b",
+    "D12": "550dcf92b812c1d5b8cfbf1e8dd226382733e7704bfc5ef03b623f33d045db95",
+    "E6": "7fb335c0ce94881830a2a576784be4a848c99f35884dc6b969934dcf8debef76",
+    "E7": "cd2e54a3094f5476bcb960f58f493e50576cbe96c80889ec8534b56420bd14ae",
+    "E8": "ffb0767d440c4ca6a88485467de9797185ad60e87816ba6365c494eaca213845",
+}
+
+
+@pytest.mark.parametrize("label", sorted(GROUP_DATA_DIGESTS))
+def test_group_data_digest(label):
+    """A faster build must not move a byte of ``GroupData``."""
+    digest = hashlib.sha256(repr(build_group(label)).encode()).hexdigest()
+    assert digest == GROUP_DATA_DIGESTS[label]
+
+
+E8_PRIME = 2147484061
+
+
+def reference_mulmod(p, a, b, f):
+    """a * b mod f by the schoolbook product and long division."""
+    prod = [0] * (len(a) + len(b))
+    for s, u in enumerate(a):
+        for t, v in enumerate(b):
+            prod[s + t] += u * v
+    lead = pow(f[-1], -1, p)
+    for s in range(len(prod) - 1, len(f) - 2, -1):
+        coef = prod[s] * lead % p
+        for t, y in enumerate(f):
+            prod[s - len(f) + 1 + t] -= coef * y
+    rem = [c % p for c in prod[:len(f) - 1]]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def reference_powmod(p, a, n, f):
+    """a^n mod f by repeated multiply-and-reduce, halving n."""
+    if n == 0:
+        return reference_mulmod(p, [1], [1], f)
+    half = reference_powmod(p, a, n // 2, f)
+    square = reference_mulmod(p, half, half, f)
+    return reference_mulmod(p, square, a, f) if n % 2 else square
+
+
+def test_poly_powmod_against_reference():
+    p = E8_PRIME
+    rng = random.Random(31)
+    for degree in range(1, 10):
+        for _ in range(3):
+            f = [rng.randrange(p) for _ in range(degree)] + [1]
+            bases = [[0, 1], [rng.randrange(p) for _ in range(degree)]]
+            for a in bases:
+                for n in (0, 1, p, (p - 1) // 2):
+                    assert gamma_data._poly_powmod(p, list(a), n, f) == \
+                        reference_powmod(p, a, n, f), (f, a, n)
+
+
+def poly_from_roots(p, roots):
+    f = [1]
+    for lam in roots:  # f * (x - lam)
+        f = [(lo - lam * hi) % p for lo, hi in zip([0] + f, f + [0])]
+    return f
+
+
+@pytest.mark.parametrize("with_zero", [False, True])
+def test_split_roots_returns_the_roots(with_zero):
+    """The roots of products of distinct linear factors, as the bare
+    splitter and through ``_eigenvectors`` on a triangular matrix with
+    those eigenvalues."""
+    p = E8_PRIME
+    field = PrimeField(p)
+    rng = random.Random(7 + with_zero)
+    for degree in range(1, 12):
+        roots = rng.sample(range(1, p), degree - with_zero) + [0] * with_zero
+        f = poly_from_roots(p, roots)
+        assert sorted(gamma_data._split_roots(p, f, random.Random(degree))) == sorted(roots)
+        t = [[lam if r == c else (rng.randrange(p) if c > r else 0)
+              for c in range(degree)] for r, lam in enumerate(roots)]
+        vectors = gamma_data._eigenvectors(field, t, random.Random(degree))
+        assert vectors is not None and len(vectors) == degree
+        for lam, v in zip(sorted(roots), vectors):
+            assert any(v)
+            assert mat_vec(field, t, v) == tuple(lam * x % p for x in v)
+
+
+def test_eigenvectors_refuse_an_irreducible_quadratic():
+    """(x^2 - n) (x - 1) (x - 2) with n a non-square has no four roots."""
+    p = E8_PRIME
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    t = [[0, n, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
+    for seed in range(5):
+        assert gamma_data._eigenvectors(PrimeField(p), t, random.Random(seed)) is None
+
+
+@pytest.mark.parametrize("label", [f"A{gamma_data.MAX_RANK + 1}",
+                                   f"D{gamma_data.MAX_RANK + 1}", "A100000000"])
+def test_build_refuses_a_rank_above_the_limit(label, monkeypatch):
+    """The rank is refused before the closure holds a single element."""
+    def no_closure(*args):
+        raise AssertionError("closure reached")
+
+    monkeypatch.setattr(gamma_data, "closure", no_closure)
+    with pytest.raises(DimensionTooLarge, match=f"{label} has rank above the limit"):
+        build_group(label)
+    with pytest.raises(DimensionTooLarge):
+        build_group(parse_descriptor(label))
+
+
+def test_rank_limit_admits_the_ci_groups():
+    """Every group that a CI step names lies within the limit."""
+    workflow = pathlib.Path(__file__).resolve().parents[1] / ".github/workflows/tier1.yml"
+    labels = re.findall(r"mckaykit \w+ ([ADE]\d+)", workflow.read_text())
+    assert "A60" in labels and "D30" in labels
+    assert all(parse_descriptor(label).rank <= gamma_data.MAX_RANK for label in labels)

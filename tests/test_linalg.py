@@ -496,6 +496,24 @@ def test_dense_products_match_reference(field, integral):
     assert mat_mul(field, ((), ()), (), b_ncols=2) == ((0, 0), (0, 0))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_dense_products_refuse_mismatched_lengths(field):
+    """A vector or a row that does not fit the other factor is refused,
+    not truncated by the zip of ``combine``."""
+    with pytest.raises(ShapeMismatch, match="length 2 times a vector of length 3"):
+        mat_vec(field, ((1, 2),), (1, 1, 1))
+    with pytest.raises(ShapeMismatch, match="length 1 times a vector of length 2"):
+        mat_vec(field, ((1, 2), (3,)), (1, 1))
+    with pytest.raises(ShapeMismatch, match="length 3 times a right factor with 2 rows"):
+        mat_mul(field, ((1, 2, 3),), ((1,), (1,)))
+    with pytest.raises(ShapeMismatch, match="length 1 times a right factor with 0 rows"):
+        mat_mul(field, ((1,),), (), b_ncols=2)
+    with pytest.raises(ShapeMismatch, match="rows of lengths 1 and 2"):
+        mat_mul(field, ((1, 1),), ((1, 2), (3,)))
+    assert mat_vec(field, ((1, 2),), (1, 1)) == (3,)
+    assert mat_mul(field, ((1, 2, 3),), ((1,), (1,), (0,))) == ((3,),)
+
+
 def test_solve_columns_refuses_a_right_hand_side_of_another_length():
     """A right-hand side must have one entry per equation, also when there
     are no equations."""
