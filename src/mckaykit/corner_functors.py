@@ -527,7 +527,8 @@ def cornered_quotient(module, spaces, with_projection=False):
     matrices realising the quotient map.
     """
     dims, mats, proj = quotient_maps(module.field, module.generators(),
-                                     module.vertex_dims(), spaces)
+                                     module.vertex_dims(), spaces,
+                                     module._closure_test)
     quotient = module.rebuild(dims, mats)
     return (quotient, proj) if with_projection else quotient
 

@@ -8,7 +8,7 @@ holds every character value, and p is far above every integer lifted
 from it.  Every series is built by one path: its elements are the
 closure of its generators in SL(2, GF(p)) (``sl2_generators``), which
 must have the group order sum(delta_i^2).  Its conjugacy classes are the
-orbits under conjugation by a generating set, and its character table
+orbits under conjugation by those generators, and its character table
 comes from the Dixon-Schneider method over GF(p): the eigenvectors of a
 random combination of the class matrices, whose eigenvalues are the roots
 of its characteristic polynomial, found by Cantor-Zassenhaus splitting
@@ -201,21 +201,23 @@ def closure(field, generators, order):
     return tuple(elements)
 
 
-def conjugacy_classes(field, elements):
+def conjugacy_classes(field, elements, generators=None):
     """Classes as orbits under conjugation by a generating set.  Returns
     (class_of, class_reps, class_sizes).
 
-    The generators are taken greedily from ``elements``: each one outside
-    the closure of the earlier ones, until that closure is the whole list.
-    Classes are numbered by their first element, which is their
-    representative.
+    The generators are ``generators`` when given, a set whose closure is
+    ``elements``; otherwise they are taken greedily from ``elements``: each
+    one outside the closure of the earlier ones, until that closure is the
+    whole list.  Classes are numbered by their first element, which is
+    their representative.
     """
     p = field.p
-    gens, span = [], {_IDENTITY}
-    for e in elements:
-        if e not in span:
-            gens.append(e)
-            span = set(closure(field, gens, len(elements)))
+    if generators is None:
+        generators, span = [], {_IDENTITY}
+        for e in elements:
+            if e not in span:
+                generators.append(e)
+                span = set(closure(field, generators, len(elements)))
     index = {e: i for i, e in enumerate(elements)}
     class_of = [None] * len(elements)
     reps = []
@@ -225,7 +227,7 @@ def conjugacy_classes(field, elements):
             class_of[i] = len(reps)
             orbit = [e]
             for x in orbit:  # the orbit grows while it is walked
-                for g in gens:
+                for g in generators:
                     j = index[_mat2_conj(p, g, x)]
                     if class_of[j] is None:
                         class_of[j] = len(reps)
@@ -404,7 +406,7 @@ def _eigenvectors(field, t, rng):
 # character tables from explicit elements (Dixon-Schneider over GF(p))
 # ---------------------------------------------------------------------------
 
-def dixon_character_table(field, elements):
+def dixon_character_table(field, elements, generators=None):
     """The exact character table over GF(p) from group elements.
 
     With the structure constants n_ab^c = #{x in C_a : x^-1 z_c in C_b},
@@ -419,14 +421,18 @@ def dixon_character_table(field, elements):
     products per class; each try of T draws its coefficients from
     ``random.Random(0)``.  Exact when p does not divide |G| and p = 1 mod
     the exponent.
-    ``elements[0]`` must be the identity.  Rows are in increasing order of
-    their eigenvalue of T.  Returns (characters, class_sizes, class_of,
-    reps, class_inverse).
+    ``elements[0]`` must be the identity; ``generators``, when given, is a
+    set whose closure is ``elements`` (``conjugacy_classes``).  Rows are in
+    increasing order of their eigenvalue of T.  Returns (characters,
+    class_sizes, class_of, reps, class_inverse).
     """
     if elements[0] != _IDENTITY:
         raise InvariantViolation("the element list must start with the identity")
     p = field.p
-    class_of, reps, sizes = conjugacy_classes(field, elements)
+    if generators is None:
+        class_of, reps, sizes = conjugacy_classes(field, elements)
+    else:
+        class_of, reps, sizes = conjugacy_classes(field, elements, generators)
     k = len(reps)
     n = len(elements)
     index = {e: i for i, e in enumerate(elements)}
@@ -548,12 +554,13 @@ def _build_group(descriptor):
     e = exponent(descriptor)
     field = group_field(e)
     p = field.p
-    elements = closure(field, sl2_generators(descriptor, field, root_of_unity(field, e)), order)
+    gens = sl2_generators(descriptor, field, root_of_unity(field, e))
+    elements = closure(field, gens, order)
     if len(elements) != order:
         raise InvariantViolation(
             f"the generators of {descriptor.label} close to {len(elements)} elements, "
             f"not {order}")
-    rows, sizes, class_of, reps, inverse = dixon_character_table(field, elements)
+    rows, sizes, class_of, reps, inverse = dixon_character_table(field, elements, gens)
     ones = (1,) * len(reps)
     if ones not in rows:
         raise InvariantViolation("no trivial character row found")

@@ -14,7 +14,9 @@ Three flavors, with the relations of
 
 ``pi`` and ``piw`` build quotient layers; a ``pibullet`` context has no
 layers of its own and reads every dimension as a running sum over its
-``pi`` context.
+``pi`` context.  The ``pi`` layers depend on the group alone, so every
+``pi`` context of a group reads one per-label store of them
+(``_pi_tables``); the ``piw`` layers depend on w and stay on the context.
 
 Degreewise dimensions are computed by an exact quotient construction:
 the degree-(k+1) component is (arrows tensor degree-k) modulo relation
@@ -29,6 +31,7 @@ rightmost arrow acts first; a path starts at the head of its last arrow
 and ends at the tail of its first.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -43,7 +46,7 @@ from .errors import (
     NonIntegralCoefficient,
     VertexNotInCorner,
 )
-from .gamma_data import character_inner
+from .gamma_data import build_group, character_inner
 from .linalg import QQ, Echelon
 from .quiver_core import frame_quiver, mckay_quiver, relation_generators
 
@@ -167,12 +170,26 @@ class _LayerTable:
                                   lmul_in))
 
 
+@functools.lru_cache(maxsize=None)
+def _pi_tables(label):
+    """The ``pi`` layer plan of a group and its layer tables by right end,
+    which every ``pi`` context of the group reads and extends.  A table
+    holds the degrees some context has read, each within that context's
+    cap."""
+    return _layer_plan(mckay_quiver(build_group(label))), {}
+
+
 class AlgebraContext:
     """A graded algebra flavor bound to a group, with memoised layers.
 
-    A ``pibullet`` context is a dimensions-only view of the ``pi`` context
-    with the same group, corner and cap: its slices are running sums of
-    that context's, and it has no layers, classes or products.
+    A ``pi`` context reads the layer tables of its group's store
+    (``_pi_tables``), shared with every other ``pi`` context of the group
+    whatever its corner and cap; it checks its own cap and vertices before
+    it reads, and keeps in ``_tables`` the tables it has read.  A ``piw``
+    context builds its own tables, which depend on w.  A ``pibullet``
+    context is a dimensions-only view of the ``pi`` context with the same
+    group, corner and cap: its slices are running sums of that context's,
+    and it has no layers, classes or products.
 
     ``table``, ``layer``, ``slice_coords`` and ``slice_basis_paths``
     refuse a vertex the quiver lacks; only ``slice_dim`` also refuses one
@@ -208,8 +225,10 @@ class AlgebraContext:
         if flavor == "pibullet":
             self._pi = AlgebraContext(group, "pi", corner=self.corner,
                                      degree_cap=degree_cap)
+        elif flavor == "pi":
+            self._plan, self._store = _pi_tables(group.descriptor.label)
         else:
-            self._plan = _layer_plan(self.quiver)
+            self._plan, self._store = _layer_plan(self.quiver), {}
         self._tables = {}
 
     def endpoints(self):
@@ -239,7 +258,9 @@ class AlgebraContext:
         tbl = self._tables.get(right_end)
         if tbl is None:
             self._check_vertex(right_end)
-            tbl = _LayerTable(self._plan, right_end)
+            tbl = self._store.get(right_end)
+            if tbl is None:
+                tbl = self._store[right_end] = _LayerTable(self._plan, right_end)
             self._tables[right_end] = tbl
         return tbl
 

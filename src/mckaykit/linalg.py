@@ -723,17 +723,19 @@ def reduce_entries(field, gens):
             for _, _, mat in gens]
 
 
-def quotient_maps(field, gens, dims, spaces):
+def quotient_maps(field, gens, dims, spaces, closed):
     """Quotient of a module by a closed family of subspaces.
 
-    ``gens`` lists ``(i, j, mat)`` with mat a dims[i] x dims[j] matrix and
-    ``spaces`` maps vertices to spanning rows.  Returns (quotient dims,
-    induced matrices in the order of ``gens``, projection per vertex); the
-    induced matrix has column c equal to ``proj[i] . mat . lift[j][c]``,
-    ``lift`` being the lifted bases of the quotients.  A family that is not
-    closed, or a row of the wrong length, raises ShapeMismatch.
+    ``gens`` lists ``(i, j, mat)`` with mat a dims[i] x dims[j] matrix,
+    ``spaces`` maps vertices to spanning rows, and ``closed`` is the
+    ``ClosureTest`` of ``gens`` (the module keeps one).  Returns (quotient
+    dims, induced matrices in the order of ``gens``, projection per
+    vertex); the induced matrix has column c equal to
+    ``proj[i] . mat . lift[j][c]``, ``lift`` being the lifted bases of the
+    quotients.  A family that is not closed, or a row of the wrong length,
+    raises ShapeMismatch.
     """
-    if not ClosureTest(field, gens)(spaces):
+    if not closed(spaces):
         raise ShapeMismatch("the family of subspaces is not closed")
     proj, lift = {}, {}
     for v, n in dims.items():

@@ -14,7 +14,6 @@ import functools
 
 from .corner_functors import (
     cornered_hom_space,
-    cornered_mod_p,
     j_star,
     pi_context,
 )
@@ -42,6 +41,7 @@ from .rep_theory import (
     QuiverRep,
     is_flat,
     polystable_decomposition,
+    reduce_mod_p,
     stability_verdict,
 )
 
@@ -317,7 +317,7 @@ def _quot_column(label, corner, p):
     """``truncated_corner_column`` of a group and corner, reduced mod ``p``
     when ``p`` is nonzero; built once and shared by every certification."""
     if p:
-        return cornered_mod_p(_quot_column(label, corner, 0), p)
+        return reduce_mod_p(_quot_column(label, corner, 0), p)
     return truncated_corner_column(build_group(label), corner)
 
 

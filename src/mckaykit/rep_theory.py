@@ -135,6 +135,12 @@ class QuiverRep:
                     for row in mat for x in row), default=0)
 
     @functools.cached_property
+    def _closure_test(self):
+        """The closure test of the arrow matrices, read by ``restrict_rep``
+        and ``quotient_rep``."""
+        return ClosureTest(self.field, self.generators())
+
+    @functools.cached_property
     def _framing(self):
         """The submodule generated by the framing component."""
         n, field = self.dims.get(INFINITY), self.field
@@ -542,7 +548,7 @@ def restrict_rep(rep, witness):
     """The representation induced on a closed family of subspaces; a family
     that is not closed, or a row of the wrong length, raises ShapeMismatch."""
     field = rep.field
-    if not ClosureTest(field, rep.generators())(witness.spaces):
+    if not rep._closure_test(witness.spaces):
         raise ShapeMismatch("vector not in the subspace span")
     mats = []
     for tail, head, mat in rep.generators():
@@ -561,7 +567,7 @@ def restrict_rep(rep, witness):
 def quotient_rep(rep, witness):
     """The quotient by a closed family of subspaces."""
     dims, mats, _ = quotient_maps(rep.field, rep.generators(), rep.vertex_dims(),
-                                  witness.spaces)
+                                  witness.spaces, rep._closure_test)
     return rep.rebuild(dims, mats)
 
 

@@ -195,9 +195,9 @@ import sys
 from mckaykit import gamma_data
 tables = []
 dixon = gamma_data.dixon_character_table
-def counted(field, elements):
+def counted(field, elements, *generators):
     tables.append(len(elements))
-    return dixon(field, elements)
+    return dixon(field, elements, *generators)
 gamma_data.dixon_character_table = counted
 labels = sys.argv[1:]
 for _ in range(2):

@@ -1,5 +1,6 @@
 """Graded slices, Hilbert sequences, the character oracle, class products."""
 
+import functools
 import hashlib
 from fractions import Fraction
 from itertools import accumulate
@@ -7,6 +8,9 @@ from itertools import accumulate
 import pytest
 
 from helpers import cyclic_invariant_count, invariant_dim_by_projector, pathspace_slice_dims
+from mckaykit import graded_algebra
+from mckaykit.cli import main
+from mckaykit.corner_functors import pi_context
 from mckaykit.errors import (
     DegreeCapExceeded,
     EndpointMismatch,
@@ -200,8 +204,16 @@ def test_hilbert_sequence_sums_slices(label, flavor, corner):
         for k in range(kmax + 1))
 
 
+def empty_pi_store(monkeypatch):
+    """Give the test a per-label store of ``pi`` layer tables that starts
+    empty."""
+    monkeypatch.setattr(graded_algebra, "_pi_tables", functools.lru_cache(
+        maxsize=None)(graded_algebra._pi_tables.__wrapped__))
+
+
 @pytest.mark.parametrize("flavor", ["pi", "piw", "pibullet"])
-def test_hilbert_sequence_refusals(a1, flavor):
+def test_hilbert_sequence_refusals(a1, flavor, monkeypatch):
+    empty_pi_store(monkeypatch)
     w = {0: 1} if flavor == "piw" else None
     ctx = AlgebraContext(a1, flavor, w=w, degree_cap=3)
     with pytest.raises(DegreeCapExceeded):
@@ -210,10 +222,12 @@ def test_hilbert_sequence_refusals(a1, flavor):
         hilbert_sequence(ctx, -1)
     tables = ctx._pi._tables if flavor == "pibullet" else ctx._tables
     assert tables == {}
+    assert (ctx._pi if flavor == "pibullet" else ctx)._store == {}
     assert len(hilbert_sequence(ctx, 3)) == 4
 
 
-def test_accessors_refuse_vertex_outside_quiver():
+def test_accessors_refuse_vertex_outside_quiver(monkeypatch):
+    empty_pi_store(monkeypatch)
     ctx = AlgebraContext(build_group("A2"), "pi")
     calls = [
         lambda: ctx.table(7),
@@ -227,9 +241,56 @@ def test_accessors_refuse_vertex_outside_quiver():
         with pytest.raises(VertexNotInCorner, match="vertex 7 not in the quiver"):
             call()
     assert ctx._tables == {}
+    assert ctx._store == {}
     cornered = AlgebraContext(build_group("A2"), "pi", corner={0})
     assert cornered.layer(1, 1).dim == 2
     assert cornered.slice_basis_paths(2, 1, 1) != ()
+
+
+@pytest.mark.parametrize("label", ["A2", "D4", "E6"])
+def test_pi_contexts_share_one_table_per_right_end(label):
+    """Every ``pi`` context of a group, whatever its corner and cap, the
+    ``pi`` context of a ``pibullet`` one and the corner functors' context
+    read one layer table per right end; a ``piw`` context, whose layers
+    depend on w, builds its own.  A context still refuses degrees above
+    its own cap that another context has built."""
+    g = build_group(label)
+    plain = AlgebraContext(g, "pi")
+    cornered = AlgebraContext(g, "pi", corner={0}, degree_cap=8)
+    bullet = AlgebraContext(g, "pibullet", corner={0}, degree_cap=8)
+    framed = AlgebraContext(g, "piw", w={0: 1})
+    for j in plain.quiver.vertices:
+        table = plain.table(j)
+        assert cornered.table(j) is table
+        assert bullet._pi.table(j) is table
+        assert pi_context(g).table(j) is table
+        assert framed.table(j) is not table
+    assert plain.layer(0, 12) is cornered.table(0).layers[12]
+    with pytest.raises(DegreeCapExceeded):
+        cornered.layer(0, 9)
+    with pytest.raises(DegreeCapExceeded):
+        hilbert_sequence(bullet, 9)
+
+
+HILBERT_ORDER_COMMANDS = ("--algebra pi --kmax 16",
+                          "--algebra pibullet --kmax 12",
+                          "--algebra pibullet --corner 0 --kmax 16")
+
+
+def test_hilbert_lines_independent_of_call_order(capsys, monkeypatch):
+    """In one process with an empty layer store, the ``hilbert`` lines of
+    E6 and E7 are the same whichever of the three commands runs first and
+    reads the tables the others extend."""
+    outputs = {}
+    for first in range(len(HILBERT_ORDER_COMMANDS)):
+        empty_pi_store(monkeypatch)
+        order = HILBERT_ORDER_COMMANDS[first:] + HILBERT_ORDER_COMMANDS[:first]
+        for label in ("E6", "E7"):
+            for command in order:
+                assert main(["hilbert", label, *command.split()]) == 0
+                outputs.setdefault((label, command), set()).add(
+                    capsys.readouterr().out)
+    assert all(len(lines) == 1 for lines in outputs.values()), outputs
 
 
 def test_corner_requires_member_vertices(a1):

@@ -27,6 +27,7 @@ from mckaykit.errors import (
     UnsupportedTheta,
     VertexNotInCorner,
 )
+from mckaykit import rep_theory
 from mckaykit.corner_functors import j_star
 from mckaykit.gamma_data import build_group
 from mckaykit.linalg import QQ, ClosureTest, PrimeField, rank
@@ -316,6 +317,29 @@ def test_sub_and_quotient_refuse_a_family_that_is_not_closed(a1_framed):
     closed = generated_submodule(rep, line.spaces)
     sub, quo = restrict_rep(rep, closed), quotient_rep(rep, closed)
     assert sub == rep and quo.total_dim() == 0
+
+
+def test_sub_and_quotient_read_one_closure_test(a1_framed, monkeypatch):
+    """A representation builds one ``ClosureTest``, on the first
+    restriction or quotient, and keeps it for every later one."""
+    built = []
+
+    class Counted(ClosureTest):
+        def __init__(self, field, maps):
+            built.append(field)
+            super().__init__(field, maps)
+
+    monkeypatch.setattr(rep_theory, "ClosureTest", Counted)
+    rep = random_flat_rep(a1_framed, DimVector({0: 2, 1: 1}, 1), 3)
+    line = SubmoduleWitness({0: ((1, 0),), 1: (), INFINITY: ()})
+    closed = generated_submodule(rep, line.spaces)
+    for _ in range(2):
+        assert restrict_rep(rep, closed) == rep
+        assert quotient_rep(rep, closed).total_dim() == 0
+        with pytest.raises(ShapeMismatch):
+            quotient_rep(rep, line)
+    assert len(built) == 1
+    assert rep._closure_test is rep._closure_test
 
 
 def test_relation_generators_kept_per_quiver():
