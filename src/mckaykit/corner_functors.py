@@ -419,7 +419,7 @@ def j_shriek_with_data(module, force_degree=0):
         if -neg_k < k_max:
             lay_next = ctx.layer(src, 1 - neg_k)
             for a in arrows_into[v]:
-                for c2, val in lay_next.lmul_in.get(a.id, {}).get(c, ()):
+                for c2, val in lay_next.image(a.id, c):
                     _scatter(maps[a.id], col, val,
                              normal_form((neg_k - 1, src, c2, b)), place, a.tail)
         # loops: thread the corner loop action through the module factor
@@ -456,29 +456,6 @@ def _scatter(rows, col, coef, red, place, vertex):
         v, r = place[key]
         if v == vertex:
             rows[r][col] += coef * x
-
-
-def j_shriek_on_hom(data_m, data_n, phi_blocks):
-    """Blocks of the induced map between two computed corner extensions.
-
-    ``phi_blocks[i]`` is a matrix (N component) x (M component) of a
-    module homomorphism M -> N; the induced map sends a tensor
-    coordinate through phi on the module factor and reduces in the
-    target extension.  Returns per-vertex matrices.
-    """
-    zero = data_m.module.field.zero
-    blocks = {
-        v: [[zero] * data_m.rep.dims.get(v) for _ in range(data_n.rep.dims.get(v))]
-        for v in data_m.rep.quiver.vertices
-    }
-    for key, (v, col) in data_m.place.items():
-        neg_k, src, c, b = key
-        phi = phi_blocks[src]
-        for b2 in range(data_n.module.dim(src)):
-            if phi[b2][b] != zero:
-                _scatter(blocks[v], col, phi[b2][b],
-                         data_n.normal_form((neg_k, src, c, b2)), data_n.place, v)
-    return {v: tuple(tuple(r) for r in rows) for v, rows in blocks.items()}
 
 
 def cornered_hom_space(a, b):

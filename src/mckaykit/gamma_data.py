@@ -201,23 +201,13 @@ def closure(field, generators, order):
     return tuple(elements)
 
 
-def conjugacy_classes(field, elements, generators=None):
-    """Classes as orbits under conjugation by a generating set.  Returns
-    (class_of, class_reps, class_sizes).
-
-    The generators are ``generators`` when given, a set whose closure is
-    ``elements``; otherwise they are taken greedily from ``elements``: each
-    one outside the closure of the earlier ones, until that closure is the
-    whole list.  Classes are numbered by their first element, which is
-    their representative.
+def conjugacy_classes(field, elements, generators):
+    """Classes as orbits under conjugation by ``generators``, a set whose
+    closure is ``elements``.  Returns (class_of, class_reps, class_sizes).
+    Classes are numbered by their first element, which is their
+    representative.
     """
     p = field.p
-    if generators is None:
-        generators, span = [], {_IDENTITY}
-        for e in elements:
-            if e not in span:
-                generators.append(e)
-                span = set(closure(field, generators, len(elements)))
     index = {e: i for i, e in enumerate(elements)}
     class_of = [None] * len(elements)
     reps = []
@@ -406,7 +396,7 @@ def _eigenvectors(field, t, rng):
 # character tables from explicit elements (Dixon-Schneider over GF(p))
 # ---------------------------------------------------------------------------
 
-def dixon_character_table(field, elements, generators=None):
+def dixon_character_table(field, elements, generators):
     """The exact character table over GF(p) from group elements.
 
     With the structure constants n_ab^c = #{x in C_a : x^-1 z_c in C_b},
@@ -421,18 +411,15 @@ def dixon_character_table(field, elements, generators=None):
     products per class; each try of T draws its coefficients from
     ``random.Random(0)``.  Exact when p does not divide |G| and p = 1 mod
     the exponent.
-    ``elements[0]`` must be the identity; ``generators``, when given, is a
-    set whose closure is ``elements`` (``conjugacy_classes``).  Rows are in
+    ``elements[0]`` must be the identity, and ``generators`` is a set whose
+    closure is ``elements`` (``conjugacy_classes``).  Rows are in
     increasing order of their eigenvalue of T.  Returns (characters,
     class_sizes, class_of, reps, class_inverse).
     """
     if elements[0] != _IDENTITY:
         raise InvariantViolation("the element list must start with the identity")
     p = field.p
-    if generators is None:
-        class_of, reps, sizes = conjugacy_classes(field, elements)
-    else:
-        class_of, reps, sizes = conjugacy_classes(field, elements, generators)
+    class_of, reps, sizes = conjugacy_classes(field, elements, generators)
     k = len(reps)
     n = len(elements)
     index = {e: i for i, e in enumerate(elements)}

@@ -28,7 +28,9 @@ builds relations in the full algebra (subalgebra semantics).
 
 Path convention: a path is a tuple of arrow ids in product order, so the
 rightmost arrow acts first; a path starts at the head of its last arrow
-and ends at the tail of its first.
+and ends at the tail of its first.  A layer keeps no paths: each class is
+its first arrow times a parent class one degree down, and ``_Layer.path``
+rebuilds a path through the parents.
 """
 
 import functools
@@ -55,31 +57,62 @@ DEFAULT_DEGREE_CAP = 16
 FLAVORS = ("pi", "piw", "pibullet")
 
 
+@dataclass(slots=True)
 class _Layer:
-    __slots__ = ("paths", "vertex_of", "by_vertex", "lmul_in")
+    """One degree of a layer table.  Class t of degree k > 0 is the arrow
+    ``arrow_of[t]`` times class ``parent_of[t]`` of degree k - 1, so its
+    path is read back through the parents (``path``)."""
 
-    def __init__(self, paths, vertex_of, by_vertex, lmul_in):
-        self.paths = paths
-        self.vertex_of = vertex_of
-        # by_vertex[v] = the tuple of coords whose class ends at v, increasing
-        self.by_vertex = by_vertex
-        # lmul_in[aid][prev_coord] = expansion of (arrow . prev basis class)
-        # in this layer's coordinates, as sparse ((coord, value), ...) pairs
-        # with nonzero values in increasing coord order
-        self.lmul_in = lmul_in
+    prev: object  # the layer of degree k - 1, None at degree 0
+    arrows: dict  # the plan's {arrow id: (head, tail)}, shared by the table
+    arrow_of: tuple
+    parent_of: tuple
+    vertex_of: tuple
+    # by_vertex[v] = the tuple of coords whose class ends at v, increasing;
+    # pos[c] = the place of coord c in its block
+    by_vertex: dict
+    pos: tuple
+    # images[aid][pos[c]] = expansion of (arrow . class c of the previous
+    # layer, c in the block at the arrow's head) in this layer's
+    # coordinates, flat as (coord, value, coord, value, ...) with nonzero
+    # values in increasing coord order
+    images: dict
 
     @property
     def dim(self):
-        return len(self.paths)
+        return len(self.vertex_of)
+
+    def image(self, aid, c):
+        """(arrow ``aid``) . (class ``c`` of the previous layer) as sparse
+        ``(coord, value)`` pairs, an iterator; ``()`` with no slot at c."""
+        block = self.images.get(aid)
+        prev = self.prev
+        if block is None or prev.vertex_of[c] != self.arrows[aid][0]:
+            return ()
+        flat = iter(block[prev.pos[c]])
+        return zip(flat, flat)
+
+    def path(self, c):
+        """The basis path of class ``c``, rebuilt through the parents."""
+        path = []
+        layer = self
+        while layer.prev is not None:
+            path.append(layer.arrow_of[c])
+            c = layer.parent_of[c]
+            layer = layer.prev
+        return tuple(path)
+
+    @property
+    def paths(self):
+        return tuple(map(self.path, range(self.dim)))
 
 
 def _layer_plan(quiver, kill=frozenset()):
     """What the layer tables of ``quiver`` read: the arrows whose tail is
-    not in ``kill``, as ``(id, head, tail)``, and the terms of each relation
-    generator whose target is not in ``kill``, with the generator's
-    source.  Built once and shared by the tables."""
-    arrows = tuple((a.id, a.head, a.tail) for a in quiver.arrows
-                   if a.tail not in kill)
+    not in ``kill``, as ``{id: (head, tail)}`` in arrow order, and the terms
+    of each relation generator whose target is not in ``kill``, with the
+    generator's source.  Built once and shared by the tables."""
+    arrows = {a.id: (a.head, a.tail) for a in quiver.arrows if a.tail not in kill}
     relations = tuple((gen.src, gen.terms) for gen in relation_generators(quiver)
                       if gen.tgt not in kill)
     return arrows, relations
@@ -98,8 +131,9 @@ class _LayerTable:
 
     def __init__(self, plan, right_end):
         self.arrows, self.relations = plan
-        self.layers = [_Layer(((),), (right_end,), {right_end: (0,)}, {})]
-        # units[t] = ((t, 1),), the image of a slot that is basis class t;
+        self.layers = [_Layer(None, self.arrows, (), (), (right_end,),
+                              {right_end: (0,)}, (0,), {})]
+        # units[t] = (t, 1), the image of a slot that is basis class t;
         # every layer of the table shares them
         self.units = []
 
@@ -111,27 +145,25 @@ class _LayerTable:
     def _build_next(self):
         prev = self.layers[-1]
         k = len(self.layers)
-        slots = []
-        slot_index = {}
-        for aid, head, tail in self.arrows:
-            for c in prev.by_vertex.get(head, ()):
-                slot_index[(aid, c)] = len(slots)
-                slots.append((aid, tail, c))
+        # slot offset[aid] + pos[c] is arrow aid times class c of prev's block
+        # at the arrow's head
+        offset = {}
+        nslots = 0
+        for aid, (head, _) in self.arrows.items():
+            offset[aid] = nslots
+            nslots += len(prev.by_vertex.get(head, ()))
 
-        # relation rows, sparse over the slots, straight into the echelon
+        # relation rows, sparse over the slots, straight into the echelon; a
+        # term x.y lands in the block of x's head, y's tail
         ech = Echelon(QQ)
-        if k >= 2 and slots:
-            prev2 = self.layers[k - 2]
-            lm = prev.lmul_in
+        if k >= 2 and nslots:
+            pos = prev.pos
             for src, terms in self.relations:
-                for u in prev2.by_vertex.get(src, ()):
+                for u in self.layers[k - 2].by_vertex.get(src, ()):
                     row = {}
                     for coeff, (x, y) in terms:
-                        w = lm.get(y, {}).get(u)
-                        if w is None:
-                            continue
-                        for c, val in w:
-                            s = slot_index[(x, c)]
+                        for c, val in prev.image(y, u):
+                            s = offset[x] + pos[c]
                             row[s] = row.get(s, QQ.zero) + coeff * val
                     ech.insert(row)
         red = ech.reduced_rows()
@@ -139,35 +171,47 @@ class _LayerTable:
         # a reduced row's columns are free slots after its pivot, so the
         # free positions are counted before the pass that writes the layer
         free_pos = {}
-        for s in range(len(slots)):
+        for s in range(nslots):
             if s not in red:
                 free_pos[s] = len(free_pos)
-        prev_paths = prev.paths
         units = self.units
-        paths = []
-        vertex_of = []
+        arrow_of, parent_of, vertex_of, pos = [], [], [], []
         by_vertex = {}
-        lmul_in = {}
-        for s, (aid, tail, c) in enumerate(slots):
-            row = red.get(s)
-            if row is None:
-                t = len(paths)
-                if t == len(units):
-                    units.append(((t, QQ.one),))
-                image = units[t]
-                paths.append((aid,) + prev_paths[c])
-                vertex_of.append(tail)
-                by_vertex.setdefault(tail, []).append(t)
-            else:
-                image = tuple(sorted((free_pos[x], -val)
-                                     for x, val in row.items() if x != s))
-            images = lmul_in.get(aid)
-            if images is None:
-                images = lmul_in[aid] = {}
-            images[c] = image
-        by_vertex = {v: tuple(coords) for v, coords in by_vertex.items()}
-        self.layers.append(_Layer(tuple(paths), tuple(vertex_of), by_vertex,
-                                  lmul_in))
+        images = {}
+        for aid, (head, tail) in self.arrows.items():
+            coords = prev.by_vertex.get(head)
+            if coords is None:
+                continue
+            s = offset[aid]
+            block = None
+            imgs = []
+            for c in coords:
+                row = red.get(s)
+                if row is None:
+                    t = len(vertex_of)
+                    if t == len(units):
+                        units.append((t, QQ.one))
+                    imgs.append(units[t])
+                    arrow_of.append(aid)
+                    parent_of.append(c)
+                    vertex_of.append(tail)
+                    if block is None:
+                        block = by_vertex.setdefault(tail, [])
+                    pos.append(len(block))
+                    block.append(t)
+                else:
+                    # free_pos increases with the slot, so slot order is
+                    # coordinate order
+                    flat = []
+                    for x, val in sorted(row.items()):
+                        if x != s:
+                            flat += (free_pos[x], -val)
+                    imgs.append(tuple(flat))
+                s += 1
+            images[aid] = tuple(imgs)
+        self.layers.append(_Layer(
+            prev, self.arrows, tuple(arrow_of), tuple(parent_of), tuple(vertex_of),
+            {v: tuple(block) for v, block in by_vertex.items()}, tuple(pos), images))
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,7 +328,7 @@ class AlgebraContext:
 
     def slice_basis_paths(self, i, j, k):
         layer, coords = self.slice_coords(i, j, k)
-        return tuple(layer.paths[c] for c in coords)
+        return tuple(map(layer.path, coords))
 
 
 def hilbert_sequence(ctx, kmax):
@@ -332,12 +376,8 @@ def _expand_path_on(ctx, path, vec, right_end, level):
         level += 1
         layer = table.ensure(level)
         nxt = {}
-        lm = layer.lmul_in.get(aid, {})
         for c, val in vec.items():
-            img = lm.get(c)
-            if img is None:
-                continue
-            for t, x in img:
+            for t, x in layer.image(aid, c):
                 nxt[t] = nxt.get(t, QQ.zero) + val * x
         vec = {c: v for c, v in nxt.items() if v}
     return vec

@@ -728,9 +728,9 @@ def quotient_maps(field, gens, dims, spaces, closed):
 
     ``gens`` lists ``(i, j, mat)`` with mat a dims[i] x dims[j] matrix,
     ``spaces`` maps vertices to spanning rows, and ``closed`` is the
-    ``ClosureTest`` of ``gens`` (the module keeps one).  Returns (quotient
-    dims, induced matrices in the order of ``gens``, projection per
-    vertex); the induced matrix has column c equal to
+    ``ClosureTest`` of ``gens`` (a cornered module keeps one).  Returns
+    (quotient dims, induced matrices in the order of ``gens``, projection
+    per vertex); the induced matrix has column c equal to
     ``proj[i] . mat . lift[j][c]``, ``lift`` being the lifted bases of the
     quotients.  A family that is not closed, or a row of the wrong length,
     raises ShapeMismatch.

@@ -305,7 +305,7 @@ def truncated_corner_column(g, corner):
         rows = [[QQ.zero] * len(index[a.head]) for _ in index[a.tail]]
         for col, (k, c) in enumerate(index[a.head]):
             if k < bound:
-                for c2, val in layers[k + 1].lmul_in.get(a.id, {}).get(c, ()):
+                for c2, val in layers[k + 1].image(a.id, c):
                     rows[index[a.tail][(k + 1, c2)]][col] = val
         maps[a.id] = tuple(map(tuple, rows))
     dims = DimVector(components={v: len(pos) for v, pos in index.items()})

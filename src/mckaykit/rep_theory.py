@@ -135,12 +135,6 @@ class QuiverRep:
                     for row in mat for x in row), default=0)
 
     @functools.cached_property
-    def _closure_test(self):
-        """The closure test of the arrow matrices, read by ``restrict_rep``
-        and ``quotient_rep``."""
-        return ClosureTest(self.field, self.generators())
-
-    @functools.cached_property
     def _framing(self):
         """The submodule generated by the framing component."""
         n, field = self.dims.get(INFINITY), self.field
@@ -547,11 +541,11 @@ def brute_force_stability(rep, theta):
 def restrict_rep(rep, witness):
     """The representation induced on a closed family of subspaces; a family
     that is not closed, or a row of the wrong length, raises ShapeMismatch."""
-    field = rep.field
-    if not rep._closure_test(witness.spaces):
+    field, gens = rep.field, rep.generators()
+    if not ClosureTest(field, gens)(witness.spaces):
         raise ShapeMismatch("vector not in the subspace span")
     mats = []
-    for tail, head, mat in rep.generators():
+    for tail, head, mat in gens:
         src = witness.spaces.get(head, ())
         tgt = witness.spaces.get(tail, ())
         # the coordinates of the images of src in the basis tgt, by one solve
@@ -566,8 +560,9 @@ def restrict_rep(rep, witness):
 
 def quotient_rep(rep, witness):
     """The quotient by a closed family of subspaces."""
-    dims, mats, _ = quotient_maps(rep.field, rep.generators(), rep.vertex_dims(),
-                                  witness.spaces, rep._closure_test)
+    gens = rep.generators()
+    dims, mats, _ = quotient_maps(rep.field, gens, rep.vertex_dims(),
+                                  witness.spaces, ClosureTest(rep.field, gens))
     return rep.rebuild(dims, mats)
 
 

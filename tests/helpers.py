@@ -9,6 +9,7 @@ import hashlib
 from fractions import Fraction
 
 from mckaykit import dynkin
+from mckaykit.corner_functors import _scatter
 from mckaykit.linalg import QQ, Echelon
 from mckaykit.rep_theory import is_stable, random_flat_rep
 
@@ -450,7 +451,7 @@ def reference_extension(module, force_degree=0):
             lay_next = ctx.layer(src, 1 - neg_k)
             for a in quiver_b.non_loop_arrows():
                 if a.head == v:
-                    for c2, val in lay_next.lmul_in.get(a.id, {}).get(c, ()):
+                    for c2, val in lay_next.image(a.id, c):
                         scatter(maps[a.id], col, val,
                                 normal_form((neg_k - 1, src, c2, b)), a.tail)
         zmat = module.z_mats[src]
@@ -460,3 +461,26 @@ def reference_extension(module, force_degree=0):
                         normal_form((neg_k, src, c, bb)), v)
     maps = {aid: tuple(tuple(row) for row in rows) for aid, rows in maps.items()}
     return maps, comps, k_max, place, normal_form
+
+
+def j_shriek_on_hom(data_m, data_n, phi_blocks):
+    """Blocks of the induced map between two computed corner extensions.
+
+    ``phi_blocks[i]`` is a matrix (N component) x (M component) of a
+    module homomorphism M -> N; the induced map sends a tensor
+    coordinate through phi on the module factor and reduces in the
+    target extension.  Returns per-vertex matrices.
+    """
+    zero = data_m.module.field.zero
+    blocks = {
+        v: [[zero] * data_m.rep.dims.get(v) for _ in range(data_n.rep.dims.get(v))]
+        for v in data_m.rep.quiver.vertices
+    }
+    for key, (v, col) in data_m.place.items():
+        neg_k, src, c, b = key
+        phi = phi_blocks[src]
+        for b2 in range(data_n.module.dim(src)):
+            if phi[b2][b] != zero:
+                _scatter(blocks[v], col, phi[b2][b],
+                         data_n.normal_form((neg_k, src, c, b2)), data_n.place, v)
+    return {v: tuple(tuple(r) for r in rows) for v, rows in blocks.items()}

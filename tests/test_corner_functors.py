@@ -13,6 +13,7 @@ from helpers import (
     ROUND_TRIP_CONFIGS,
     count_memo_misses,
     flat_reps,
+    j_shriek_on_hom,
     memo_row,
     reference_extension,
 )
@@ -47,7 +48,6 @@ from mckaykit.corner_functors import (
     cornered_submodule_is_closed,
     generation_degree,
     j_shriek,
-    j_shriek_on_hom,
     j_shriek_with_data,
     j_star,
     pi_context,

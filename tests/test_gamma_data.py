@@ -70,9 +70,10 @@ def test_d4_against_brute_force_oracle():
     def quat(a, b, c, d):
         return (((a + b * i) % p, (c + d * i) % p), ((-c + d * i) % p, (a - b * i) % p))
 
-    elements = closure(field, [quat(0, 1, 0, 0), quat(0, 0, 1, 0)], 8)
+    gens = [quat(0, 1, 0, 0), quat(0, 0, 1, 0)]
+    elements = closure(field, gens, 8)
     assert len(elements) == 8
-    rows, sizes, _, _, _ = dixon_character_table(field, elements)
+    rows, sizes, _, _, _ = dixon_character_table(field, elements, gens)
     dims = sorted(r[0] for r in rows)
     assert dims == [1, 1, 1, 1, 2]
     assert g.order == 8
@@ -86,17 +87,18 @@ def test_dixon_checks_the_class_algebra(monkeypatch):
     desc = parse_descriptor("D4")
     field = group_field(exponent(desc))
     z = root_of_unity(field, exponent(desc))
-    elements = closure(field, sl2_generators(desc, field, z), 8)
+    gens = sl2_generators(desc, field, z)
+    elements = closure(field, gens, 8)
     classes = gamma_data.conjugacy_classes
 
-    def wrong_sizes(field, elements):
-        class_of, reps, sizes = classes(field, elements)
+    def wrong_sizes(field, elements, generators):
+        class_of, reps, sizes = classes(field, elements, generators)
         return class_of, reps, (sizes[0] + 1,) + sizes[1:]
 
-    assert len(dixon_character_table(field, elements)[0]) == 5
+    assert len(dixon_character_table(field, elements, gens)[0]) == 5
     monkeypatch.setattr(gamma_data, "conjugacy_classes", wrong_sizes)
     with pytest.raises(InvariantViolation, match="structure constants broken"):
-        dixon_character_table(field, elements)
+        dixon_character_table(field, elements, gens)
 
 
 # binary tetrahedral, octahedral and icosahedral groups: order and the

@@ -4,6 +4,7 @@ import functools
 import hashlib
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
@@ -120,11 +121,14 @@ def test_pibullet_engine_is_pi_with_z(label, corner):
 
 
 def _canonical_lmul_in(layer):
+    """The arrow images of a layer, per arrow with a slot and per class of
+    the previous layer at its head, in the sorted form the digests below
+    were computed on."""
     return sorted(
         (aid, sorted(
-            (c, tuple(sorted((t, str(Fraction(v))) for t, v in img if v)))
-            for c, img in images.items()))
-        for aid, images in layer.lmul_in.items()
+            (c, tuple(sorted((t, str(Fraction(v))) for t, v in layer.image(aid, c) if v)))
+            for c in layer.prev.by_vertex[layer.arrows[aid][0]]))
+        for aid in layer.images
     )
 
 
@@ -187,6 +191,71 @@ def test_layer_identity_framed_e8_and_killed():
                                  for v, coords in layer.by_vertex.items()],
                                 _canonical_lmul_in(layer))).encode())
     assert digest.hexdigest() == FRAMED_AND_KILLED_LAYER_DIGEST
+
+
+def _compact_tables():
+    """``pi`` on A2, D4 and E6 at every right end to degree 10, ``piw`` on
+    A2 with w = Lambda_0 to degree 8, and the tables ``factor_through_bound``
+    builds for D4 and E6 with the corner {0} killed, to degree h - 1; each
+    with the quiver and a context whose ``table`` reads it."""
+    for label in ("A2", "D4", "E6"):
+        ctx = AlgebraContext(build_group(label), "pi")
+        for j in ctx.quiver.vertices:
+            yield ctx, ctx.quiver, j, 10
+    ctx = AlgebraContext(build_group("A2"), "piw", w={0: 1})
+    for j in ctx.quiver.vertices:
+        yield ctx, ctx.quiver, j, 8
+    for label in ("D4", "E6"):
+        g = build_group(label)
+        quiver = mckay_quiver(g)
+        plan = _layer_plan(quiver, frozenset({0}))
+        for j in quiver.vertices:
+            if j != 0:
+                table = _LayerTable(plan, j)
+                ctx = SimpleNamespace(table=lambda _, t=table: t)
+                yield ctx, quiver, j, sum(g.irrep_dims) - 1
+
+
+def test_compact_layers_rebuild_paths_and_images():
+    """A layer keeps each class as an arrow and a parent class, and the
+    arrow images as one tuple per arrow aligned with the previous layer's
+    block at its head.  Expanding a class's path from the degree-0 class
+    gives exactly that class's unit vector; its path is the chain of arrow
+    ids through the parents; and the image accessor is ``()`` at a class
+    away from the arrow's head and for an arrow with no slot."""
+    for ctx, quiver, j, kmax in _compact_tables():
+        table = ctx.table(j)
+        table.ensure(kmax)
+        for k, layer in enumerate(table.layers[:kmax + 1]):
+            chains = []
+            for c in range(layer.dim):
+                chain, t = [], c
+                for m in range(k, 0, -1):
+                    chain.append(table.layers[m].arrow_of[t])
+                    t = table.layers[m].parent_of[t]
+                assert t == 0
+                chains.append(tuple(chain))
+                assert _expand_path_on(ctx, chains[c], {0: QQ.one}, j, 0) == {c: QQ.one}
+                assert layer.path(c) == chains[c]
+            if isinstance(ctx, AlgebraContext):
+                for i, coords in layer.by_vertex.items():
+                    assert ctx.slice_basis_paths(i, j, k) == tuple(chains[c] for c in coords)
+            if k == 0:
+                assert layer.images == {}
+                continue
+            prev = table.layers[k - 1]
+            for aid, (head, _) in table.arrows.items():
+                block = prev.by_vertex.get(head, ())
+                if not block:
+                    assert aid not in layer.images
+                else:
+                    assert len(layer.images[aid]) == len(block)
+                for c in range(prev.dim):
+                    if prev.vertex_of[c] != head:
+                        assert layer.image(aid, c) == ()
+            for a in quiver.arrows:
+                if a.id not in table.arrows:  # a killed arrow has no slot
+                    assert all(layer.image(a.id, c) == () for c in range(prev.dim))
 
 
 @pytest.mark.parametrize("corner", [None, {0}, {0, 1}], ids=["none", "0", "01"])

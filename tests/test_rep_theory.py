@@ -319,9 +319,11 @@ def test_sub_and_quotient_refuse_a_family_that_is_not_closed(a1_framed):
     assert sub == rep and quo.total_dim() == 0
 
 
-def test_sub_and_quotient_read_one_closure_test(a1_framed, monkeypatch):
-    """A representation builds one ``ClosureTest``, on the first
-    restriction or quotient, and keeps it for every later one."""
+def test_sub_and_quotient_read_one_closure_test(a1_framed, dims11, monkeypatch):
+    """``restrict_rep`` and ``quotient_rep`` each build one ``ClosureTest``
+    per call, refusal or not, and keep none on the representation; a
+    ``polystable_decomposition`` builds two, one restriction and one
+    quotient."""
     built = []
 
     class Counted(ClosureTest):
@@ -333,13 +335,19 @@ def test_sub_and_quotient_read_one_closure_test(a1_framed, monkeypatch):
     rep = random_flat_rep(a1_framed, DimVector({0: 2, 1: 1}, 1), 3)
     line = SubmoduleWitness({0: ((1, 0),), 1: (), INFINITY: ()})
     closed = generated_submodule(rep, line.spaces)
-    for _ in range(2):
+    for calls in range(1, 3):
         assert restrict_rep(rep, closed) == rep
         assert quotient_rep(rep, closed).total_dim() == 0
         with pytest.raises(ShapeMismatch):
             quotient_rep(rep, line)
-    assert len(built) == 1
-    assert rep._closure_test is rep._closure_test
+        assert len(built) == 3 * calls
+    assert not any(isinstance(x, ClosureTest) for x in vars(rep).values())
+    theta0 = theta_I({0}, dims11)
+    _, stable = next((seed, m) for seed, m in flat_reps(a1_framed, dims11, 30)
+                     if is_stable(m, theta0))
+    del built[:]
+    assert len(polystable_decomposition(stable, {0})) == 1
+    assert len(built) == 2
 
 
 def test_relation_generators_kept_per_quiver():
